@@ -77,9 +77,11 @@ bench-throughput:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkBatchedSweep|BenchmarkFaultInjection|BenchmarkTwinScreen|BenchmarkDispatchScheduler|BenchmarkIQOrganizations' -benchmem -bench-json BENCH_pr10.json .
 
 # Throughput-floor gate: one baseline cell per workload category through the
-# harness, single worker, asserting every cell clears 354266 cycles/sec —
+# harness, single worker, asserting the batch total's core-loop rate (total
+# simulated cycles over total core-loop seconds) clears 354266 cycles/sec —
 # 2x the PR1 baseline (177133, see BENCH_pr1.json) — so a core-loop
 # performance regression fails the build rather than landing silently.
+# Individual cells are not gated: CPU-A alone runs well below the floor.
 perf-smoke:
 	$(GO) run ./cmd/experiments -n 200000 -workers 1 -bench-json /tmp/perf-smoke.json -bench-min 354266 bench
 

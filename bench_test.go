@@ -441,20 +441,24 @@ func BenchmarkTraceExecutor(b *testing.B) {
 	}
 }
 
+// BenchmarkACEAnalyzer times one offline profiling pass (ace.Run) of a
+// MEM benchmark at a mem-long cell's profile length (1M committed, the
+// quarter warmup and core's in-flight slack), as cell setup pays it, and
+// reports profiled instructions per second.
 func BenchmarkACEAnalyzer(b *testing.B) {
-	w := workload.MustGet("gcc")
+	const n = 1_254_096
+	w := workload.MustGet("mcf")
 	prog, err := w.Generate()
 	if err != nil {
 		b.Fatal(err)
 	}
-	exec := trace.NewExecutor(prog, 1, 0)
-	an := ace.New(ace.DefaultWindow, func(uint64, bool) {})
-	var d trace.DynInst
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		exec.Next(&d)
-		an.Retire(&d)
+		if _, err := ace.Run(prog, w.Params.Seed, 0, n, ace.DefaultWindow); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
 // iqOrgBenchUops builds a reusable pool of synthetic uops spread across

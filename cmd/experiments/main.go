@@ -58,7 +58,7 @@ func main() {
 		workers       = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 		csvDir        = flag.String("csv", "", "also write machine-readable CSVs into this directory")
 		benchJSON     = flag.String("bench-json", "BENCH_pr1.json", "where the bench target writes throughput records")
-		benchMin      = flag.Float64("bench-min", 0, "bench target: exit nonzero if any cell's cycles/sec falls below this floor (0 disables)")
+		benchMin      = flag.Float64("bench-min", 0, "bench target: exit nonzero if the batch total's core-loop cycles/sec (all cells' cycles over their summed core-loop seconds) falls below this floor (0 disables)")
 		cpuProf       = flag.String("cpuprofile", "", "write a pprof CPU profile of the bench target to this file")
 		serverURL     = flag.String("server", "", "run sweeps through a visasimd daemon at this base URL (e.g. http://localhost:8080)")
 		serverTimeout = flag.Duration("server-timeout", time.Hour, "per-sweep deadline when using -server (0 disables)")

@@ -19,10 +19,17 @@
 //   - a register write still architecturally live when it leaves the window
 //     is conservatively ACE (a future read remains possible);
 //   - NOPs are never ACE.
+//
+// The analysis runs as two stages. The resolver (resolve.go) turns each
+// instruction into a fixed-size edge record: back-distances to its
+// producers and to the older writes it kills. The window (this file) owns
+// the ring of in-flight instructions, the anchor decisions, the backward
+// marking and resolution. Analyzer.Retire runs both stages in turn on one
+// instruction; Run (profile.go) runs the resolver on its own goroutine and
+// streams records to the window in batches.
 package ace
 
 import (
-	"visasim/internal/isa"
 	"visasim/internal/trace"
 )
 
@@ -38,24 +45,176 @@ const DefaultWindow = 40000
 // (visible as LateMarks).
 const anchorSlack = 512
 
-const noProducer = -1
+// Slot flags.
+const (
+	slotACE       uint8 = 1 << iota
+	slotNop             // never marked by propagation
+	slotStoreLive       // a store not yet overwritten
+	slotRegLive         // a register write not yet overwritten
+)
 
-type entry struct {
-	producers [3]int64 // seq of source producers; [2] is a load's feeding store
-	kind      isa.Kind
-	dest      isa.Reg
-	addr      uint64 // word-aligned address for stores
-	ace       bool
-	isStore   bool
-	storeLive bool // store not yet overwritten
+// slot is one in-window instruction (20 bytes).
+type slot struct {
+	// prod holds back-distances to the Src1 and Src2 producers and to a
+	// load's feeding store; 0 means none in the window when retired.
+	prod   [3]uint32
+	static int32 // static instruction index, passed through to resolution
+	flags  uint8
 }
 
-type regState struct {
-	writer int64 // seq of last writer, noProducer if none in window
+// window is the second analysis stage: a ring of the last `size`
+// instructions in retirement order. Each pushed edge first takes the
+// anchor decision anchorSlack positions before the oldest instruction
+// leaves, then resolves the oldest, then enters the ring and applies its
+// kills and marks — the order in which a single-pass analyzer would see
+// them.
+type window struct {
+	size  uint64 // analysis window length
+	slack uint64 // anchor-decision lead
+	mask  uint64 // ring index mask; len(ring) is a power of two >= size
+	ring  []slot
+
+	next    uint64 // seq of the next instruction to enter
+	settled uint64 // seq of the next instruction to be resolved out
+	checked uint64 // seq of the next instruction to get its anchor decision
+
+	out func(seq uint64, static int32, ace bool)
+
+	// dfs is the reusable backward-propagation work stack.
+	dfs []uint64
+
+	// lateMarks counts ACE marks that arrived after the target had
+	// already left the window — a measure of windowing error.
+	lateMarks uint64
 }
 
-type memState struct {
-	writer int64 // seq of last store to this word
+func newWindow(size uint64, out func(seq uint64, static int32, ace bool)) *window {
+	ringLen := uint64(1)
+	for ringLen < size {
+		ringLen <<= 1
+	}
+	slack := uint64(anchorSlack)
+	if size/2 < slack {
+		slack = size / 2 // clamp the lead for tiny windows
+	}
+	return &window{
+		size:  size,
+		slack: slack,
+		mask:  ringLen - 1,
+		ring:  make([]slot, ringLen),
+		out:   out,
+	}
+}
+
+// push enters the next instruction's edge record.
+func (w *window) push(e *edge) {
+	seq := w.next
+	if seq >= w.size-w.slack {
+		w.anchorCheck(w.checked)
+		w.checked++
+	}
+	if seq >= w.size {
+		w.settle(seq - w.size)
+	}
+
+	s := &w.ring[seq&w.mask]
+	*s = slot{prod: [3]uint32{e.src[0], e.src[1], 0}, static: e.static}
+	w.next = seq + 1
+
+	// Kills: the resolver reports only writers still in the window, so
+	// their slots have not been reused.
+	if e.flags&edgeDest != 0 {
+		s.flags |= slotRegLive
+		if e.regKill != 0 {
+			w.ring[(seq-uint64(e.regKill))&w.mask].flags &^= slotRegLive
+		}
+	}
+	switch {
+	case e.flags&edgeNop != 0:
+		s.flags |= slotNop
+	case e.flags&edgeStore != 0:
+		s.flags |= slotStoreLive
+		if e.mem != 0 {
+			// Overwriting a prior store kills it if it was never read.
+			w.ring[(seq-uint64(e.mem))&w.mask].flags &^= slotStoreLive
+		}
+	case e.flags&edgeLoad != 0:
+		if e.mem != 0 {
+			// The stored value reached a consumer: the store is
+			// architecturally required.
+			s.prod[2] = e.mem
+			w.mark(seq - uint64(e.mem))
+		}
+	case e.flags&edgeControl != 0:
+		// Control flow is always ACE.
+		w.mark(seq)
+	}
+}
+
+// mark sets the instruction at seq ACE and propagates backwards through
+// its producers. Each slot is marked at most once, so total work is linear.
+func (w *window) mark(seq uint64) {
+	s := &w.ring[seq&w.mask]
+	if s.flags&slotACE != 0 {
+		return
+	}
+	s.flags |= slotACE
+	w.pushProducers(seq, s)
+	for len(w.dfs) > 0 {
+		p := w.dfs[len(w.dfs)-1]
+		w.dfs = w.dfs[:len(w.dfs)-1]
+		ps := &w.ring[p&w.mask]
+		if ps.flags&(slotACE|slotNop) != 0 {
+			continue
+		}
+		ps.flags |= slotACE
+		w.pushProducers(p, ps)
+	}
+}
+
+func (w *window) pushProducers(seq uint64, s *slot) {
+	for _, d := range s.prod {
+		if d == 0 {
+			continue
+		}
+		p := seq - uint64(d)
+		if p < w.settled {
+			w.lateMarks++
+			continue
+		}
+		w.dfs = append(w.dfs, p)
+	}
+}
+
+// anchorCheck takes the conservative anchor decisions for seq while its
+// producers are still resolvable.
+func (w *window) anchorCheck(seq uint64) {
+	s := &w.ring[seq&w.mask]
+	if s.flags&slotACE == 0 && s.flags&(slotStoreLive|slotRegLive) != 0 {
+		// A store still holding the newest value for its location
+		// may be program output or read beyond the window; a register
+		// still architecturally live near window exit may be read
+		// again. Both are conservatively ACE, and so are their
+		// producers.
+		w.mark(seq)
+	}
+}
+
+// settle resolves the instruction at seq as it leaves the window.
+func (w *window) settle(seq uint64) {
+	s := &w.ring[seq&w.mask]
+	w.settled = seq + 1
+	w.out(seq, s.static, s.flags&slotACE != 0)
+}
+
+// flush resolves every instruction still inside the window.
+func (w *window) flush() {
+	for ; w.checked < w.next; w.checked++ {
+		w.anchorCheck(w.checked)
+	}
+	for w.settled < w.next {
+		w.settle(w.settled)
+	}
 }
 
 // Analyzer performs streaming ACE classification. Feed committed
@@ -63,23 +222,8 @@ type memState struct {
 // the callback passed to New, in order, delayed by up to the window size.
 // Call Flush at end of stream to resolve the tail.
 type Analyzer struct {
-	window  uint64
-	ring    []entry
-	next    uint64 // seq of the next instruction to be retired into the analyzer
-	settled uint64 // seq of the next instruction to be resolved out
-	checked uint64 // seq of the next instruction to get its anchor decision
-
-	regs [isa.NumRegs]regState
-	mem  map[uint64]memState
-
-	resolve func(seq uint64, ace bool)
-
-	// dfs is the reusable backward-propagation work stack.
-	dfs []int64
-
-	// lateMarks counts ACE marks that arrived after the target had
-	// already left the window — a measure of windowing error.
-	lateMarks uint64
+	res *resolver
+	win *window
 }
 
 // New returns an analyzer with the given window (0 selects DefaultWindow).
@@ -88,187 +232,27 @@ func New(window int, resolve func(seq uint64, ace bool)) *Analyzer {
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	a := &Analyzer{
-		window:  uint64(window),
-		ring:    make([]entry, window),
-		mem:     make(map[uint64]memState),
-		resolve: resolve,
+	return &Analyzer{
+		res: newResolver(uint64(window)),
+		win: newWindow(uint64(window), func(seq uint64, _ int32, ace bool) { resolve(seq, ace) }),
 	}
-	for i := range a.regs {
-		a.regs[i].writer = noProducer
-	}
-	return a
 }
 
 // LateMarks reports how many ACE marks arrived too late to change an
 // already-resolved instruction (windowing error diagnostic).
-func (a *Analyzer) LateMarks() uint64 { return a.lateMarks }
-
-func (a *Analyzer) at(seq uint64) *entry { return &a.ring[seq%a.window] }
-
-// inWindow reports whether seq is still held in the ring.
-func (a *Analyzer) inWindow(seq int64) bool {
-	return seq >= 0 && uint64(seq) >= a.settled && uint64(seq) < a.next
-}
+func (a *Analyzer) LateMarks() uint64 { return a.win.lateMarks }
 
 // Retire feeds the next committed instruction. d.Seq must equal the number
 // of previously retired instructions.
 func (a *Analyzer) Retire(d *trace.DynInst) {
-	if d.Seq != a.next {
+	if d.Seq != a.res.next {
 		panic("ace: out-of-order retirement")
 	}
-	// Conservative anchor decisions run anchorSlack instructions ahead
-	// of resolution, then the oldest instruction falls out.
-	if a.next >= a.window-a.slack() {
-		a.anchorCheck(a.checked)
-		a.checked++
-	}
-	if a.next >= a.window {
-		a.settle(a.next - a.window)
-	}
-
-	in := d.Static
-	e := a.at(d.Seq)
-	*e = entry{
-		producers: [3]int64{noProducer, noProducer, noProducer},
-		kind:      in.Kind,
-		dest:      isa.RegNone,
-		isStore:   in.Kind == isa.Store,
-	}
-	a.next = d.Seq + 1
-
-	// Record operand producers.
-	if r := in.Src1; r != isa.RegNone && r != isa.RegZero {
-		e.producers[0] = a.regs[r].writer
-	}
-	if r := in.Src2; r != isa.RegNone && r != isa.RegZero {
-		e.producers[1] = a.regs[r].writer
-	}
-
-	switch in.Kind {
-	case isa.Nop:
-		// Never ACE; no dataflow.
-	case isa.Store:
-		word := d.Addr &^ 7
-		e.addr = word
-		e.storeLive = true
-		// Overwriting a prior store kills it if it was never read.
-		if prev, ok := a.mem[word]; ok && a.inWindow(prev.writer) {
-			a.at(uint64(prev.writer)).storeLive = false
-		}
-		a.mem[word] = memState{writer: int64(d.Seq)}
-	case isa.Load:
-		word := d.Addr &^ 7
-		if prev, ok := a.mem[word]; ok && a.inWindow(prev.writer) {
-			st := a.at(uint64(prev.writer))
-			e.producers[2] = prev.writer
-			// The stored value reached a consumer: the store is
-			// architecturally required.
-			a.mark(uint64(prev.writer), st)
-		}
-	case isa.Branch, isa.Jump, isa.Call, isa.Return:
-		// Control flow is always ACE.
-		a.mark(d.Seq, e)
-	}
-
-	if in.HasDest() {
-		e.dest = in.Dest
-		a.regs[in.Dest].writer = int64(d.Seq)
-	}
-}
-
-// mark sets e (at seq) ACE and propagates backwards through its producers.
-func (a *Analyzer) mark(seq uint64, e *entry) {
-	if e.ace {
-		return
-	}
-	e.ace = true
-	// Iterative DFS over producer edges; each entry is marked at most
-	// once across the analyzer's lifetime, so total work is linear.
-	push := func(p int64) {
-		if p == noProducer {
-			return
-		}
-		if !a.inWindow(p) {
-			if p >= 0 {
-				a.lateMarks++
-			}
-			return
-		}
-		a.dfs = append(a.dfs, p)
-	}
-	for _, p := range e.producers {
-		push(p)
-	}
-	for len(a.dfs) > 0 {
-		p := uint64(a.dfs[len(a.dfs)-1])
-		a.dfs = a.dfs[:len(a.dfs)-1]
-		pe := a.at(p)
-		if pe.ace || pe.kind == isa.Nop {
-			continue
-		}
-		pe.ace = true
-		for _, pp := range pe.producers {
-			push(pp)
-		}
-	}
-}
-
-// slack returns the anchor-decision lead, clamped for tiny windows.
-func (a *Analyzer) slack() uint64 {
-	if a.window/2 < anchorSlack {
-		return a.window / 2
-	}
-	return anchorSlack
-}
-
-// anchorCheck takes the conservative anchor decisions for seq while its
-// producers are still resolvable.
-func (a *Analyzer) anchorCheck(seq uint64) {
-	e := a.at(seq)
-	if e.ace {
-		return
-	}
-	switch {
-	case e.isStore && e.storeLive:
-		// Still the newest value for its location: may be program
-		// output or read beyond the window. Conservatively ACE, and
-		// so are its producers.
-		a.mark(seq, e)
-	case e.dest != isa.RegNone && a.regs[e.dest].writer == int64(seq):
-		// Register still architecturally live near window exit: a
-		// future read remains possible. Conservative ACE.
-		a.mark(seq, e)
-	}
-}
-
-// settle resolves the instruction at seq as it leaves the window.
-func (a *Analyzer) settle(seq uint64) {
-	if seq != a.settled {
-		panic("ace: out-of-order settle")
-	}
-	e := a.at(seq)
-	ace := e.ace
-	// Drop stale tracking state pointing at this instruction.
-	if e.dest != isa.RegNone && a.regs[e.dest].writer == int64(seq) {
-		a.regs[e.dest].writer = noProducer
-	}
-	if e.isStore {
-		if m, ok := a.mem[e.addr]; ok && m.writer == int64(seq) {
-			delete(a.mem, e.addr)
-		}
-	}
-	a.settled = seq + 1
-	a.resolve(seq, ace)
+	var e edge
+	a.res.resolve(d, 0, &e)
+	a.win.push(&e)
 }
 
 // Flush resolves every instruction still inside the window. The analyzer
 // must not be fed further after flushing.
-func (a *Analyzer) Flush() {
-	for ; a.checked < a.next; a.checked++ {
-		a.anchorCheck(a.checked)
-	}
-	for a.settled < a.next {
-		a.settle(a.settled)
-	}
-}
+func (a *Analyzer) Flush() { a.win.flush() }

@@ -69,9 +69,18 @@ func (p *Profile) Accuracy() float64 {
 // analysis window (0 = DefaultWindow). The executor is seeded exactly as
 // the timing simulation will seed its own (see trace.NewExecutor), so the
 // profiled prefix matches the simulated stream instruction for instruction.
+//
+// The two analysis stages run concurrently: a goroutine executes the
+// program and resolves edge records, handing them over in batches, while
+// the caller's goroutine runs the window. The records and the order the
+// window consumes them in are exactly those of Analyzer.Retire, so the
+// profile is identical to a synchronous pass.
 func Run(prog *program.Program, seed uint64, thread int, dynInstrs uint64, window int) (*Profile, error) {
 	if dynInstrs == 0 {
 		return nil, fmt.Errorf("ace: zero-length profile of %s", prog.Name)
+	}
+	if window <= 0 {
+		window = DefaultWindow
 	}
 	p := &Profile{
 		Bits:         trace.NewBitSet(dynInstrs),
@@ -79,45 +88,66 @@ func Run(prog *program.Program, seed uint64, thread int, dynInstrs uint64, windo
 		Instances:    make([]uint64, prog.Len()),
 		ACEInstances: make([]uint64, prog.Len()),
 	}
-	exec := trace.NewExecutor(prog, seed, thread)
+	// Feed dynInstrs + window instructions so every profiled
+	// instruction gets a full analysis window behind it.
+	total := dynInstrs + uint64(window)
 
-	// Static index per profiled seq so resolution can attribute
-	// instances to PCs; ring sized to the analyzer window.
-	if window <= 0 {
-		window = DefaultWindow
+	full := make(chan []edge, batchBuffers)
+	free := make(chan []edge, batchBuffers)
+	for i := 0; i < batchBuffers; i++ {
+		free <- make([]edge, batchLen)
 	}
-	staticIdx := make([]int32, window)
+	go func() {
+		defer close(full)
+		exec := trace.NewExecutor(prog, seed, thread)
+		res := newResolver(uint64(window))
+		var d trace.DynInst
+		for left := total; left > 0; {
+			b := <-free
+			if left < uint64(len(b)) {
+				b = b[:left]
+			}
+			for i := range b {
+				exec.Next(&d)
+				res.resolve(&d, int32(prog.IndexOf(d.Static.PC)), &b[i])
+			}
+			left -= uint64(len(b))
+			full <- b
+		}
+	}()
 
-	an := New(window, func(seq uint64, isACE bool) {
+	win := newWindow(uint64(window), func(seq uint64, si int32, isACE bool) {
 		if seq >= dynInstrs {
 			return // lookahead tail beyond the profiled prefix
 		}
-		p.Bits.Set(seq, isACE)
-		si := staticIdx[seq%uint64(window)]
 		p.Instances[si]++
 		if isACE {
+			p.Bits.Set(seq, true) // bits start clear
 			p.ACEInstances[si]++
 			p.Tag[si] = true
 			p.DynACE++
 		}
 		p.DynInstrs++
 	})
-
-	var d trace.DynInst
-	// Feed dynInstrs + window instructions so every profiled
-	// instruction gets a full analysis window behind it.
-	total := dynInstrs + uint64(window)
-	for i := uint64(0); i < total; i++ {
-		exec.Next(&d)
-		// Retire first: it may resolve seq-window, whose staticIdx
-		// slot this instruction is about to overwrite.
-		an.Retire(&d)
-		staticIdx[d.Seq%uint64(window)] = int32(prog.IndexOf(d.Static.PC))
+	for b := range full {
+		for i := range b {
+			win.push(&b[i])
+		}
+		free <- b[:cap(b)]
 	}
-	an.Flush()
-	p.LateMarks = an.LateMarks()
+	win.flush()
+	p.LateMarks = win.lateMarks
 	return p, nil
 }
+
+// Run's hand-over between the stages: batchBuffers recycled batches of
+// batchLen edge records (96 KiB each). Both channels can hold every batch,
+// so no send blocks; with four batches the resolver can run up to three
+// ahead of the window, which absorbs the stages' uneven per-batch cost.
+const (
+	batchLen     = 4096
+	batchBuffers = 4
+)
 
 // Apply writes the profile's per-PC tags into prog's instruction image
 // (the paper's 1-bit ISA extension).

@@ -164,6 +164,23 @@ func TestIndexOfRoundTrip(t *testing.T) {
 			t.Fatalf("IndexOf(%#x) = %d out of range", pc, idx)
 		}
 	}
+	// The in-image fast path agrees with plain modular wrapping on and
+	// around both image edges, misaligned PCs included.
+	n := uint64(prog.Len())
+	wrap := func(pc uint64) int {
+		if pc < CodeBase {
+			return int((n - 1) - (CodeBase-pc)/isa.InstBytes%n)
+		}
+		return int((pc - CodeBase) / isa.InstBytes % n)
+	}
+	end := CodeBase + n*isa.InstBytes
+	for _, base := range []uint64{CodeBase, end} {
+		for pc := base - 3*isa.InstBytes; pc < base+3*isa.InstBytes; pc++ {
+			if got, want := prog.IndexOf(pc), wrap(pc); got != want {
+				t.Fatalf("IndexOf(%#x) = %d, wrapping gives %d", pc, got, want)
+			}
+		}
+	}
 }
 
 func TestStreamsDisjointBuffers(t *testing.T) {

@@ -40,7 +40,12 @@ type line struct {
 	tag   uint64
 	valid bool
 	dirty bool
-	used  uint64 // LRU timestamp
+	// from is the level the line's latest fill comes from (caches only).
+	from Level
+	used uint64 // LRU timestamp
+	// ready is the cycle the line's latest fill arrives (caches only): a
+	// tag hit before then waits on that fill (MSHR merge).
+	ready uint64
 }
 
 // Cache is one set-associative cache level.
@@ -49,12 +54,16 @@ type Cache struct {
 	sets     []line // sets*assoc, row-major
 	assoc    int
 	setShift uint
+	setBits  uint
 	setMask  uint64
 
-	// pending maps a line-address to its outstanding fill (MSHR merge:
-	// later accesses to the line wait on the same fill instead of
-	// issuing another).
-	pending map[uint64]pendingFill
+	// evicted maps the line address of each line evicted before its fill
+	// arrived to that fill: a later access to the line, resident or not,
+	// still waits on it instead of issuing another. A resident line keeps
+	// its own fill in line.ready/from. sweepAt is the size at which the
+	// map next drops its arrived entries (see noteEvicted).
+	evicted map[uint64]pendingFill
+	sweepAt int
 
 	// Stats.
 	Accesses  uint64
@@ -73,17 +82,22 @@ func NewCache(cfg config.CacheConfig) *Cache {
 		sets:     make([]line, cfg.Sets()*cfg.Assoc),
 		assoc:    cfg.Assoc,
 		setShift: uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
+		setBits:  uint(bits.TrailingZeros64(uint64(cfg.Sets()))),
 		setMask:  uint64(cfg.Sets() - 1),
-		pending:  make(map[uint64]pendingFill),
+		evicted:  make(map[uint64]pendingFill),
+		sweepAt:  minSweep,
 	}
 }
+
+// minSweep is the smallest evicted-fill map size that triggers a sweep.
+const minSweep = 64
 
 // Config returns the cache geometry.
 func (c *Cache) Config() config.CacheConfig { return c.cfg }
 
 func (c *Cache) set(addr uint64) (base int, tag uint64) {
 	lineAddr := addr >> c.setShift
-	return int(lineAddr&c.setMask) * c.assoc, lineAddr >> bits.Len64(c.setMask)
+	return int(lineAddr&c.setMask) * c.assoc, lineAddr >> c.setBits
 }
 
 // LineAddr returns addr's line address (for MSHR merging at callers).
@@ -103,6 +117,11 @@ func (c *Cache) Lookup(addr uint64) bool {
 
 // Touch probes for addr; on hit it refreshes LRU and returns true.
 func (c *Cache) Touch(addr uint64, now uint64, write bool) bool {
+	return c.touch(addr, now, write) != nil
+}
+
+// touch is Touch returning the hit line (nil on a miss).
+func (c *Cache) touch(addr uint64, now uint64, write bool) *line {
 	c.Accesses++
 	base, tag := c.set(addr)
 	for i := 0; i < c.assoc; i++ {
@@ -111,16 +130,25 @@ func (c *Cache) Touch(addr uint64, now uint64, write bool) bool {
 			if write {
 				l.dirty = true
 			}
-			return true
+			return l
 		}
 	}
 	c.Misses++
-	return false
+	return nil
 }
 
 // Fill installs addr's line, evicting LRU if needed. Reports whether a
 // dirty line was written back.
 func (c *Cache) Fill(addr uint64, now uint64, write bool) bool {
+	_, wb := c.fill(addr, now, write)
+	return wb
+}
+
+// fill is Fill returning the installed line. A victim whose fill is still
+// outstanding leaves that fill in c.evicted. Any fill recorded there for
+// the installed line's own address is dropped: the caller records the new
+// fill on the line.
+func (c *Cache) fill(addr uint64, now uint64, write bool) (*line, bool) {
 	base, tag := c.set(addr)
 	victim := base
 	for i := 0; i < c.assoc; i++ {
@@ -140,9 +168,32 @@ func (c *Cache) Fill(addr uint64, now uint64, write bool) bool {
 		if wb {
 			c.Writeback++
 		}
+		if v.ready > now {
+			c.noteEvicted(v.tag<<c.setBits|uint64(base/c.assoc), pendingFill{ready: v.ready, from: v.from}, now)
+		}
 	}
 	*v = line{tag: tag, valid: true, dirty: write, used: now}
-	return wb
+	if len(c.evicted) > 0 {
+		delete(c.evicted, c.LineAddr(addr))
+	}
+	return v, wb
+}
+
+// noteEvicted records the outstanding fill of an evicted line. Whenever
+// the map reaches sweepAt it drops the fills that have arrived by now (no
+// later access can wait on them), so it stays within twice the fills in
+// flight.
+func (c *Cache) noteEvicted(la uint64, p pendingFill, now uint64) {
+	c.evicted[la] = p
+	if len(c.evicted) < c.sweepAt {
+		return
+	}
+	for a, q := range c.evicted {
+		if q.ready <= now {
+			delete(c.evicted, a)
+		}
+	}
+	c.sweepAt = max(2*len(c.evicted), minSweep)
 }
 
 // MissRate returns misses/accesses (0 when idle).
@@ -160,23 +211,22 @@ type pendingFill struct {
 	from  Level
 }
 
-// pendingAt returns the outstanding fill for addr's line, if any, pruning
-// completed fills lazily.
-func (c *Cache) pendingAt(addr, now uint64) (pendingFill, bool) {
+// evictedAt returns the outstanding fill of addr's line, which must not be
+// resident, if any, dropping it once it has arrived.
+func (c *Cache) evictedAt(addr, now uint64) (pendingFill, bool) {
+	if len(c.evicted) == 0 {
+		return pendingFill{}, false
+	}
 	la := c.LineAddr(addr)
-	p, ok := c.pending[la]
+	p, ok := c.evicted[la]
 	if !ok {
 		return pendingFill{}, false
 	}
 	if p.ready <= now {
-		delete(c.pending, la)
+		delete(c.evicted, la)
 		return pendingFill{}, false
 	}
 	return p, true
-}
-
-func (c *Cache) notePending(addr, ready uint64, from Level) {
-	c.pending[c.LineAddr(addr)] = pendingFill{ready: ready, from: from}
 }
 
 // TLB is a set-associative translation buffer.

@@ -63,6 +63,40 @@ func TestWritebackCounting(t *testing.T) {
 	}
 }
 
+// TestEvictedFillFollowsLine: a line evicted before its fill arrives leaves
+// the fill in the evicted-fill map until the fill arrives or the line is
+// filled again.
+func TestEvictedFillFollowsLine(t *testing.T) {
+	c := smallCache()
+	// Three lines in the same set (set stride = 8 sets × 64B = 512B).
+	a, b, d := uint64(0x0000), uint64(0x0200), uint64(0x0400)
+	l, _ := c.fill(a, 1, false)
+	l.ready, l.from = 500, HitMemory
+	c.Fill(b, 2, false)
+	c.Fill(d, 3, false) // evicts a while its fill is outstanding
+	if p, ok := c.evictedAt(a, 4); !ok || p != (pendingFill{ready: 500, from: HitMemory}) {
+		t.Fatalf("evicted fill %+v, %v; want ready 500 from memory", p, ok)
+	}
+	c.Fill(a, 5, false) // evicts b
+	if _, ok := c.evicted[c.LineAddr(a)]; ok {
+		t.Fatal("refilled line's earlier fill still in the evicted-fill map")
+	}
+
+	l, _ = c.fill(b, 6, false) // evicts d
+	l.ready, l.from = 700, HitL2
+	c.Touch(a, 7, false)
+	c.Fill(d, 8, false) // evicts b while its fill is outstanding
+	if len(c.evicted) != 1 {
+		t.Fatalf("evicted-fill map %v, want b's fill", c.evicted)
+	}
+	if _, ok := c.evictedAt(b, 700); ok {
+		t.Fatal("arrived fill reported outstanding")
+	}
+	if len(c.evicted) != 0 {
+		t.Fatalf("arrived fill kept: %v", c.evicted)
+	}
+}
+
 func TestTouchWriteSetsDirty(t *testing.T) {
 	c := smallCache()
 	c.Fill(0x0000, 1, false)

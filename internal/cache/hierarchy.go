@@ -61,12 +61,12 @@ func (h *Hierarchy) access(l1 *Cache, tlb *TLB, addr uint64, now uint64, write, 
 	res.TLBMiss = t > 0
 	when := now + t
 
-	if l1.Touch(addr, now, write) {
+	if l := l1.touch(addr, now, write); l != nil {
 		// A tag hit on a line whose fill is still outstanding waits
 		// for the fill (MSHR merge); otherwise it is a true hit.
-		if p, ok := l1.pendingAt(addr, now); ok {
-			res.Level = p.from
-			res.ReadyAt = maxU64(p.ready, when)
+		if l.ready > now {
+			res.Level = l.from
+			res.ReadyAt = maxU64(l.ready, when)
 			return res
 		}
 		res.Level = HitL1
@@ -75,24 +75,24 @@ func (h *Hierarchy) access(l1 *Cache, tlb *TLB, addr uint64, now uint64, write, 
 	}
 
 	l2Start := when + uint64(l1.cfg.HitLatency)
-	if h.L2.Touch(addr, now, false) {
-		if p, ok := h.L2.pendingAt(addr, now); ok {
+	if l := h.L2.touch(addr, now, false); l != nil {
+		if l.ready > now {
 			res.Level = HitMemory
-			res.ReadyAt = maxU64(p.ready, when)
-			l1.Fill(addr, now, write)
-			l1.notePending(addr, res.ReadyAt, HitMemory)
-			return res
+			res.ReadyAt = maxU64(l.ready, when)
+		} else {
+			res.Level = HitL2
+			res.ReadyAt = l2Start + uint64(h.L2.cfg.HitLatency)
 		}
-		res.Level = HitL2
-		res.ReadyAt = l2Start + uint64(h.L2.cfg.HitLatency)
-	} else if p, ok := h.L2.pendingAt(addr, now); ok {
+	} else if p, ok := h.L2.evictedAt(addr, now); ok {
+		// The line was evicted before its fill arrived: wait on that
+		// fill rather than issue another.
 		res.Level = HitMemory
 		res.ReadyAt = maxU64(p.ready, when)
 	} else {
 		res.Level = HitMemory
 		res.ReadyAt = l2Start + uint64(h.L2.cfg.HitLatency) + h.memLatency
-		h.L2.notePending(addr, res.ReadyAt, HitMemory)
-		h.L2.Fill(addr, now, false)
+		l, _ := h.L2.fill(addr, now, false)
+		l.ready, l.from = res.ReadyAt, HitMemory
 		if data {
 			// Count one miss event per line fill (MSHR-merged
 			// waiters do not raise new misses), matching the
@@ -100,8 +100,8 @@ func (h *Hierarchy) access(l1 *Cache, tlb *TLB, addr uint64, now uint64, write, 
 			h.L2MissCount++
 		}
 	}
-	l1.Fill(addr, now, write)
-	l1.notePending(addr, res.ReadyAt, res.Level)
+	l, _ := l1.fill(addr, now, write)
+	l.ready, l.from = res.ReadyAt, res.Level
 	return res
 }
 

@@ -19,9 +19,12 @@ func (p *Processor) dispatch(now uint64) {
 		iqCap = p.dec.IQLCap
 	}
 	width := p.cfg.IssueWidth
-	start := int(now) % p.n
-	for i := 0; i < p.n && width > 0; i++ {
-		t := p.threads[(start+i)%p.n]
+	ti := int(now) % p.n
+	for i := 0; i < p.n && width > 0; i, ti = i+1, ti+1 {
+		if ti == p.n {
+			ti = 0
+		}
+		t := p.threads[ti]
 		if p.dec.GateDispatch[t.id] {
 			continue
 		}
@@ -446,9 +449,12 @@ func (p *Processor) noteSquashed(t *thread, y *uarch.Uop) {
 // total per cycle, round-robin across threads.
 func (p *Processor) commit(now uint64) {
 	width := p.cfg.CommitWidth
-	start := int(now) % p.n
-	for i := 0; i < p.n && width > 0; i++ {
-		t := p.threads[(start+i)%p.n]
+	ti := int(now) % p.n
+	for i := 0; i < p.n && width > 0; i, ti = i+1, ti+1 {
+		if ti == p.n {
+			ti = 0
+		}
+		t := p.threads[ti]
 		for width > 0 {
 			// The completed-flag ring answers the common "head still in
 			// flight" case without touching the uop.

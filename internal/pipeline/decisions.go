@@ -100,7 +100,7 @@ func (p *Processor) noteDecision(now uint64, v *View, haveView bool) {
 		sampleFresh := haveView && p.sink.Level() >= 2 && v.SampleIndex != p.recPrevSample
 		if flushChanged || capChanged || iqlChanged || gateChanged || sampleFresh {
 			if !haveView {
-				*v = p.view(now)
+				p.fillView(v, now)
 				haveView = true
 			}
 			ev := decision.Event{

@@ -445,7 +445,7 @@ func (p *Processor) Step() {
 	v := &p.stepView
 	haveView := false
 	if p.ctrl != nil {
-		*v = p.view(now)
+		p.fillView(v, now)
 		haveView = true
 		p.dec = p.ctrl.Decide(v)
 	} else {
@@ -490,38 +490,38 @@ func (p *Processor) protAVF(v float64) float64 {
 // Memory exposes the cache hierarchy (tests and diagnostics).
 func (p *Processor) Memory() *cache.Hierarchy { return p.mem }
 
-// view assembles the controller-visible state.
-func (p *Processor) view(now uint64) View {
+// fillView writes the controller-visible state into v field by field:
+// returning a View by value would build it in a temporary and copy it.
+// The per-thread arrays are written for the machine's threads only; v's
+// remaining entries stay zero, as v is only ever filled by this method.
+func (p *Processor) fillView(v *View, now uint64) {
 	// The interval-so-far AVF estimates read the lazy accumulators
 	// mid-cycle; settle them through the last closed cycle first.
 	p.iqTag.SettleTo(now)
 	p.robTag.SettleTo(now)
-	v := View{
-		Cycle:            now,
-		NumThreads:       p.n,
-		IQSize:           p.iq.Size(),
-		IQLen:            p.iq.Len(),
-		ReadyLen:         p.census.Ready,
-		WaitingLen:       p.census.Waiting,
-		ReadyACETag:      p.census.ReadyACETag,
-		IntervalIndex:    len(p.intervals),
-		PrevIPC:          p.prevIPC,
-		PrevMeanReadyLen: p.prevMeanRQL,
-		PrevL2Misses:     p.prevL2,
-		SampleIndex:      p.sampleIdx,
-		SampleAVFTag:     p.lastSampleAVF,
-		SampleROBAVFTag:  p.lastSampleROBAVF,
-		// Controllers see the residual (post-mitigation) IQ vulnerability:
-		// a protected queue needs less DVM throttling for the same target.
-		IntervalAVFTagSoFar:    p.protAVF(p.iqTag.AVFSince(p.ivStartTag, p.ivStartCycle)),
-		IntervalROBAVFTagSoFar: p.robTag.AVFSince(p.ivStartROBTag, p.ivStartCycle),
-	}
+	v.Cycle = now
+	v.NumThreads = p.n
+	v.IQSize = p.iq.Size()
+	v.IQLen = p.iq.Len()
+	v.ReadyLen = p.census.Ready
+	v.WaitingLen = p.census.Waiting
+	v.ReadyACETag = p.census.ReadyACETag
+	v.IntervalIndex = len(p.intervals)
+	v.PrevIPC = p.prevIPC
+	v.PrevMeanReadyLen = p.prevMeanRQL
+	v.PrevL2Misses = p.prevL2
+	v.SampleIndex = p.sampleIdx
+	v.SampleAVFTag = p.lastSampleAVF
+	v.SampleROBAVFTag = p.lastSampleROBAVF
+	// Controllers see the residual (post-mitigation) IQ vulnerability:
+	// a protected queue needs less DVM throttling for the same target.
+	v.IntervalAVFTagSoFar = p.protAVF(p.iqTag.AVFSince(p.ivStartTag, p.ivStartCycle))
+	v.IntervalROBAVFTagSoFar = p.robTag.AVFSince(p.ivStartROBTag, p.ivStartCycle)
 	for i, t := range p.threads {
 		v.OutstandingL2[i] = t.outstandingL2
 		v.FetchQLen[i] = int32(t.fq.Len())
 		v.FetchQACETag[i] = t.fqACETag
 	}
-	return v
 }
 
 // account closes the cycle: ready-queue histogram and the interval/sample

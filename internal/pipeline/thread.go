@@ -35,7 +35,10 @@ func (q *fetchQueue) Push(u *uarch.Uop) {
 	if q.Full() {
 		panic("pipeline: fetch queue overflow")
 	}
-	slot := (q.head + q.len) % len(q.buf)
+	slot := q.head + q.len
+	if slot >= len(q.buf) {
+		slot -= len(q.buf)
+	}
 	q.buf[slot] = u
 	q.readyAt[slot] = u.DecodeReady
 	q.mem[slot] = u.Kind().IsMem()
@@ -68,7 +71,9 @@ func (q *fetchQueue) HeadIsMem() bool {
 func (q *fetchQueue) Pop() *uarch.Uop {
 	u := q.buf[q.head]
 	q.buf[q.head] = nil
-	q.head = (q.head + 1) % len(q.buf)
+	if q.head++; q.head == len(q.buf) {
+		q.head = 0
+	}
 	q.len--
 	return u
 }

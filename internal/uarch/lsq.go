@@ -35,7 +35,7 @@ func (l *LSQ) Push(u *Uop) {
 	if l.Full() {
 		panic("uarch: LSQ push into full queue")
 	}
-	slot := (l.head + l.len) % len(l.buf)
+	slot := wrap(l.head+l.len, len(l.buf))
 	l.buf[slot] = u
 	u.LSQSlot = int32(slot)
 	l.len++
@@ -50,8 +50,8 @@ func (l *LSQ) Remove(u *Uop) {
 	switch int(u.LSQSlot) {
 	case l.head:
 		l.buf[l.head] = nil
-		l.head = (l.head + 1) % len(l.buf)
-	case (l.head + l.len - 1) % len(l.buf):
+		l.head = wrap(l.head+1, len(l.buf))
+	case wrap(l.head+l.len-1, len(l.buf)):
 		l.buf[u.LSQSlot] = nil
 	default:
 		panic("uarch: LSQ remove from middle")
@@ -118,7 +118,7 @@ func (l *LSQ) CheckLoad(u *Uop) LoadDisposition {
 // unissued store, since CheckLoad blocks a load on the youngest unissued
 // store older than it, so the walk stops there. f must not change the LSQ.
 func (l *LSQ) ParkedBehind(s *Uop, f func(*Uop)) {
-	end := (l.head + l.len) % len(l.buf)
+	end := wrap(l.head+l.len, len(l.buf))
 	for idx := int(s.LSQSlot); ; {
 		if idx++; idx == len(l.buf) {
 			idx = 0
@@ -142,6 +142,6 @@ func (l *LSQ) ParkedBehind(s *Uop, f func(*Uop)) {
 // ForEach visits uops oldest to youngest.
 func (l *LSQ) ForEach(f func(*Uop)) {
 	for i := 0; i < l.len; i++ {
-		f(l.buf[(l.head+i)%len(l.buf)])
+		f(l.buf[wrap(l.head+i, len(l.buf))])
 	}
 }

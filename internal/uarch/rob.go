@@ -37,7 +37,7 @@ func (r *ROB) Push(u *Uop) {
 	if r.Full() {
 		panic("uarch: ROB push into full buffer")
 	}
-	slot := (r.head + r.len) % len(r.buf)
+	slot := wrap(r.head+r.len, len(r.buf))
 	r.buf[slot] = u
 	r.completed[slot] = false
 	u.ROBSlot = int32(slot)
@@ -77,7 +77,7 @@ func (r *ROB) Pop() *Uop {
 	r.buf[r.head] = nil
 	r.completed[r.head] = false
 	u.ROBSlot = -1
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = wrap(r.head+1, len(r.buf))
 	r.len--
 	return u
 }
@@ -87,7 +87,7 @@ func (r *ROB) Tail() *Uop {
 	if r.len == 0 {
 		return nil
 	}
-	return r.buf[(r.head+r.len-1)%len(r.buf)]
+	return r.buf[wrap(r.head+r.len-1, len(r.buf))]
 }
 
 // PopTail removes and returns the youngest uop (squash path). It panics
@@ -96,7 +96,7 @@ func (r *ROB) PopTail() *Uop {
 	if r.len == 0 {
 		panic("uarch: ROB pop-tail from empty buffer")
 	}
-	i := (r.head + r.len - 1) % len(r.buf)
+	i := wrap(r.head+r.len-1, len(r.buf))
 	u := r.buf[i]
 	r.buf[i] = nil
 	r.completed[i] = false
@@ -108,6 +108,16 @@ func (r *ROB) PopTail() *Uop {
 // ForEach visits uops oldest to youngest.
 func (r *ROB) ForEach(f func(*Uop)) {
 	for i := 0; i < r.len; i++ {
-		f(r.buf[(r.head+i)%len(r.buf)])
+		f(r.buf[wrap(r.head+i, len(r.buf))])
 	}
+}
+
+// wrap maps i in [0, 2*size) onto a slot of a ring of that size without
+// dividing: the ROB and LSQ sizes (96 and 48 by default) are not powers of
+// two.
+func wrap(i, size int) int {
+	if i >= size {
+		i -= size
+	}
+	return i
 }

@@ -159,7 +159,12 @@ func (u *Uop) ClearDependents() { u.dependents = u.dependents[:0] }
 func (u *Uop) Reset() {
 	deps := u.dependents[:0]
 	gen := u.Gen + 1
-	*u = Uop{Gen: gen, IQSlot: -1, LSQSlot: -1, ROBSlot: -1, dependents: deps}
+	// Zero in place and then set the non-zero fields: assigning a
+	// composite literal would build it in a temporary and copy it over.
+	*u = Uop{}
+	u.Gen = gen
+	u.IQSlot, u.LSQSlot, u.ROBSlot = -1, -1, -1
+	u.dependents = deps
 }
 
 // IQResidency returns the cycles this uop spent in the issue queue, given

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race test-cover cluster-test cluster-smoke obs-smoke explore-smoke perf-smoke docs-lint bench bench-throughput golden twin-golden experiments examples serve fmt vet staticcheck clean
+.PHONY: all build test test-short test-race test-cover cluster-smoke obs-smoke explore-smoke perf-smoke docs-lint bench bench-throughput golden twin-golden experiments examples serve fmt vet staticcheck clean
 
 all: build test
 
@@ -29,15 +29,6 @@ test-race:
 test-cover:
 	$(GO) test -covermode=atomic -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -1
-
-# Cluster test: in-process backends exercising the control plane end to end
-# — dispatch parity and resume, priority scheduling and starvation
-# resistance, dynamic join/drain mid-sweep, affinity routing, the HTTP
-# control plane, and tenant admission with client 429 backoff (see
-# internal/dispatch, internal/cluster, DESIGN.md §12).
-cluster-test:
-	$(GO) test -v -run 'TestClusterParity|TestResumeSkipsCompletedCells|TestPrioritySchedulingResistsStarvation|TestJoinAndDrainMidSweepLosesNoCells|TestDynamicPoolWaitsForFirstBackend|TestAffinityRoutingBeatsRandom|TestCoordinatorAdmission|TestControlPlaneLifecycle' ./internal/dispatch/
-	$(GO) test -v -run 'TestTenantAdmission|TestClientBacksOffOn429' ./internal/server/
 
 # Cluster smoke test: real processes — a visasimcoord with zero static
 # backends, two self-registering visasimd daemons, mixed-priority tenanted

@@ -381,36 +381,17 @@ func BenchmarkTwinScreen(b *testing.B) {
 }
 
 // BenchmarkDispatchScheduler measures the coordinator's scheduling overhead
-// (items/sec): cost estimation through the analytical twin plus a Push/Pop
-// round trip through the priority queue under SJF ordering, the most
-// expensive scheduler configuration. One op = one item scheduled; items
-// cycle through all priority classes and a spread of budgets so the heap
-// sees realistic reordering. The Instructions field of the JSON record
-// counts scheduled items, so InstrsPerSec is items/sec.
+// (items/sec): a Push/Pop round trip through the priority queue. One op =
+// one item scheduled; items cycle through all priority classes so the heap
+// reorders across classes. The Instructions field of the JSON record counts
+// scheduled items, so InstrsPerSec is items/sec.
 func BenchmarkDispatchScheduler(b *testing.B) {
-	model, err := twin.Default()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cost := cluster.TwinCost(model)
-	mixes := workload.Mixes()
-	cfgs := make([]core.Config, 8)
-	for i := range cfgs {
-		cfgs[i] = core.Config{
-			Benchmarks:      mixes[i%len(mixes)].Benchmarks[:],
-			Scheme:          core.SchemeBase,
-			MaxInstructions: uint64(50_000 * (i + 1)),
-		}
-	}
-	q := cluster.NewQueue(cluster.OrderSJF)
+	q := cluster.NewQueue()
 	const batch = 64 // drain in batches so the heap reaches real depth
 	b.ResetTimer()
 	t0 := time.Now()
 	for i := 0; i < b.N; i++ {
-		q.Push(&cluster.Item{
-			Class: cluster.PriorityClass(i % cluster.NumClasses),
-			Cost:  cost(cfgs[i%len(cfgs)]),
-		})
+		q.Push(&cluster.Item{Class: cluster.PriorityClass(i % cluster.NumClasses)})
 		if (i+1)%batch == 0 {
 			for j := 0; j < batch; j++ {
 				q.Pop()

@@ -20,7 +20,7 @@
 // in-process, so repeated regenerations (and overlapping figures) hit the
 // daemon's content-addressed result cache. With -backends URL,URL,... the
 // sweeps instead shard across a cluster of daemons via the dispatch
-// coordinator (least-loaded assignment, retry/failover, optional -hedge);
+// coordinator (least-loaded assignment, retry/failover);
 // add -store DIR to checkpoint completed cells to disk and -resume to skip
 // cells already checkpointed by an earlier (possibly killed) run. `bench`
 // always measures the local simulator and ignores all of these.
@@ -65,7 +65,6 @@ func main() {
 		backendsCSV   = flag.String("backends", "", "comma-separated visasimd base URLs; sweeps shard across them via the dispatch coordinator")
 		storeDir      = flag.String("store", "", "with -backends: checkpoint completed cells to this directory")
 		resume        = flag.Bool("resume", false, "with -backends and -store: skip cells already checkpointed")
-		hedgeAfter    = flag.Duration("hedge", 0, "with -backends: re-dispatch straggler cells after this delay (0 disables)")
 		logLevel      = flag.String("log-level", "warn", "minimum log level for -server/-backends sweeps: debug, info, warn, error")
 		logFormat     = flag.String("log-format", "text", "log line format: text or json")
 		traceLevel    = flag.Int("trace-level", 0, "record per-cell decision traces: 0 off, 1 decision edges, 2 adds per-sample observations (local sweeps only)")
@@ -135,11 +134,10 @@ func main() {
 			os.Exit(1)
 		}
 		coord, err := dispatch.New(dispatch.Options{
-			Backends:   strings.Split(*backendsCSV, ","),
-			HedgeAfter: *hedgeAfter,
-			Store:      st,
-			Resume:     *resume,
-			Logger:     logger,
+			Backends: strings.Split(*backendsCSV, ","),
+			Store:    st,
+			Resume:   *resume,
+			Logger:   logger,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)

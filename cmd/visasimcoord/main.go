@@ -23,11 +23,8 @@
 //	GET  /metrics, /metrics/prom  coordinator metrics (expvar JSON / Prometheus)
 //
 // With -tenants FILE every dispatch must carry a known X-Visasim-Key; rate
-// or quota rejections answer 429 with Retry-After hints. -scheduler picks
-// the queue discipline (priority, sjf, fcfs) — sjf costs cells through the
-// analytical twin. With -autoscale-max N the coordinator runs an autoscaler
-// that spawns local visasimd processes (-visasimd-bin) when the queue
-// backs up and drains them away after a sustained idle period.
+// or quota rejections answer 429 with Retry-After hints. The scheduler
+// serves priority classes in order, first-come-first-served within a class.
 //
 // Quickstart:
 //
@@ -46,6 +43,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -53,7 +51,6 @@ import (
 	"visasim/internal/dispatch"
 	"visasim/internal/obs"
 	"visasim/internal/store"
-	"visasim/internal/twin"
 )
 
 func main() {
@@ -61,23 +58,13 @@ func main() {
 		addr        = flag.String("addr", ":9090", "listen address")
 		backendsCSV = flag.String("backends", "", "comma-separated visasimd URLs seeding the pool (may be empty: backends register themselves)")
 		tenantsPath = flag.String("tenants", "", "tenant registry JSON; turns on admission control")
-		scheduler   = flag.String("scheduler", "priority", "queue discipline: priority, sjf, or fcfs")
 		routing     = flag.String("routing", "least-loaded", "backend routing: least-loaded, affinity, or random")
 		workers     = flag.Int("workers", 0, "concurrently in-flight dispatch groups (0 = 4 per seed backend, floor 8)")
-		hedge       = flag.Duration("hedge", 0, "re-dispatch straggler cells after this delay (0 disables)")
 		cellTimeout = flag.Duration("timeout", 10*time.Minute, "per-cell dispatch attempt deadline")
 		storeDir    = flag.String("store", "", "checkpoint completed cells to this directory")
 		seed        = flag.Int64("seed", 0, "backoff-jitter RNG seed (0 = from the clock)")
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		logFormat   = flag.String("log-format", "text", "log line format: text or json")
-
-		asMin   = flag.Int("autoscale-min", 1, "autoscaler: minimum backend count")
-		asMax   = flag.Int("autoscale-max", 0, "autoscaler: maximum backend count (0 disables autoscaling)")
-		asDepth = flag.Int("autoscale-depth", 4, "autoscaler: queue depth that triggers a scale-up")
-		asIdle  = flag.Duration("autoscale-idle", 30*time.Second, "autoscaler: idle period before a scale-down")
-		asTick  = flag.Duration("autoscale-interval", time.Second, "autoscaler: control-loop sampling interval")
-		simBin  = flag.String("visasimd-bin", "visasimd", "visasimd binary the autoscaler spawns (resolved via PATH)")
-		simArgs = flag.String("visasimd-args", "", "extra space-separated flags for spawned visasimd processes")
 	)
 	flag.Parse()
 
@@ -90,7 +77,6 @@ func main() {
 	opt := dispatch.Options{
 		Backends:    splitCSV(*backendsCSV),
 		Dynamic:     true, // registration-based membership is the point
-		HedgeAfter:  *hedge,
 		Workers:     *workers,
 		CellTimeout: *cellTimeout,
 		Seed:        *seed,
@@ -99,20 +85,6 @@ func main() {
 	if opt.Routing, err = dispatch.ParseRouting(*routing); err != nil {
 		logger.Error("bad -routing", "err", err)
 		os.Exit(2)
-	}
-	if opt.Ordering, err = cluster.ParseOrdering(*scheduler); err != nil {
-		logger.Error("bad -scheduler", "err", err)
-		os.Exit(2)
-	}
-	if opt.Ordering == cluster.OrderSJF {
-		// Shortest-job-first costs cells through the analytical twin;
-		// off-model cells fall back to their instruction budget inside
-		// TwinCost, and a missing model falls back entirely.
-		if model, terr := twin.Default(); terr == nil {
-			opt.Cost = cluster.TwinCost(model)
-		} else {
-			logger.Warn("analytical twin unavailable; sjf costs by instruction budget", "err", terr)
-		}
 	}
 	if *tenantsPath != "" {
 		reg, lerr := cluster.LoadRegistry(*tenantsPath)
@@ -140,25 +112,6 @@ func main() {
 	defer coord.Close()
 	expvar.Publish("visasimcoord", coord.MetricsVar())
 
-	var scaler *cluster.Autoscaler
-	var pool *localPool
-	if *asMax > 0 {
-		pool = newLocalPool(coord, *simBin, splitSpace(*simArgs), logger)
-		defer pool.StopAll()
-		scaler = cluster.NewAutoscaler(coord, pool, cluster.AutoscalerOptions{
-			Min:           *asMin,
-			Max:           *asMax,
-			ScaleUpDepth:  *asDepth,
-			ScaleDownIdle: *asIdle,
-			Interval:      *asTick,
-			Logger:        logger,
-		})
-		scaler.Start()
-		defer scaler.Close()
-		logger.Info("autoscaler on", "min", *asMin, "max", *asMax,
-			"scale_up_depth", *asDepth, "scale_down_idle", *asIdle, "bin", *simBin)
-	}
-
 	mux := http.NewServeMux()
 	mux.Handle("/", coord.Control())
 	mux.Handle("GET /debug/vars", expvar.Handler())
@@ -170,7 +123,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	logger.Info("listening", "addr", *addr, "seed_backends", len(opt.Backends),
-		"scheduler", *scheduler, "routing", *routing)
+		"routing", *routing)
 
 	select {
 	case err := <-errc:
@@ -185,4 +138,15 @@ func main() {
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.Canceled) {
 		logger.Warn("http shutdown", "err", err)
 	}
+}
+
+// splitCSV splits a comma-separated flag into trimmed, non-empty parts.
+func splitCSV(csv string) []string {
+	var out []string
+	for _, part := range strings.Split(csv, ",") {
+		if part = strings.TrimSpace(part); part != "" {
+			out = append(out, part)
+		}
+	}
+	return out
 }

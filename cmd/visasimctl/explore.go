@@ -27,7 +27,6 @@ func cmdExplore(args []string) error {
 	seed := fs.Uint64("seed", 1, "sampling seed")
 	verify := fs.Int("verify", 8, "frontier points to verify across the cluster (0 = screen only, no backends needed)")
 	workers := fs.Int("workers", 0, "screening parallelism and in-flight verify cells (0 = defaults)")
-	hedge := fs.Duration("hedge", 0, "re-dispatch straggler verify cells after this delay (0 disables)")
 	cellTimeout := fs.Duration("timeout", 10*time.Minute, "per-cell dispatch attempt deadline")
 	jsonPath := fs.String("json", "", "also write the full frontier report as JSON to this file")
 	orgsCSV := fs.String("orgs", "", "comma-separated IQ organizations to sweep (default all: unified-age,swque,partitioned)")
@@ -83,7 +82,6 @@ func cmdExplore(args []string) error {
 		}
 		coord, err := dispatch.New(dispatch.Options{
 			Backends:    urls,
-			HedgeAfter:  *hedge,
 			Workers:     *workers,
 			CellTimeout: *cellTimeout,
 			Logger:      logger,

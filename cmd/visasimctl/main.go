@@ -1,7 +1,7 @@
 // Command visasimctl operates a visasimd cluster from the shell: probe
 // backend health, dump their metrics, or dispatch a sweep across all of
 // them through the coordinator (internal/dispatch) — with the same
-// retry/failover/hedging and checkpointed-resume behaviour the experiments
+// retry/failover and checkpointed-resume behaviour the experiments
 // binary gets via -backends. Against a visasimcoord control plane it also
 // lists tenants and pool membership, drains backends gracefully, and
 // submits sweeps with a tenant API key and priority class (sweep -coord);
@@ -14,10 +14,10 @@
 //	visasimctl metrics -backends URL,URL,... [-prom]
 //	visasimctl sweep   (-backends URL,... | -coord URL | -local) [-cells FILE]
 //	                   [-key API_KEY] [-priority CLASS] [-results-only]
-//	                   [-store DIR] [-resume] [-hedge 2s] [-workers N]
+//	                   [-store DIR] [-resume] [-workers N]
 //	                   [-timeout 10m] [-log-level info] [-log-format text] [-seed N]
 //	visasimctl explore -backends URL,URL,... [-samples N] [-seed N] [-verify K]
-//	                   [-workers N] [-hedge 2s] [-timeout 10m] [-json FILE]
+//	                   [-workers N] [-timeout 10m] [-json FILE]
 //	visasimctl tenants  -server URL [-json]
 //	visasimctl backends -coord URL
 //	visasimctl drain    -coord URL BACKEND_URL
@@ -105,10 +105,10 @@ func usage() {
   visasimctl sweep   (-backends URL,... | -coord URL | -local) [-cells FILE]
                      [-key API_KEY] [-priority interactive|standard|bulk]
                      [-results-only] [-store DIR] [-resume]
-                     [-hedge D] [-workers N] [-timeout D]
+                     [-workers N] [-timeout D]
                      [-log-level L] [-log-format F] [-seed N]
   visasimctl explore -backends URL,URL,... [-samples N] [-seed N] [-verify K]
-                     [-workers N] [-hedge D] [-timeout D] [-json FILE]
+                     [-workers N] [-timeout D] [-json FILE]
                      [-log-level L] [-log-format F]
   visasimctl tenants  -server URL
   visasimctl backends -coord URL
@@ -252,7 +252,6 @@ func cmdSweep(args []string) error {
 	cellsPath := fs.String("cells", "-", `cells JSON file ("-" = stdin; same shape as POST /v1/sweeps)`)
 	storeDir := fs.String("store", "", "checkpoint completed cells to this directory")
 	resume := fs.Bool("resume", false, "skip cells already checkpointed in -store")
-	hedge := fs.Duration("hedge", 0, "re-dispatch straggler cells after this delay (0 disables)")
 	workers := fs.Int("workers", 0, "concurrently in-flight cells (0 = 4 per backend)")
 	cellTimeout := fs.Duration("timeout", 10*time.Minute, "per-cell dispatch attempt deadline")
 	verbose := fs.Bool("v", false, "print coordinator metrics (Prometheus text) to stderr after the sweep")
@@ -296,7 +295,7 @@ func cmdSweep(args []string) error {
 	default:
 		results, stats, err = sweepViaBackends(ctx, cells, sweepDispatchOptions{
 			backendsCSV: *backendsCSV, storeDir: *storeDir, resume: *resume,
-			hedge: *hedge, workers: *workers, cellTimeout: *cellTimeout,
+			workers: *workers, cellTimeout: *cellTimeout,
 			seed: *seed, verbose: *verbose, logger: logger,
 		})
 	}
@@ -355,7 +354,6 @@ type sweepDispatchOptions struct {
 	backendsCSV string
 	storeDir    string
 	resume      bool
-	hedge       time.Duration
 	workers     int
 	cellTimeout time.Duration
 	seed        int64
@@ -379,7 +377,6 @@ func sweepViaBackends(ctx context.Context, cells []harness.Cell, o sweepDispatch
 	}
 	coord, err := dispatch.New(dispatch.Options{
 		Backends:    urls,
-		HedgeAfter:  o.hedge,
 		Workers:     o.workers,
 		CellTimeout: o.cellTimeout,
 		Store:       st,

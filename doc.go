@@ -34,7 +34,7 @@
 //     content-addressed result cache, and expvar metrics), store (a
 //     persistent on-disk result store keyed by the same content hashes),
 //     and dispatch (a coordinator sharding sweeps across several daemons
-//     with retry, failover, hedging, and checkpointed resume).
+//     with retry, failover, and checkpointed resume).
 //   - Analytical twin — twin (a calibrated surrogate model predicting
 //     IPC, IQ occupancy and IQ/ROB AVF per design point in under a
 //     microsecond, its accuracy pinned by a golden calibration report)

@@ -1,14 +1,13 @@
 // Package cluster holds the control-plane primitives the sweep service is
 // built from: tenancy and token-bucket admission control, SLO priority
-// classes with a priority-/SJF-ordered scheduling queue, rendezvous-hash
-// cache-affinity routing, a Jain fairness index, an analytical-twin cost
-// estimator for shortest-job-first ordering, and a queue-depth autoscaler.
+// classes with a priority-ordered scheduling queue, rendezvous-hash
+// cache-affinity routing, and a Jain fairness index.
 //
 // The package is deliberately mechanism, not policy wiring: internal/server
 // uses the tenant registry and admission controller to gate visasimd
 // submissions (429 + Retry-After past a tenant's rate or quota), and
-// internal/dispatch uses the queue, router, estimator and fairness pieces to
-// turn the coordinator into an SLO-aware scheduler with dynamic membership.
+// internal/dispatch uses the queue, router and fairness pieces to turn the
+// coordinator into an SLO-aware scheduler with dynamic membership.
 // Nothing here touches simulation results: scheduling and routing only
 // decide *where and when* a cell runs, and the simulator's determinism
 // guarantees the bytes that come back are identical either way (the

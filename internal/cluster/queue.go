@@ -2,62 +2,14 @@ package cluster
 
 import (
 	"container/heap"
-	"fmt"
 	"sync"
 	"time"
 )
 
-// Ordering selects how the scheduling queue orders waiting work.
-type Ordering uint8
-
-const (
-	// OrderPriorityFCFS serves classes strictly in priority order and
-	// first-come-first-served within a class — the default: interactive
-	// sweeps jump bulk scans, and nothing inside a class can starve.
-	OrderPriorityFCFS Ordering = iota
-	// OrderSJF serves classes in priority order and shortest-estimated-job
-	// first within a class (cost from a cluster.Estimator), which minimizes
-	// mean wait when job sizes vary a lot inside one class.
-	OrderSJF
-	// OrderFCFS ignores classes entirely — PR 4's behaviour, kept as the
-	// control arm for scheduler benchmarks.
-	OrderFCFS
-)
-
-// String returns the ordering's flag name.
-func (o Ordering) String() string {
-	switch o {
-	case OrderPriorityFCFS:
-		return "priority-fcfs"
-	case OrderSJF:
-		return "sjf"
-	case OrderFCFS:
-		return "fcfs"
-	}
-	return fmt.Sprintf("ordering-%d", uint8(o))
-}
-
-// ParseOrdering parses a scheduler flag value; "" is OrderPriorityFCFS, and
-// "priority" is accepted as its shorthand.
-func ParseOrdering(s string) (Ordering, error) {
-	switch s {
-	case "priority-fcfs", "priority", "":
-		return OrderPriorityFCFS, nil
-	case "sjf":
-		return OrderSJF, nil
-	case "fcfs":
-		return OrderFCFS, nil
-	}
-	return OrderPriorityFCFS, fmt.Errorf("cluster: unknown scheduler %q (priority-fcfs, sjf, fcfs)", s)
-}
-
 // Item is one schedulable unit of work.
 type Item struct {
-	// Class is the item's priority class; lower schedules first except
-	// under OrderFCFS.
+	// Class is the item's priority class; lower schedules first.
 	Class PriorityClass
-	// Cost is the item's estimated cost, compared only under OrderSJF.
-	Cost float64
 	// Enqueued is when the item entered the queue; Push stamps it when
 	// zero. Queue-wait metrics derive from it.
 	Enqueued time.Time
@@ -69,23 +21,23 @@ type Item struct {
 }
 
 // Queue is a blocking scheduling queue: producers Push work, a fixed pool
-// of consumers Pop the best-ordered item. Close drains gracefully — Pops
-// keep returning queued items until the queue is empty, then report done —
-// so in-flight sweeps finish while new ones are refused.
+// of consumers Pop it in strict class priority, first-come-first-served
+// within a class: interactive sweeps jump bulk scans, and nothing inside a
+// class can starve. Close drains gracefully — Pops keep returning queued
+// items until the queue is empty, then report done — so in-flight sweeps
+// finish while new ones are refused.
 type Queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	ord    Ordering
 	h      itemHeap
 	closed bool
 	seq    uint64
 	byCls  [NumClasses]int
 }
 
-// NewQueue builds an empty queue with the given ordering.
-func NewQueue(ord Ordering) *Queue {
-	q := &Queue{ord: ord}
-	q.h.ord = ord
+// NewQueue builds an empty queue.
+func NewQueue() *Queue {
+	q := &Queue{}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
@@ -111,12 +63,12 @@ func (q *Queue) Push(it *Item) bool {
 	return true
 }
 
-// Pop blocks until an item is available and returns the best-ordered one;
-// ok is false once the queue is closed and drained.
+// Pop blocks until an item is available and returns the first in
+// priority-FCFS order; ok is false once the queue is closed and drained.
 func (q *Queue) Pop() (*Item, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.h.items) == 0 {
+	for len(q.h) == 0 {
 		if q.closed {
 			return nil, false
 		}
@@ -142,7 +94,7 @@ func (q *Queue) Close() {
 func (q *Queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.h.items)
+	return len(q.h)
 }
 
 // LenByClass returns how many items of one class are waiting.
@@ -155,38 +107,28 @@ func (q *Queue) LenByClass(c PriorityClass) int {
 	return q.byCls[c]
 }
 
-// Ordering returns the queue's ordering.
-func (q *Queue) Ordering() Ordering { return q.ord }
+// itemHeap implements container/heap in priority-FCFS order. Callers hold
+// the Queue mutex.
+type itemHeap []*Item
 
-// itemHeap implements container/heap over the queue's ordering. Callers
-// hold the Queue mutex.
-type itemHeap struct {
-	ord   Ordering
-	items []*Item
+func (h itemHeap) Len() int { return len(h) }
+
+func (h itemHeap) Less(i, j int) bool {
+	if h[i].Class != h[j].Class {
+		return h[i].Class < h[j].Class
+	}
+	return h[i].seq < h[j].seq
 }
 
-func (h *itemHeap) Len() int { return len(h.items) }
+func (h itemHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h *itemHeap) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	if h.ord != OrderFCFS && a.Class != b.Class {
-		return a.Class < b.Class
-	}
-	if h.ord == OrderSJF && a.Cost != b.Cost {
-		return a.Cost < b.Cost
-	}
-	return a.seq < b.seq
-}
-
-func (h *itemHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-
-func (h *itemHeap) Push(x any) { h.items = append(h.items, x.(*Item)) }
+func (h *itemHeap) Push(x any) { *h = append(*h, x.(*Item)) }
 
 func (h *itemHeap) Pop() any {
-	old := h.items
+	old := *h
 	n := len(old)
 	it := old[n-1]
 	old[n-1] = nil
-	h.items = old[:n-1]
+	*h = old[:n-1]
 	return it
 }

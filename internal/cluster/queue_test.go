@@ -20,7 +20,7 @@ func drain(t *testing.T, q *Queue) []*Item {
 }
 
 func TestQueuePriorityFCFSOrder(t *testing.T) {
-	q := NewQueue(OrderPriorityFCFS)
+	q := NewQueue()
 	q.Push(&Item{Class: Bulk, Payload: "b1"})
 	q.Push(&Item{Class: Standard, Payload: "s1"})
 	q.Push(&Item{Class: Interactive, Payload: "i1"})
@@ -34,34 +34,8 @@ func TestQueuePriorityFCFSOrder(t *testing.T) {
 	}
 }
 
-func TestQueueSJFOrdersWithinClass(t *testing.T) {
-	q := NewQueue(OrderSJF)
-	q.Push(&Item{Class: Standard, Cost: 30, Payload: "big"})
-	q.Push(&Item{Class: Standard, Cost: 10, Payload: "small"})
-	q.Push(&Item{Class: Standard, Cost: 20, Payload: "mid"})
-	q.Push(&Item{Class: Interactive, Cost: 99, Payload: "urgent"})
-	want := []string{"urgent", "small", "mid", "big"}
-	for i, it := range drain(t, q) {
-		if it.Payload.(string) != want[i] {
-			t.Fatalf("pop %d = %v, want %s", i, it.Payload, want[i])
-		}
-	}
-}
-
-func TestQueueFCFSIgnoresClass(t *testing.T) {
-	q := NewQueue(OrderFCFS)
-	q.Push(&Item{Class: Bulk, Payload: "first"})
-	q.Push(&Item{Class: Interactive, Payload: "second"})
-	want := []string{"first", "second"}
-	for i, it := range drain(t, q) {
-		if it.Payload.(string) != want[i] {
-			t.Fatalf("pop %d = %v, want %s", i, it.Payload, want[i])
-		}
-	}
-}
-
 func TestQueuePopBlocksUntilPush(t *testing.T) {
-	q := NewQueue(OrderPriorityFCFS)
+	q := NewQueue()
 	got := make(chan *Item, 1)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -87,7 +61,7 @@ func TestQueuePopBlocksUntilPush(t *testing.T) {
 }
 
 func TestQueueCloseDrainsThenRefuses(t *testing.T) {
-	q := NewQueue(OrderPriorityFCFS)
+	q := NewQueue()
 	if !q.Push(&Item{Payload: "queued"}) {
 		t.Fatal("Push before Close refused")
 	}
@@ -106,7 +80,7 @@ func TestQueueCloseDrainsThenRefuses(t *testing.T) {
 }
 
 func TestQueueLenByClassAndEnqueueStamp(t *testing.T) {
-	q := NewQueue(OrderPriorityFCFS)
+	q := NewQueue()
 	it := &Item{Class: Bulk}
 	q.Push(it)
 	q.Push(&Item{Class: Interactive})
@@ -119,21 +93,5 @@ func TestQueueLenByClassAndEnqueueStamp(t *testing.T) {
 	q.Pop()
 	if q.LenByClass(Interactive) != 0 {
 		t.Fatal("Pop did not decrement the popped class")
-	}
-}
-
-func TestParseOrdering(t *testing.T) {
-	cases := map[string]Ordering{"": OrderPriorityFCFS, "priority-fcfs": OrderPriorityFCFS, "sjf": OrderSJF, "fcfs": OrderFCFS}
-	for s, want := range cases {
-		got, err := ParseOrdering(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseOrdering(%q) = %v, %v", s, got, err)
-		}
-		if s != "" && got.String() != s {
-			t.Fatalf("Ordering(%q).String() = %q", s, got.String())
-		}
-	}
-	if _, err := ParseOrdering("lifo"); err == nil {
-		t.Fatal(`ParseOrdering("lifo") should error`)
 	}
 }

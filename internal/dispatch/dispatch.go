@@ -1,17 +1,17 @@
 // Package dispatch fans experiment sweeps out across a cluster of
 // visasimd backends: a coordinator that shards a sweep's cells over the
 // backend pool with pluggable routing (least-loaded, cache-affinity
-// rendezvous hashing, or seeded random), health probing, per-cell retry
-// with exponential backoff and jitter, failover after repeated failures,
-// and optional hedged re-dispatch for straggler cells.
+// rendezvous hashing, or seeded random), health probing, a per-attempt
+// deadline, per-cell retry with exponential backoff and jitter, and
+// failover after repeated failures.
 //
 // Since PR 8 the coordinator is also the cluster's control plane: the
 // backend pool may be dynamic (backends register, drain and deregister at
 // runtime — see Join, Drain, Leave and the Control HTTP surface), every
-// sweep passes through an SLO-aware scheduler (a cluster.Queue ordering
-// work by priority class, optionally shortest-job-first using the
-// analytical twin's cost estimate), and an optional cluster.Admission
-// gate enforces per-tenant rate limits and quotas at sweep entry.
+// sweep passes through an SLO-aware scheduler (a cluster.Queue serving
+// priority classes in order, first-come-first-served within a class), and
+// an optional cluster.Admission gate enforces per-tenant rate limits and
+// quotas at sweep entry.
 //
 // The coordinator's Run and RunStats mirror harness.Run / harness.RunStats
 // (keyed results, first failing cell aborts with a *harness.CellError), so
@@ -19,8 +19,8 @@
 // figure regenerates through the cluster unchanged. Determinism makes the
 // distribution invisible — a cell's core.Config fully determines its
 // core.Result, so which backend ran it, what priority class it queued
-// under, how many times it was retried, or whether a hedge raced it cannot
-// change the bytes that come back.
+// under, or how many times it was retried cannot change the bytes that
+// come back.
 //
 // With a persistent store attached (internal/store), completed cells are
 // checkpointed to disk as they finish and — in resume mode — cells whose
@@ -103,13 +103,6 @@ type Options struct {
 	// Routing picks the backend-selection policy (RouteLeastLoaded when
 	// zero).
 	Routing Routing
-	// Ordering picks the scheduling-queue order across concurrently
-	// submitted sweeps (priority-FCFS when zero).
-	Ordering cluster.Ordering
-	// Cost estimates a dispatch group's cost for OrderSJF
-	// (cluster.InstrCost when nil; cluster.TwinCost for twin-predicted
-	// cycles).
-	Cost cluster.Estimator
 	// Admission, when non-nil, gates every Run at entry: the sweep's
 	// context must carry a tenant API key (cluster.WithAPIKey) that admits
 	// len(cells) cells, and the tenant's quota is held until the sweep
@@ -136,12 +129,9 @@ type Options struct {
 	MaxBackoff  time.Duration
 	// CellTimeout bounds one dispatch attempt end to end — submit plus
 	// the wait for the backend to finish the cell (10m when 0). A wedged
-	// backend costs one timeout, not the sweep.
+	// backend costs one timeout, not the sweep: the attempt fails, the
+	// backend is marked unhealthy and the cell fails over.
 	CellTimeout time.Duration
-	// HedgeAfter, when positive, re-dispatches a cell to a second backend
-	// if the first attempt has not resolved within this duration; the
-	// first result wins and the loser is canceled. Zero disables hedging.
-	HedgeAfter time.Duration
 	// Workers is the size of the dispatcher pool draining the scheduling
 	// queue — the bound on concurrently in-flight cells across all
 	// backends and all concurrent sweeps (4×len(Backends) when 0, with a
@@ -160,7 +150,7 @@ type Options struct {
 	// in tests without touching the process-global math/rand state.
 	Seed int64
 	// Logger receives the coordinator's structured log lines — every
-	// retry, failover, hedge and membership decision, tagged with a
+	// retry, failover and membership decision, tagged with a
 	// correlation ID so one grep follows a sweep through client,
 	// coordinator and daemon. It is also handed to the per-backend
 	// clients. Nil discards.
@@ -189,9 +179,6 @@ func (o Options) withDefaults() Options {
 			o.Workers = 8
 		}
 	}
-	if o.Cost == nil {
-		o.Cost = cluster.InstrCost
-	}
 	return o
 }
 
@@ -204,7 +191,7 @@ type backend struct {
 	draining atomic.Bool  // excluded from routing; finishing in-flight work
 	inflight atomic.Int64 // cells currently dispatched here
 
-	dispatched expvar.Int // attempts sent here (including hedges)
+	dispatched expvar.Int // attempts sent here
 	failures   expvar.Int // attempts that came back retryable-failed
 }
 
@@ -259,7 +246,7 @@ func New(opt Options) (*Coordinator, error) {
 		log:      obs.Logger(opt.Logger),
 		scope:    "cluster-" + strings.TrimPrefix(obs.NewSweepID(), "sweep-"),
 		memberCh: make(chan struct{}),
-		sched:    cluster.NewQueue(opt.Ordering),
+		sched:    cluster.NewQueue(),
 		rng:      rand.New(rand.NewSource(seed)), //nolint:gosec // jitter, not crypto
 		quit:     make(chan struct{}),
 	}
@@ -296,7 +283,7 @@ func (c *Coordinator) Close() {
 }
 
 // MetricsVar exposes the coordinator's metrics map (dispatch counts per
-// backend, retries, failovers, hedges, store hits/misses, resume skips,
+// backend, retries, failovers, store hits/misses, resume skips,
 // membership transitions), e.g. for expvar.Publish in a binary. Never
 // touches the global registry.
 func (c *Coordinator) MetricsVar() expvar.Var { return &c.met.root }
@@ -428,7 +415,7 @@ func (c *Coordinator) snapshot() []*backend {
 	return append([]*backend(nil), c.backends...)
 }
 
-// BackendCount reports the non-draining pool size (cluster.AutoscaleSource).
+// BackendCount reports the non-draining pool size.
 func (c *Coordinator) BackendCount() int {
 	n := 0
 	for _, b := range c.snapshot() {
@@ -438,10 +425,6 @@ func (c *Coordinator) BackendCount() int {
 	}
 	return n
 }
-
-// QueueDepth reports how many dispatch groups are waiting for a backend
-// (cluster.AutoscaleSource).
-func (c *Coordinator) QueueDepth() int { return c.sched.Len() }
 
 // BackendStatus is one backend's state as seen by Probe/Members.
 type BackendStatus struct {
@@ -455,7 +438,7 @@ type BackendStatus struct {
 	// Inflight is how many cells the coordinator currently has dispatched
 	// to this backend.
 	Inflight int64 `json:"inflight"`
-	// Dispatched counts attempts sent here, including hedges.
+	// Dispatched counts attempts sent here.
 	Dispatched int64 `json:"dispatched"`
 }
 
@@ -555,9 +538,8 @@ func (b *backend) probe(ctx context.Context, hc *http.Client) error {
 //
 // A non-nil return carries an inflight reservation: the slot is claimed
 // atomically at selection (CAS under least-loaded, so concurrent pickers
-// observe each other and spread), and the caller must release it with
-// inflight.Add(-1) when the leg resolves — or immediately, if it decides
-// not to dispatch.
+// observe each other and spread), and runOn releases it when the attempt
+// resolves.
 func (c *Coordinator) pick(avoid, hash string) *backend {
 	backends := c.snapshot()
 	if b := c.pickFrom(backends, avoid, hash, true); b != nil {
@@ -613,7 +595,7 @@ func (c *Coordinator) pickFrom(backends []*backend, avoid, hash string, healthyO
 	// Least-loaded, and the fallback for the impossible affinity miss. The
 	// read-choose-claim sequence is not atomic across backends, so claim
 	// the slot with a CAS on the chosen backend's count: if another picker
-	// (or a finishing leg) moved it first, re-run the selection with the
+	// (or a finishing attempt) moved it first, re-run the selection with the
 	// fresh counts instead of piling onto a stale choice.
 	for {
 		best := cands[0]

@@ -91,10 +91,10 @@ func backendDispatchCounts(t *testing.T, c *Coordinator) map[string]float64 {
 	return out
 }
 
-// TestClusterParity is the acceptance check (and `make cluster-test`'s
-// smoke sweep): a sweep dispatched across two in-process backends returns
-// results byte-identical to a local harness.Run, exercises both backends,
-// and folds duplicate configs into one dispatch. Run under -race in CI.
+// TestClusterParity is the acceptance check: a sweep dispatched across two
+// in-process backends returns results byte-identical to a local
+// harness.Run, exercises both backends, and folds duplicate configs into
+// one dispatch. Run under -race in CI.
 func TestClusterParity(t *testing.T) {
 	b1, b2 := newBackend(t), newBackend(t)
 	c := newCoordinator(t, Options{Backends: []string{b1.URL, b2.URL}})
@@ -333,27 +333,33 @@ func TestResumeSkipsCompletedCells(t *testing.T) {
 	}
 }
 
-// TestHedgedDispatchBeatsStraggler: the first backend hangs on first
-// contact; with hedging enabled the cell re-dispatches to the second
-// backend and the sweep finishes long before the straggler's timeout.
-func TestHedgedDispatchBeatsStraggler(t *testing.T) {
-	fastSrv := newBackend(t)
+// TestWedgedBackendTimesOutAndFailsOver: the first backend accepts the
+// connection and then hangs. CellTimeout fails that attempt, the backend is
+// marked unhealthy, and the cell fails over to the second backend, so the
+// sweep costs one timeout rather than stalling.
+func TestWedgedBackendTimesOutAndFailsOver(t *testing.T) {
+	goodSrv := newBackend(t)
 
-	slowSim := server.New(server.Options{})
-	slow := &flakyBackend{real: slowSim.Handler(), left: 1, hang: true, release: make(chan struct{})}
-	slowTS := httptest.NewServer(slow)
+	wedgedSim := server.New(server.Options{})
+	wedged := &flakyBackend{real: wedgedSim.Handler(), left: 1, hang: true, release: make(chan struct{})}
+	wedgedTS := httptest.NewServer(wedged)
+
+	// Wedged backend first in the list so the single cell lands on it. No
+	// probe runs during the test, so only the timed-out attempt can mark it
+	// unhealthy.
+	c := newCoordinator(t, Options{
+		Backends:      []string{wedgedTS.URL, goodSrv.URL},
+		CellTimeout:   300 * time.Millisecond,
+		ProbeInterval: time.Hour,
+	})
+	// Registered after the coordinator so it runs first: a still-hung
+	// attempt is released before c.Close waits for it.
 	t.Cleanup(func() {
-		close(slow.release) // runs before slowTS.Close would wait on the conn
-		slowTS.Close()
+		close(wedged.release) // runs before wedgedTS.Close would wait on the conn
+		wedgedTS.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
-		slowSim.Shutdown(ctx) //nolint:errcheck
-	})
-
-	// Straggler first in the list so the single cell lands on it.
-	c := newCoordinator(t, Options{
-		Backends:   []string{slowTS.URL, fastSrv.URL},
-		HedgeAfter: 25 * time.Millisecond,
+		wedgedSim.Shutdown(ctx) //nolint:errcheck
 	})
 	cells := []harness.Cell{{Key: "x", Cfg: testCfg("gcc", core.SchemeBase)}}
 	done := make(chan error, 1)
@@ -369,10 +375,15 @@ func TestHedgedDispatchBeatsStraggler(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("hedged sweep did not finish while the straggler hung")
+		t.Fatal("sweep did not finish while a backend hung")
 	}
-	if got := intMetric(t, c, "hedges"); got < 1 {
-		t.Fatalf("hedges = %v, want >= 1", got)
+	if got := intMetric(t, c, "failovers"); got < 1 {
+		t.Fatalf("failovers = %v, want >= 1", got)
+	}
+	for _, m := range c.Members() {
+		if m.URL == wedgedTS.URL && m.Healthy {
+			t.Fatal("timed-out backend still marked healthy")
+		}
 	}
 	local, err := harness.Run(cells, harness.Options{})
 	if err != nil {
@@ -381,7 +392,7 @@ func TestHedgedDispatchBeatsStraggler(t *testing.T) {
 	rj, _ := json.Marshal(remote["x"])
 	lj, _ := json.Marshal(local["x"])
 	if !bytes.Equal(rj, lj) {
-		t.Fatal("hedged result differs from local run")
+		t.Fatal("failed-over result differs from local run")
 	}
 }
 

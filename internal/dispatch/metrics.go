@@ -21,7 +21,6 @@ type metrics struct {
 	dedupShares expvar.Int // cells folded into another cell's dispatch
 	retries     expvar.Int // re-dispatches after a retryable failure
 	failovers   expvar.Int // retries that moved to a different backend
-	hedges      expvar.Int // straggler re-dispatches launched
 
 	storeHits      expvar.Int // groups served from the durable store
 	storeMisses    expvar.Int // resume lookups that fell through
@@ -65,7 +64,6 @@ func newMetrics(c *Coordinator) *metrics {
 		"dedup_shares":      &m.dedupShares,
 		"retries":           &m.retries,
 		"failovers":         &m.failovers,
-		"hedges":            &m.hedges,
 		"store_hits":        &m.storeHits,
 		"store_misses":      &m.storeMisses,
 		"store_put_errors":  &m.storePutErrors,
@@ -142,7 +140,6 @@ func (m *metrics) initProm(c *Coordinator) {
 	p.NewCounterFunc("visasim_dispatch_dedup_shares_total", "Cells folded into another cell's dispatch.", intFn(&m.dedupShares))
 	p.NewCounterFunc("visasim_dispatch_retries_total", "Re-dispatches after a retryable failure.", intFn(&m.retries))
 	p.NewCounterFunc("visasim_dispatch_failovers_total", "Retries that moved to a different backend.", intFn(&m.failovers))
-	p.NewCounterFunc("visasim_dispatch_hedges_total", "Straggler re-dispatches launched.", intFn(&m.hedges))
 	p.NewCounterFunc("visasim_dispatch_store_hits_total", "Groups served from the durable store.", intFn(&m.storeHits))
 	p.NewCounterFunc("visasim_dispatch_store_misses_total", "Resume lookups that fell through to a dispatch.", intFn(&m.storeMisses))
 	p.NewCounterFunc("visasim_dispatch_store_put_errors_total", "Failed checkpoint writes (sweep kept going).", intFn(&m.storePutErrors))
@@ -173,7 +170,7 @@ func (m *metrics) initProm(c *Coordinator) {
 		return 0
 	}
 	p.NewCounterSnapshotVec("visasim_dispatch_backend_dispatched_total",
-		"Attempts sent to the backend (including hedges).",
+		"Attempts sent to the backend.",
 		backendSamples(func(b *backend) float64 { return float64(b.dispatched.Value()) }))
 	p.NewCounterSnapshotVec("visasim_dispatch_backend_failures_total",
 		"Attempts the backend failed retryably.",

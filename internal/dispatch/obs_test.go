@@ -3,12 +3,15 @@ package dispatch
 import (
 	"bytes"
 	"context"
+	"io"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"visasim/internal/cluster"
 	"visasim/internal/core"
 	"visasim/internal/harness"
 	"visasim/internal/obs"
@@ -105,5 +108,57 @@ func TestSeededBackoffReproducible(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical backoff sequences")
+	}
+}
+
+// TestTotalFamiliesAreCounters: Prometheus reserves the _total suffix for
+// counters, so every family so named — on the daemon's GET /metrics/prom
+// and in the coordinator's exposition, tenant families included — must
+// declare TYPE counter.
+func TestTotalFamiliesAreCounters(t *testing.T) {
+	reg, err := cluster.NewRegistry([]cluster.Tenant{{ID: "papers", Key: "pk"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(server.Options{Tenants: reg})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		srv.Shutdown(ctx) //nolint:errcheck
+	})
+	resp, err := http.Get(ts.URL + "/metrics/prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemon, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	coord := newCoordinator(t, Options{
+		Backends:  []string{ts.URL},
+		Admission: cluster.NewAdmission(reg),
+	})
+	var coordProm bytes.Buffer
+	coord.WritePrometheus(&coordProm)
+
+	for name, text := range map[string]string{"daemon": string(daemon), "coordinator": coordProm.String()} {
+		totals := 0
+		for _, line := range strings.Split(text, "\n") {
+			f := strings.Fields(line)
+			if len(f) != 4 || f[0] != "#" || f[1] != "TYPE" || !strings.HasSuffix(f[2], "_total") {
+				continue
+			}
+			totals++
+			if f[3] != "counter" {
+				t.Errorf("%s: %s has TYPE %s, want counter", name, f[2], f[3])
+			}
+		}
+		if totals < 10 {
+			t.Errorf("%s: only %d _total families in the exposition:\n%s", name, totals, text)
+		}
 	}
 }

@@ -177,9 +177,6 @@ func (c *Coordinator) RunStatsContext(ctx context.Context, cells []harness.Cell,
 			Class:   class,
 			Payload: &schedJob{ctx: ctx, g: g, tenant: tenantID, ch: outcomes},
 		}
-		if c.sched.Ordering() == cluster.OrderSJF {
-			item.Cost = c.opt.Cost(g.cfg)
-		}
 		if !c.sched.Push(item) {
 			firstErr = keyedError(g.keys[0], errors.New("dispatch: coordinator closed"))
 			cancel()
@@ -318,7 +315,7 @@ func (c *Coordinator) dispatchGroup(ctx context.Context, g *group) (*core.Result
 			c.log.Warn("cell failing over", "sweep", sweep, "cell", g.keys[0],
 				"from", avoid, "to", b.url)
 		}
-		res, st, err := c.attempt(ctx, b, g)
+		res, st, err := c.runOn(ctx, b, g)
 		if err == nil {
 			return res, st, nil
 		}
@@ -351,79 +348,21 @@ func (c *Coordinator) backoff(attempt int) time.Duration {
 	return time.Duration(float64(d) * (0.5 + j))
 }
 
-// attempt dispatches g to backend b once, optionally hedging: when the
-// attempt has not resolved within HedgeAfter, the cell is re-dispatched to
-// a second backend and the first result wins (the loser's HTTP work is
-// canceled). The whole attempt — both legs — is bounded by CellTimeout.
-func (c *Coordinator) attempt(ctx context.Context, b *backend, g *group) (*core.Result, harness.CellStats, error) {
-	actx, cancel := context.WithTimeout(ctx, c.opt.CellTimeout)
-	defer cancel()
-
-	type outcome struct {
-		res   *core.Result
-		stats harness.CellStats
-		err   error
-	}
-	ch := make(chan outcome, 2) // buffered: the losing leg must not leak
-	// pick reserved the backend's inflight slot at selection time; each leg
-	// holds that reservation until it resolves, so concurrent least-loaded
-	// pickers always see each other's choices.
-	launch := func(b *backend) {
-		go func() {
-			defer b.inflight.Add(-1)
-			res, st, err := c.runOn(actx, b, g)
-			ch <- outcome{res, st, err}
-		}()
-	}
-	launch(b)
-	outstanding := 1
-
-	var hedge <-chan time.Time
-	if c.opt.HedgeAfter > 0 {
-		t := time.NewTimer(c.opt.HedgeAfter)
-		defer t.Stop()
-		hedge = t.C
-	}
-	for {
-		select {
-		case out := <-ch:
-			outstanding--
-			if out.err == nil {
-				return out.res, out.stats, nil
-			}
-			if permanent(out.err) || outstanding == 0 {
-				return nil, harness.CellStats{}, out.err
-			}
-			// A leg failed retryably but the other is still running; let
-			// it decide the attempt.
-		case <-hedge:
-			hedge = nil
-			if hb := c.pick(b.url, g.hash); hb != nil {
-				if hb == b {
-					hb.inflight.Add(-1) // not dispatching twice to the same backend
-				} else {
-					c.met.hedges.Add(1)
-					c.log.Info("cell hedged", "sweep", obs.SweepID(ctx),
-						"cell", g.keys[0], "first", b.url, "hedge", hb.url,
-						"after", c.opt.HedgeAfter)
-					outstanding++
-					launch(hb)
-				}
-			}
-		}
-	}
-}
-
 // runOn executes g's representative cell on backend b as a single-cell
-// job and decodes the one result.
-// The caller holds b's inflight reservation for the duration of the call.
+// job and decodes the one result. The attempt is bounded by CellTimeout,
+// so a wedged backend fails it (and is marked unhealthy) rather than
+// stalling the sweep. runOn releases the inflight reservation pick took
+// on b when the attempt resolves.
 func (c *Coordinator) runOn(ctx context.Context, b *backend, g *group) (*core.Result, harness.CellStats, error) {
+	defer b.inflight.Add(-1)
+	ctx, cancel := context.WithTimeout(ctx, c.opt.CellTimeout)
+	defer cancel()
 	b.dispatched.Add(1)
 	t0 := time.Now()
 	defer func() { c.met.histAttempt.Observe(time.Since(t0).Seconds()) }()
 
 	fail := func(err error) (*core.Result, harness.CellStats, error) {
-		if !errors.Is(err, context.Canceled) { // losing a hedge is not the backend's fault
+		if !errors.Is(err, context.Canceled) { // a canceled sweep is not the backend's fault
 			b.failures.Add(1)
 			if !permanent(err) {
 				// Don't wait for the next probe to stop routing here.

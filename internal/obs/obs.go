@@ -9,7 +9,7 @@
 // process boundaries, and attached to every structured log line each layer
 // emits. Grepping any one layer's logs for the ID therefore reconstructs
 // the sweep's full path: submit, queue, simulate or cache-serve, retry,
-// failover, hedge. See DESIGN.md §9.
+// failover. See DESIGN.md §9.
 package obs
 
 import (

@@ -140,7 +140,7 @@ func (m *metrics) initProm() {
 	p.NewCounterFunc("visasimd_sims_run_total", "Fresh simulations executed.", intFn(&m.simsRun))
 	p.NewGaugeFunc("visasimd_cache_hit_ratio", "Lifetime cache hit ratio over resolved cells.", floatFn(&m.hitRatio))
 	p.NewGaugeFunc("visasimd_cache_entries", "Result-cache entries resident in memory.", intFn(&m.cacheSize))
-	p.NewGaugeFunc("visasimd_cache_evictions_total", "Resolved entries dropped by the in-memory LRU cap.", intFn(&m.cacheEvictions))
+	p.NewCounterFunc("visasimd_cache_evictions_total", "Resolved entries dropped by the in-memory LRU cap.", intFn(&m.cacheEvictions))
 	p.NewCounterFunc("visasimd_store_hits_total", "Cells served from the persistent store.", intFn(&m.storeHits))
 	p.NewCounterFunc("visasimd_store_misses_total", "Store lookups that fell through to a simulation.", intFn(&m.storeMisses))
 	p.NewCounterFunc("visasimd_store_put_errors_total", "Failed store write-throughs (daemon kept going).", intFn(&m.storePutErrors))

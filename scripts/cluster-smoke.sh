@@ -63,7 +63,7 @@ EOF
 # Coordinator with an EMPTY static pool: membership comes only from daemon
 # self-registration.
 "$TMP/visasimcoord" -addr "$COORD" -tenants "$TMP/tenants.json" \
-    -scheduler priority -routing affinity \
+    -routing affinity \
     -log-format json -log-level debug 2>"$CLOG" &
 CPID=$!
 

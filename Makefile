@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race test-cover cluster-smoke obs-smoke explore-smoke perf-smoke docs-lint bench bench-throughput golden twin-golden experiments examples serve fmt vet staticcheck clean
+.PHONY: all build test test-short test-race test-cover cluster-smoke obs-smoke explore-smoke perf-smoke docs-lint bench golden twin-golden experiments examples serve fmt vet staticcheck clean
 
 all: build test
 
@@ -56,25 +56,18 @@ explore-smoke:
 docs-lint:
 	./scripts/docs-lint.sh
 
+# The Go microbenchmarks perfbench has no counterpart for: the twin's
+# screening rate (internal/explore) and the coordinator's queue round trip
+# (internal/cluster). Simulator throughput is perfbench's (see perf-smoke).
 bench:
-	$(GO) test -bench=. -benchmem .
+	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Simulator-, twin- and scheduler-throughput benchmarks only; writes
-# machine-readable results to BENCH_pr10.json for regression tracking across
-# PRs (earlier PRs' records live in BENCH_pr1/7/8/9.json). The per-mix
-# simulator benches (CPU-A, MEM-A, MIX-A) and the batched sweep attribute
-# the event-driven core's wins per workload category.
-bench-throughput:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkBatchedSweep|BenchmarkFaultInjection|BenchmarkTwinScreen|BenchmarkDispatchScheduler|BenchmarkIQOrganizations' -benchmem -bench-json BENCH_pr10.json .
-
-# Throughput-floor gate: one baseline cell per workload category through the
-# harness, single worker, asserting the batch total's core-loop rate (total
-# simulated cycles over total core-loop seconds) clears 354266 cycles/sec —
-# 2x the PR1 baseline (177133, see BENCH_pr1.json) — so a core-loop
-# performance regression fails the build rather than landing silently.
-# Individual cells are not gated: CPU-A alone runs well below the floor.
+# Throughput-floor gate: short seed-1 perfbench runs of mem-long and figs
+# must report every cell digest correct, no failed operation, and a
+# simulator rate above each workload's Minstr/s floor (see
+# scripts/perf-smoke.sh, which holds the lengths and floors).
 perf-smoke:
-	$(GO) run ./cmd/experiments -n 200000 -workers 1 -bench-json /tmp/perf-smoke.json -bench-min 354266 bench
+	./scripts/perf-smoke.sh
 
 # Regenerates testdata/golden from current simulator behaviour. Only run
 # after a deliberate modelling change; commit the diff with an explanation.

@@ -64,5 +64,6 @@
 // sweeps with checkpointed resume, and explore — screen locally, verify
 // the frontier across the cluster).
 // Runnable examples live under examples/; this root package holds the
-// benchmark harness (bench_test.go) plus the golden and determinism tests.
+// golden, parity and determinism tests. Simulator throughput is measured
+// by the repository benchmark under perfbench/.
 package visasim

@@ -95,3 +95,24 @@ func TestQueueLenByClassAndEnqueueStamp(t *testing.T) {
 		t.Fatal("Pop did not decrement the popped class")
 	}
 }
+
+// BenchmarkDispatchScheduler measures the coordinator's scheduling overhead
+// (items/sec): a Push/Pop round trip through the priority queue. One op =
+// one item scheduled; items cycle through all priority classes so the heap
+// reorders across classes.
+func BenchmarkDispatchScheduler(b *testing.B) {
+	q := NewQueue()
+	const batch = 64 // drain in batches so the heap reaches real depth
+	for i := 0; i < b.N; i++ {
+		q.Push(&Item{Class: PriorityClass(i % NumClasses)})
+		if (i+1)%batch == 0 {
+			for j := 0; j < batch; j++ {
+				q.Pop()
+			}
+		}
+	}
+	for q.Len() > 0 {
+		q.Pop()
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "items/sec")
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -111,7 +112,7 @@ func (c *Coordinator) membershipHandler(op func(ctx context.Context, url string)
 			return
 		}
 		var req registerRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.URL == "" {
+		if err := json.NewDecoder(io.LimitReader(r.Body, server.MaxRequestBytes)).Decode(&req); err != nil || req.URL == "" {
 			httpErr(w, http.StatusBadRequest, "body must be {\"url\": \"http://host:port\"}")
 			return
 		}
@@ -138,7 +139,7 @@ func (c *Coordinator) handleDispatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req server.SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, server.MaxRequestBytes)).Decode(&req); err != nil {
 		httpErr(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}

@@ -174,3 +174,52 @@ func TestControlPlaneLifecycle(t *testing.T) {
 		t.Fatalf("members after drain = %+v", members)
 	}
 }
+
+// TestControlPlaneBodyCap checks that the coordinator decodes request
+// bodies under the daemon's cap: a sweep padded past server.MaxRequestBytes
+// is refused with 400 while the same sweep unpadded runs, and a padded
+// membership POST is refused too. The padding is leading whitespace, valid
+// JSON, so only the cap can reject it.
+func TestControlPlaneBodyCap(t *testing.T) {
+	_, ctl := newControlPlane(t)
+	b := newBackend(t)
+	pad := bytes.Repeat([]byte(" "), server.MaxRequestBytes)
+	post := func(path string, body any, padded bool) int {
+		t.Helper()
+		blob, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if padded {
+			blob = append(pad, blob...)
+		}
+		req, err := http.NewRequest(http.MethodPost, ctl.URL+path, bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(cluster.KeyHeader, "pk")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	reg := registerRequest{URL: b.URL}
+	if code := post("/v1/backends/register", reg, true); code != http.StatusBadRequest {
+		t.Fatalf("over-cap register: HTTP %d, want 400", code)
+	}
+	if code := post("/v1/backends/register", reg, false); code != http.StatusOK {
+		t.Fatalf("register: HTTP %d, want 200", code)
+	}
+	sub := server.SubmitRequest{Cells: []server.SubmitCell{
+		{Key: "gcc", Config: testCfg("gcc", core.SchemeBase)},
+	}}
+	if code := post("/v1/dispatch", sub, true); code != http.StatusBadRequest {
+		t.Fatalf("over-cap dispatch: HTTP %d, want 400", code)
+	}
+	if code := post("/v1/dispatch", sub, false); code != http.StatusOK {
+		t.Fatalf("dispatch: HTTP %d, want 200", code)
+	}
+}

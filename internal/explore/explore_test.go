@@ -376,3 +376,26 @@ func TestCompileIQAxes(t *testing.T) {
 		t.Fatal("no ECC point was decoded")
 	}
 }
+
+// BenchmarkTwinScreen measures the analytical twin's screening throughput
+// (configs/sec): the rate Screen evaluates design points at. One op = one
+// Decode+Evaluate over the default design space, single goroutine.
+func BenchmarkTwinScreen(b *testing.B) {
+	model, err := twin.Default()
+	if err != nil {
+		b.Fatal(err)
+	}
+	enum, err := DefaultSpace().Compile(model)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var in twin.Input
+	var pred twin.Prediction
+	size := enum.Size()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enum.Decode(int64(i)%size, &in)
+		model.Evaluate(&in, &pred)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "configs/sec")
+}

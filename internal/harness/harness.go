@@ -7,7 +7,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/pprof"
 	"sort"
@@ -35,20 +34,16 @@ type Results map[string]*core.Result
 type Traces map[string]*decision.Trace
 
 // CellStats records one cell's simulator cost: how long the simulation
-// took and how fast the simulated machine advanced. Seconds covers only
+// took and how far the simulated machine advanced. Seconds covers only
 // core.Run (workload generation, profiling and simulation), not queueing;
 // SimSeconds narrows further to the pipeline run alone, so the core loop's
-// rate (SimCyclesPerSec) is separable from one-time per-cell setup such as
-// the ACE profiling pass.
+// rate (Instructions/SimSeconds) is separable from one-time per-cell setup
+// such as the ACE profiling pass.
 type CellStats struct {
 	Seconds      float64
 	Cycles       uint64
 	Instructions uint64
-	CyclesPerSec float64
-	InstrsPerSec float64
-
-	SimSeconds      float64 `json:",omitempty"`
-	SimCyclesPerSec float64 `json:",omitempty"`
+	SimSeconds   float64 `json:",omitempty"`
 
 	// Telemetry summarises the cell's per-stage simulator behaviour, so a
 	// hot cell is explainable from its cost record alone — without
@@ -86,9 +81,6 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 type Options struct {
 	// Workers bounds concurrent simulations (GOMAXPROCS when 0).
 	Workers int
-	// CPUProfile, when non-empty, writes a pprof CPU profile covering
-	// the whole batch to this path.
-	CPUProfile string
 	// Labels are extra pprof labels applied to every cell's simulation
 	// goroutine alongside the always-present "cell" label (e.g. the
 	// daemon attaches the sweep correlation ID), so profiles attribute
@@ -163,21 +155,6 @@ func RunTraced(cells []Cell, opt Options) (Results, Stats, Traces, error) {
 		return nil, nil, nil, err
 	}
 
-	if opt.CPUProfile != "" {
-		f, err := os.Create(opt.CPUProfile)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("harness: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, nil, nil, fmt.Errorf("harness: %w", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-
 	var (
 		mu       sync.Mutex
 		results  = make(Results, len(cells))
@@ -222,10 +199,9 @@ func RunTraced(cells []Cell, opt Options) (Results, Stats, Traces, error) {
 				var err error
 				var simTime time.Duration
 				t0 := time.Now()
-				// Label the simulation goroutine so CPU profiles
-				// (harness-level or daemon-wide) attribute samples to the
-				// cell — and, through opt.Labels, to the sweep — that
-				// spent them.
+				// Label the simulation goroutine so a CPU profile of the
+				// process attributes samples to the cell — and, through
+				// opt.Labels, to the sweep — that spent them.
 				pprof.Do(context.Background(), pprof.Labels(kv...), func(context.Context) {
 					res, tr, err = core.RunTraced(c.Cfg, core.RunOptions{
 						TraceLevel: opt.TraceLevel,
@@ -245,10 +221,11 @@ func RunTraced(cells []Cell, opt Options) (Results, Stats, Traces, error) {
 					if tr != nil {
 						traces[c.Key] = tr
 					}
-					st := CellStats{
+					stats[c.Key] = CellStats{
 						Seconds:      elapsed.Seconds(),
 						Cycles:       res.Cycles,
 						Instructions: res.TotalCommits(),
+						SimSeconds:   simTime.Seconds(),
 						Telemetry: StageTelemetry{
 							MeanIQOccupancy: res.MeanIQOccupancy,
 							IQHighWater:     res.IQHighWater,
@@ -257,15 +234,6 @@ func RunTraced(cells []Cell, opt Options) (Results, Stats, Traces, error) {
 							DVMTriggers:     res.DVMTriggers,
 						},
 					}
-					if st.Seconds > 0 {
-						st.CyclesPerSec = float64(st.Cycles) / st.Seconds
-						st.InstrsPerSec = float64(st.Instructions) / st.Seconds
-					}
-					st.SimSeconds = simTime.Seconds()
-					if st.SimSeconds > 0 {
-						st.SimCyclesPerSec = float64(st.Cycles) / st.SimSeconds
-					}
-					stats[c.Key] = st
 				}
 				mu.Unlock()
 			}

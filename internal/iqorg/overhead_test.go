@@ -98,8 +98,9 @@ func TestInterfaceOverhead(t *testing.T) {
 	// trial by trial and each takes its minimum block time across the
 	// attempt — its quietest window — so a load spike has to cover every
 	// window of one variant to skew the ratio; re-measuring on a miss
-	// (attempts) rides out sustained spikes. BenchmarkIQOrganizations
-	// keeps the absolute numbers visible for trend review.
+	// (attempts) rides out sustained spikes. The attempts' ratios are
+	// logged (go test -v); perfbench's iqorg.self_share tracks the layer's
+	// cost inside whole simulations.
 	measure := func() float64 {
 		direct, viaOrg := time.Duration(1<<62), time.Duration(1<<62)
 		for trial := 0; trial < trials; trial++ {

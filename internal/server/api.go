@@ -19,6 +19,11 @@ type SubmitCell struct {
 	Config core.Config `json:"config"`
 }
 
+// MaxRequestBytes caps every request body the daemon and the dispatch
+// coordinator decode; a longer body is cut off there and rejected as
+// malformed.
+const MaxRequestBytes = 16 << 20
+
 // SubmitRequest is the body of POST /v1/sweeps.
 type SubmitRequest struct {
 	Cells []SubmitCell `json:"cells"`

@@ -519,7 +519,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, 16<<20))
+	dec := json.NewDecoder(io.LimitReader(r.Body, MaxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -152,6 +153,35 @@ func mustEnvelope(t *testing.T, hash string, res *core.Result, stats harness.Cel
 		t.Fatal(err)
 	}
 	return blob
+}
+
+// TestRetiredStatsFieldsStillRead pins that layout v1 entries written
+// before CellStats lost its derived rate fields (such as CyclesPerSec and
+// InstrsPerSec) still load: unknown fields are ignored.
+func TestRetiredStatsFieldsStillRead(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, res, stats := simOnce(t, core.SchemeBase)
+	resJSON, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := []byte(`{"hash":"` + hash + `","stats":{"Seconds":1.5,"Cycles":` +
+		strconv.FormatUint(stats.Cycles, 10) + `,"Instructions":7,"CyclesPerSec":2,` +
+		`"InstrsPerSec":3,"SimSeconds":0.5},"result":` + string(resJSON) + `}`)
+	if err := os.WriteFile(s.path(hash), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, gotStats, ok := s.Get(hash)
+	if !ok {
+		t.Fatal("entry with the retired rate fields missed")
+	}
+	want := harness.CellStats{Seconds: 1.5, Cycles: stats.Cycles, Instructions: 7, SimSeconds: 0.5}
+	if gotStats != want || got.Cycles != res.Cycles {
+		t.Fatalf("stats %+v (want %+v), cycles %d (want %d)", gotStats, want, got.Cycles, res.Cycles)
+	}
 }
 
 func TestInvalidAddressesRejected(t *testing.T) {

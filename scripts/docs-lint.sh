@@ -5,6 +5,9 @@
 #   2. Every intra-document anchor link (#heading) must match a heading's
 #      GitHub slug in the target document.
 #   3. Every binary under cmd/ must be mentioned in README.md.
+#   4. Every `make <target>` in README/DESIGN/EXPERIMENTS, inline in
+#      backticks or at the start of a fenced code line, must name a
+#      Makefile target.
 # Used by `make docs-lint` and the CI docs-lint step.
 set -euo pipefail
 
@@ -59,7 +62,26 @@ for d in cmd/*/; do
     fi
 done
 
+make_targets=$(sed -n 's/^\([A-Za-z0-9_-]*\):.*/\1/p' Makefile)
+for doc in README.md DESIGN.md EXPERIMENTS.md; do
+    named=$(awk '
+        /^```/ { fence = !fence; next }
+        fence && /^make [A-Za-z0-9_-]/ { print $2; next }
+        {
+            while (match($0, /`make [A-Za-z0-9_-]+/)) {
+                print substr($0, RSTART + 6, RLENGTH - 6)
+                $0 = substr($0, RSTART + RLENGTH)
+            }
+        }' "$doc" | sort -u)
+    for t in $named; do
+        if ! printf '%s\n' "$make_targets" | grep -qx -- "$t"; then
+            echo "docs-lint: $doc names a missing make target: make $t"
+            fail=1
+        fi
+    done
+done
+
 if [ "$fail" != 0 ]; then
     exit 1
 fi
-echo "docs-lint: OK (links, anchors and cmd/* coverage)"
+echo "docs-lint: OK (links, anchors, cmd/* coverage and make targets)"

@@ -20,7 +20,7 @@
 //	POST /v1/backends/drain       {"url": ...} finish in-flight work, then leave
 //	GET  /v1/tenants              tenant quotas and usage (with -tenants)
 //	POST /v1/dispatch             run a sweep through the scheduler
-//	GET  /metrics, /metrics/prom  coordinator metrics (expvar JSON / Prometheus)
+//	GET  /metrics/prom            coordinator metrics (Prometheus text)
 //
 // With -tenants FILE every dispatch must carry a known X-Visasim-Key; rate
 // or quota rejections answer 429 with Retry-After hints. The scheduler
@@ -37,7 +37,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"net/http"
@@ -110,12 +109,7 @@ func main() {
 		os.Exit(1)
 	}
 	defer coord.Close()
-	expvar.Publish("visasimcoord", coord.MetricsVar())
-
-	mux := http.NewServeMux()
-	mux.Handle("/", coord.Control())
-	mux.Handle("GET /debug/vars", expvar.Handler())
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
+	httpSrv := &http.Server{Addr: *addr, Handler: coord.Control()}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

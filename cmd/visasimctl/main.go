@@ -11,7 +11,7 @@
 // Usage:
 //
 //	visasimctl health  -backends URL,URL,...
-//	visasimctl metrics -backends URL,URL,... [-prom]
+//	visasimctl metrics -backends URL,URL,...
 //	visasimctl sweep   (-backends URL,... | -coord URL | -local) [-cells FILE]
 //	                   [-key API_KEY] [-priority CLASS] [-results-only]
 //	                   [-store DIR] [-resume] [-workers N]
@@ -101,7 +101,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   visasimctl health  -backends URL,URL,...
-  visasimctl metrics -backends URL,URL,... [-prom]
+  visasimctl metrics -backends URL,URL,...
   visasimctl sweep   (-backends URL,... | -coord URL | -local) [-cells FILE]
                      [-key API_KEY] [-priority interactive|standard|bulk]
                      [-results-only] [-store DIR] [-resume]
@@ -158,53 +158,35 @@ func cmdHealth(args []string) error {
 	return nil
 }
 
-// cmdMetrics fetches every backend's /metrics and prints them as one JSON
-// object keyed by backend URL; with -prom it fetches /metrics/prom instead
-// and prints the Prometheus text blocks separated by a "# == URL ==" banner.
+// cmdMetrics fetches every backend's /metrics/prom and prints the
+// Prometheus text blocks, each after a "# == URL ==" banner. An unreachable
+// backend prints an "# error:" line in its place and makes the command
+// fail once every backend has been tried.
 func cmdMetrics(args []string) error {
 	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
 	backendsCSV := fs.String("backends", "", "comma-separated visasimd base URLs")
 	timeout := fs.Duration("timeout", 10*time.Second, "fetch deadline per backend")
-	prom := fs.Bool("prom", false, "fetch /metrics/prom (Prometheus text) instead of expvar JSON")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 
 	urls, err := backendList(*backendsCSV)
 	if err != nil {
 		return err
 	}
-	if *prom {
-		var firstErr error
-		for _, raw := range urls {
-			url := strings.TrimRight(strings.TrimSpace(raw), "/")
-			fmt.Printf("# == %s ==\n", url)
-			blob, err := fetchBody(url+"/metrics/prom", *timeout)
-			if err != nil {
-				fmt.Printf("# error: %v\n", err)
-				if firstErr == nil {
-					firstErr = fmt.Errorf("%s: %w", url, err)
-				}
-				continue
-			}
-			os.Stdout.Write(blob) //nolint:errcheck
-		}
-		return firstErr
-	}
-	out := make(map[string]json.RawMessage, len(urls))
+	var firstErr error
 	for _, raw := range urls {
 		url := strings.TrimRight(strings.TrimSpace(raw), "/")
-		blob, err := fetchBody(url+"/metrics", *timeout)
-		if err == nil && !json.Valid(blob) {
-			err = fmt.Errorf("non-JSON metrics body (%d bytes)", len(blob))
-		}
+		fmt.Printf("# == %s ==\n", url)
+		blob, err := fetchBody(url+"/metrics/prom", *timeout)
 		if err != nil {
-			out[url] = mustJSON(map[string]string{"error": err.Error()})
+			fmt.Printf("# error: %v\n", err)
+			if firstErr == nil {
+				firstErr = fmt.Errorf("%s: %w", url, err)
+			}
 			continue
 		}
-		out[url] = blob
+		os.Stdout.Write(blob) //nolint:errcheck
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return firstErr
 }
 
 func fetchBody(url string, timeout time.Duration) ([]byte, error) {
@@ -223,14 +205,6 @@ func fetchBody(url string, timeout time.Duration) ([]byte, error) {
 		return nil, fmt.Errorf("HTTP %d", resp.StatusCode)
 	}
 	return io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-}
-
-func mustJSON(v any) json.RawMessage {
-	blob, err := json.Marshal(v)
-	if err != nil {
-		return json.RawMessage(`"unmarshalable"`)
-	}
-	return blob
 }
 
 // cmdSweep runs one sweep and prints keyed results on stdout. Three modes

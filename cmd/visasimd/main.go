@@ -13,9 +13,9 @@
 //	GET  /v1/jobs/{id}/stream NDJSON per-cell results as they resolve
 //	GET  /v1/tenants          tenant quotas and usage (with -tenants)
 //	GET  /healthz             liveness
-//	GET  /metrics             expvar metrics (queue, cache hit ratio, cells/sec)
-//	GET  /metrics/prom        the same metrics in Prometheus text format,
-//	                          plus queue-wait/simulate/cache-serve histograms
+//	GET  /metrics/prom        Prometheus text metrics: job, cell, cache and
+//	                          store counters plus queue-wait/simulate/
+//	                          cache-serve histograms
 //
 // Logging is structured (-log-format text|json, -log-level debug|info|...);
 // every line about a job carries the submission's sweep correlation ID
@@ -29,7 +29,7 @@
 //	  "config":{"Benchmarks":["gcc","mcf","vpr","perlbmk"],"Scheme":1,
 //	  "MaxInstructions":100000}}]}'
 //	curl -s localhost:8080/v1/jobs/job-1
-//	curl -s localhost:8080/metrics
+//	curl -s localhost:8080/metrics/prom
 //
 // Cluster mode: with -register URL the daemon joins a visasimcoord pool at
 // startup (advertising -advertise, or a loopback URL derived from -addr)
@@ -47,7 +47,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"net/http"
@@ -120,15 +119,7 @@ func main() {
 		Tenants:      reg,
 		Logger:       logger,
 	})
-	// One daemon per process, so publishing to the global expvar registry
-	// is safe here (the server library itself never does), and the metrics
-	// also appear under /debug/vars alongside Go runtime stats.
-	expvar.Publish("visasimd", srv.MetricsVar())
-
-	mux := http.NewServeMux()
-	mux.Handle("/", srv.Handler())
-	mux.Handle("GET /debug/vars", expvar.Handler())
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -31,7 +31,7 @@
 //   - Experiment & service layer — harness (parallel sweep runner),
 //     experiments (every table and figure), report (ASCII rendering),
 //     server (the visasimd HTTP daemon with a job queue, a
-//     content-addressed result cache, and expvar metrics), store (a
+//     content-addressed result cache, and Prometheus metrics), store (a
 //     persistent on-disk result store keyed by the same content hashes),
 //     and dispatch (a coordinator sharding sweeps across several daemons
 //     with retry, failover, and checkpointed resume).

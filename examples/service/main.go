@@ -8,12 +8,13 @@
 package main
 
 import (
+	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net"
 	"net/http"
+	"strings"
 	"time"
 
 	"visasim/internal/core"
@@ -66,17 +67,23 @@ func main() {
 	warm := time.Since(t0)
 	fmt.Printf("\nfirst run %v, cached rerun %v\n", cold.Round(time.Millisecond), warm.Round(time.Millisecond))
 
-	metrics, err := http.Get(cli.BaseURL + "/metrics")
+	metrics, err := http.Get(cli.BaseURL + "/metrics/prom")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer metrics.Body.Close()
-	var m map[string]any
-	if err := json.NewDecoder(metrics.Body).Decode(&m); err != nil {
+	m := map[string]string{}
+	sc := bufio.NewScanner(metrics.Body)
+	for sc.Scan() {
+		if name, value, ok := strings.Cut(sc.Text(), " "); ok && !strings.HasPrefix(name, "#") {
+			m[name] = value
+		}
+	}
+	if err := sc.Err(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("daemon metrics: sims_run=%v cache_hits=%v cache_hit_ratio=%.2f\n",
-		m["sims_run"], m["cache_hits"], m["cache_hit_ratio"])
+	fmt.Printf("daemon metrics: sims_run=%s cache_hits=%s\n",
+		m["visasimd_sims_run_total"], m["visasimd_cache_hits_total"])
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()

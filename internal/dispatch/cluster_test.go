@@ -218,13 +218,13 @@ func TestJoinAndDrainMidSweepLosesNoCells(t *testing.T) {
 	if members[0].Dispatched == 0 {
 		t.Fatal("joined backend received no work")
 	}
-	if got := intMetric(t, c, "joins"); got != 2 { // seed + join
+	if got := c.met.joins.Value(); got != 2 { // seed + join
 		t.Errorf("joins = %v, want 2", got)
 	}
-	if got := intMetric(t, c, "drains"); got != 1 {
+	if got := c.met.drains.Value(); got != 1 {
 		t.Errorf("drains = %v, want 1", got)
 	}
-	if got := intMetric(t, c, "leaves"); got != 1 {
+	if got := c.met.leaves.Value(); got != 1 {
 		t.Errorf("leaves = %v, want 1", got)
 	}
 }

@@ -46,7 +46,6 @@ type DispatchResponse struct {
 //	POST /v1/backends/drain       {"url": ...} drain gracefully, then leave
 //	GET  /v1/tenants              tenant quotas and usage (admission mode)
 //	POST /v1/dispatch             run a sweep synchronously through the scheduler
-//	GET  /metrics                 coordinator counters as JSON (expvar shape)
 //	GET  /metrics/prom            Prometheus text exposition
 func (c *Coordinator) Control() http.Handler {
 	mux := http.NewServeMux()
@@ -83,10 +82,6 @@ func (c *Coordinator) Control() http.Handler {
 		writeJSON(w, c.opt.Admission.Snapshot())
 	})
 	mux.HandleFunc("/v1/dispatch", c.handleDispatch)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintln(w, c.met.root.String())
-	})
 	mux.HandleFunc("/metrics/prom", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		c.WritePrometheus(w)
@@ -138,34 +133,18 @@ func (c *Coordinator) handleDispatch(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req server.SubmitRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, server.MaxRequestBytes)).Decode(&req); err != nil {
-		httpErr(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	valid, traceLevel, err := server.DecodeSubmit(r.Body)
+	if err != nil {
+		httpErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if len(req.Cells) == 0 {
-		httpErr(w, http.StatusBadRequest, "no cells")
-		return
-	}
-	if req.TraceLevel > 0 {
+	if traceLevel > 0 {
 		httpErr(w, http.StatusBadRequest, "tracing is per-daemon; submit traced sweeps to a backend directly")
 		return
 	}
-	cells := make([]harness.Cell, len(req.Cells))
-	for i, sc := range req.Cells {
-		key := sc.Key
-		if key == "" {
-			canon, err := sc.Config.Canonical()
-			if err != nil {
-				httpErr(w, http.StatusBadRequest, fmt.Sprintf("cell %d: %v", i, err))
-				return
-			}
-			if key, err = canon.Hash(); err != nil {
-				httpErr(w, http.StatusBadRequest, fmt.Sprintf("cell %d: %v", i, err))
-				return
-			}
-		}
-		cells[i] = harness.Cell{Key: key, Cfg: sc.Config}
+	cells := make([]harness.Cell, len(valid))
+	for i, vc := range valid {
+		cells[i] = harness.Cell{Key: vc.Key, Cfg: vc.Config}
 	}
 
 	ctx := r.Context()
@@ -191,18 +170,18 @@ func (c *Coordinator) handleDispatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := DispatchResponse{Sweep: sweep, Cells: make([]server.CellStatus, 0, len(cells))}
-	for _, cell := range cells {
-		res := results[cell.Key]
-		blob, merr := json.Marshal(res)
+	for _, vc := range valid {
+		blob, merr := json.Marshal(results[vc.Key])
 		if merr != nil {
 			httpErr(w, http.StatusInternalServerError, "encoding result: "+merr.Error())
 			return
 		}
 		resp.Cells = append(resp.Cells, server.CellStatus{
-			Key:    cell.Key,
+			Key:    vc.Key,
+			Hash:   vc.Hash,
 			Done:   true,
 			Result: blob,
-			Stats:  stats[cell.Key],
+			Stats:  stats[vc.Key],
 		})
 	}
 	sort.Slice(resp.Cells, func(i, j int) bool { return resp.Cells[i].Key < resp.Cells[j].Key })

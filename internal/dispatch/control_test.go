@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
 	"visasim/internal/cluster"
@@ -221,5 +222,61 @@ func TestControlPlaneBodyCap(t *testing.T) {
 	}
 	if code := post("/v1/dispatch", sub, false); code != http.StatusOK {
 		t.Fatalf("dispatch: HTTP %d, want 200", code)
+	}
+}
+
+// TestDispatchSharesSubmitDecoder checks that POST /v1/dispatch decodes
+// with the daemon's own rules (server.DecodeSubmit): a misspelled field
+// and an unknown benchmark both answer 400 before anything reaches a
+// backend, and an accepted cell comes back with its content address.
+func TestDispatchSharesSubmitDecoder(t *testing.T) {
+	ts, rb := newRecordingBackend(t)
+	c := newCoordinator(t, Options{Backends: []string{ts.URL}})
+	ctl := httptest.NewServer(c.Control())
+	t.Cleanup(ctl.Close)
+	post := func(body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(ctl.URL+"/v1/dispatch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+
+	cfg := testCfg("gcc", core.SchemeBase)
+	body := func(cfg core.Config, extra string) string {
+		t.Helper()
+		blob, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf(`{"cells":[{"key":"a","config":%s}]%s}`, blob, extra)
+	}
+
+	for name, body := range map[string]string{
+		"misspelled field":  body(cfg, `,"trace_levl":1`),
+		"unknown benchmark": body(testCfg("nonesuch", core.SchemeBase), ""),
+	} {
+		if resp := post(body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if seen := rb.seen(); len(seen) != 0 {
+		t.Fatalf("rejected bodies reached the backend: %v", seen)
+	}
+	if n := c.Members()[0].Dispatched; n != 0 {
+		t.Fatalf("backend saw %d dispatches, want 0", n)
+	}
+
+	hash, err := cfg.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := post(body(cfg, ""))
+	var dr DispatchResponse
+	decodeInto(t, resp, &dr)
+	if resp.StatusCode != http.StatusOK || len(dr.Cells) != 1 || dr.Cells[0].Hash != hash {
+		t.Fatalf("dispatch: HTTP %d, cells %+v, want one cell with hash %s", resp.StatusCode, dr.Cells, hash)
 	}
 }

@@ -32,7 +32,6 @@ package dispatch
 import (
 	"context"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"math/rand"
@@ -191,8 +190,8 @@ type backend struct {
 	draining atomic.Bool  // excluded from routing; finishing in-flight work
 	inflight atomic.Int64 // cells currently dispatched here
 
-	dispatched expvar.Int // attempts sent here
-	failures   expvar.Int // attempts that came back retryable-failed
+	dispatched atomic.Int64 // attempts sent here
+	failures   atomic.Int64 // attempts that came back retryable-failed
 }
 
 // Coordinator shards sweeps across backends. Create with New, release the
@@ -282,12 +281,6 @@ func (c *Coordinator) Close() {
 	c.wg.Wait()
 }
 
-// MetricsVar exposes the coordinator's metrics map (dispatch counts per
-// backend, retries, failovers, store hits/misses, resume skips,
-// membership transitions), e.g. for expvar.Publish in a binary. Never
-// touches the global registry.
-func (c *Coordinator) MetricsVar() expvar.Var { return &c.met.root }
-
 // --- membership -----------------------------------------------------------
 
 // Join adds a backend to the pool (or revives a draining one). The URL is
@@ -324,7 +317,6 @@ func (c *Coordinator) join(url, reason string) {
 	}
 	b.healthy.Store(true)
 	c.backends = append(c.backends, b)
-	c.met.addBackendVar(b)
 	c.notifyLocked()
 	n := len(c.backends)
 	c.bmu.Unlock()
@@ -351,7 +343,6 @@ func (c *Coordinator) Leave(rawURL string) error {
 		return fmt.Errorf("dispatch: unknown backend %s", url)
 	}
 	c.backends = append(c.backends[:idx], c.backends[idx+1:]...)
-	c.met.removeBackendVar(url)
 	c.notifyLocked()
 	n := len(c.backends)
 	c.bmu.Unlock()
@@ -452,7 +443,7 @@ func (c *Coordinator) Members() []BackendStatus {
 			Healthy:    b.healthy.Load(),
 			Draining:   b.draining.Load(),
 			Inflight:   b.inflight.Load(),
-			Dispatched: b.dispatched.Value(),
+			Dispatched: b.dispatched.Load(),
 		}
 	}
 	return out
@@ -471,7 +462,7 @@ func (c *Coordinator) Probe(ctx context.Context) []BackendStatus {
 			err := b.probe(ctx, c.httpClient())
 			st := BackendStatus{URL: b.url, Healthy: err == nil,
 				Draining: b.draining.Load(), Inflight: b.inflight.Load(),
-				Dispatched: b.dispatched.Value()}
+				Dispatched: b.dispatched.Load()}
 			if err != nil {
 				st.Error = err.Error()
 			}

@@ -62,31 +62,11 @@ func newCoordinator(t *testing.T, opt Options) *Coordinator {
 	return c
 }
 
-// metricsOf decodes the coordinator's expvar map.
-func metricsOf(t *testing.T, c *Coordinator) map[string]any {
-	t.Helper()
-	var m map[string]any
-	if err := json.Unmarshal([]byte(c.MetricsVar().String()), &m); err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-func intMetric(t *testing.T, c *Coordinator, name string) float64 {
-	t.Helper()
-	v, _ := metricsOf(t, c)[name].(float64)
-	return v
-}
-
 // backendDispatchCounts returns per-backend dispatch counts keyed by URL.
-func backendDispatchCounts(t *testing.T, c *Coordinator) map[string]float64 {
-	t.Helper()
-	out := map[string]float64{}
-	per, _ := metricsOf(t, c)["backends"].(map[string]any)
-	for url, v := range per {
-		row, _ := v.(map[string]any)
-		n, _ := row["dispatched"].(float64)
-		out[url] = n
+func backendDispatchCounts(c *Coordinator) map[string]int64 {
+	out := map[string]int64{}
+	for _, m := range c.Members() {
+		out[m.URL] = m.Dispatched
 	}
 	return out
 }
@@ -131,16 +111,16 @@ func TestClusterParity(t *testing.T) {
 		}
 	}
 
-	counts := backendDispatchCounts(t, c)
+	counts := backendDispatchCounts(c)
 	for url, n := range counts {
 		if n == 0 {
 			t.Errorf("backend %s received no dispatches: %v", url, counts)
 		}
 	}
-	if got := intMetric(t, c, "dedup_shares"); got != 1 {
+	if got := c.met.dedupShares.Value(); got != 1 {
 		t.Errorf("dedup_shares = %v, want 1 (gcc-base-dup folds into gcc-base)", got)
 	}
-	if got := intMetric(t, c, "cells_total"); got != float64(len(cells)) {
+	if got := c.met.cellsTotal.Value(); got != int64(len(cells)) {
 		t.Errorf("cells_total = %v, want %d", got, len(cells))
 	}
 }
@@ -232,10 +212,10 @@ func TestFlakyBackendDoesNotFailSweep(t *testing.T) {
 	if flaky.tripped == 0 {
 		t.Fatal("fault was never exercised")
 	}
-	if got := intMetric(t, c, "retries"); got < 1 {
+	if got := c.met.retries.Value(); got < 1 {
 		t.Fatalf("retries = %v, want >= 1", got)
 	}
-	if got := intMetric(t, c, "failovers"); got < 1 {
+	if got := c.met.failovers.Value(); got < 1 {
 		t.Fatalf("failovers = %v, want >= 1", got)
 	}
 }
@@ -263,7 +243,7 @@ func TestCellErrorKeySurvivesDispatch(t *testing.T) {
 		t.Fatalf("CellError key %q, want %q", ce.Key, "doomed")
 	}
 	// Rejected requests are permanent: no retry storm against the backend.
-	if got := intMetric(t, c, "retries"); got != 0 {
+	if got := c.met.retries.Value(); got != 0 {
 		t.Fatalf("retries = %v for a permanent failure, want 0", got)
 	}
 }
@@ -318,11 +298,11 @@ func TestResumeSkipsCompletedCells(t *testing.T) {
 			t.Fatalf("cell %s differs after resume", key)
 		}
 	}
-	if got := intMetric(t, second, "resume_skips"); got != 2 {
+	if got := second.met.resumeSkips.Value(); got != 2 {
 		t.Fatalf("resume_skips = %v, want 2", got)
 	}
-	var total float64
-	for _, n := range backendDispatchCounts(t, second) {
+	var total int64
+	for _, n := range backendDispatchCounts(second) {
 		total += n
 	}
 	if total != 2 {
@@ -377,7 +357,7 @@ func TestWedgedBackendTimesOutAndFailsOver(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("sweep did not finish while a backend hung")
 	}
-	if got := intMetric(t, c, "failovers"); got < 1 {
+	if got := c.met.failovers.Value(); got < 1 {
 		t.Fatalf("failovers = %v, want >= 1", got)
 	}
 	for _, m := range c.Members() {
@@ -425,7 +405,7 @@ func TestProbeMarksDownBackend(t *testing.T) {
 	if remote["k"] == nil {
 		t.Fatal("no result for k")
 	}
-	counts := backendDispatchCounts(t, c)
+	counts := backendDispatchCounts(c)
 	if counts[deadURL] != 0 {
 		t.Fatalf("dispatched %v cells to a probed-down backend", counts[deadURL])
 	}

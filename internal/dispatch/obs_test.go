@@ -3,9 +3,7 @@ package dispatch
 import (
 	"bytes"
 	"context"
-	"io"
 	"log/slog"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -111,54 +109,64 @@ func TestSeededBackoffReproducible(t *testing.T) {
 	}
 }
 
-// TestTotalFamiliesAreCounters: Prometheus reserves the _total suffix for
-// counters, so every family so named — on the daemon's GET /metrics/prom
-// and in the coordinator's exposition, tenant families included — must
-// declare TYPE counter.
-func TestTotalFamiliesAreCounters(t *testing.T) {
+// TestPromFamilySet pins the coordinator's exact metric families, name and
+// TYPE, for a coordinator with admission after a one-cell dispatch, so a
+// later rename or removal shows up here as a deliberate diff.
+func TestPromFamilySet(t *testing.T) {
 	reg, err := cluster.NewRegistry([]cluster.Tenant{{ID: "papers", Key: "pk"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(server.Options{Tenants: reg})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		srv.Shutdown(ctx) //nolint:errcheck
-	})
-	resp, err := http.Get(ts.URL + "/metrics/prom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	daemon, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	coord := newCoordinator(t, Options{
-		Backends:  []string{ts.URL},
+	c := newCoordinator(t, Options{
+		Backends:  []string{newBackend(t).URL},
 		Admission: cluster.NewAdmission(reg),
 	})
-	var coordProm bytes.Buffer
-	coord.WritePrometheus(&coordProm)
+	ctx := cluster.WithAPIKey(context.Background(), "pk")
+	if _, err := c.RunContext(ctx, []harness.Cell{
+		{Key: "a", Cfg: testCfg("gcc", core.SchemeBase)},
+	}, harness.Options{}); err != nil {
+		t.Fatal(err)
+	}
 
-	for name, text := range map[string]string{"daemon": string(daemon), "coordinator": coordProm.String()} {
-		totals := 0
-		for _, line := range strings.Split(text, "\n") {
-			f := strings.Fields(line)
-			if len(f) != 4 || f[0] != "#" || f[1] != "TYPE" || !strings.HasSuffix(f[2], "_total") {
-				continue
-			}
-			totals++
-			if f[3] != "counter" {
-				t.Errorf("%s: %s has TYPE %s, want counter", name, f[2], f[3])
-			}
+	want := []string{
+		"visasim_dispatch_admission_rejected_sweeps_total counter",
+		"visasim_dispatch_attempt_seconds histogram",
+		"visasim_dispatch_backend_dispatched_total counter",
+		"visasim_dispatch_backend_draining gauge",
+		"visasim_dispatch_backend_failures_total counter",
+		"visasim_dispatch_backend_healthy gauge",
+		"visasim_dispatch_backend_inflight gauge",
+		"visasim_dispatch_cells_total counter",
+		"visasim_dispatch_class_admitted_cells_total counter",
+		"visasim_dispatch_class_latency_seconds histogram",
+		"visasim_dispatch_class_queued_groups gauge",
+		"visasim_dispatch_dedup_shares_total counter",
+		"visasim_dispatch_failovers_total counter",
+		"visasim_dispatch_jain_fairness gauge",
+		"visasim_dispatch_membership_drains_total counter",
+		"visasim_dispatch_membership_joins_total counter",
+		"visasim_dispatch_membership_leaves_total counter",
+		"visasim_dispatch_queue_wait_seconds histogram",
+		"visasim_dispatch_resume_skips_total counter",
+		"visasim_dispatch_retries_total counter",
+		"visasim_dispatch_served_cells_total counter",
+		"visasim_dispatch_store_hits_total counter",
+		"visasim_dispatch_store_misses_total counter",
+		"visasim_dispatch_store_put_errors_total counter",
+		"visasim_dispatch_tenant_admitted_cells_total counter",
+		"visasim_dispatch_tenant_queued_cells gauge",
+		"visasim_dispatch_tenant_rejected_cells_total counter",
+	}
+	var text bytes.Buffer
+	c.WritePrometheus(&text)
+	var got []string
+	for _, line := range strings.Split(text.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			got = append(got, rest)
 		}
-		if totals < 10 {
-			t.Errorf("%s: only %d _total families in the exposition:\n%s", name, totals, text)
-		}
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("metric families changed:\ngot:\n%s\nwant:\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -107,7 +107,7 @@ func (c *Coordinator) RunStatsContext(ctx context.Context, cells []harness.Cell,
 	if c.opt.Admission != nil {
 		t, err := c.opt.Admission.Admit(cluster.APIKeyFrom(ctx), len(cells))
 		if err != nil {
-			c.met.admissionRejects.Add(int64(1))
+			c.met.admissionRejects.Inc()
 			c.log.Warn("sweep rejected at admission", "sweep", sweep,
 				"cells", len(cells), "err", err)
 			return nil, nil, err
@@ -140,7 +140,7 @@ func (c *Coordinator) RunStatsContext(ctx context.Context, cells []harness.Cell,
 		g.keys = append(g.keys, cell.Key)
 	}
 	c.met.cellsTotal.Add(int64(len(cells)))
-	c.met.addAdmitted(tenantID, class, len(cells))
+	c.met.addAdmitted(class, len(cells))
 	if shared := len(cells) - len(groups); shared > 0 {
 		c.met.dedupShares.Add(int64(shared))
 	}

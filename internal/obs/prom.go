@@ -142,9 +142,9 @@ func (g *Gauge) write(w io.Writer) {
 	fmt.Fprintf(w, "%s %d\n", g.name, g.v.Load())
 }
 
-// GaugeFunc renders a value computed at scrape time — the bridge that lets
-// the Prometheus endpoint read counters the expvar tier already maintains
-// without double bookkeeping.
+// GaugeFunc renders a value computed at scrape time, for quantities the
+// owner already tracks (a cache's size, a store's bytes) so no second copy
+// has to be kept in step.
 type GaugeFunc struct {
 	name string
 	help string
@@ -160,8 +160,7 @@ func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) *GaugeFunc
 }
 
 // NewCounterFunc creates and registers a scrape-time counter whose value
-// comes from fn; fn must be monotone (e.g. backed by an expvar.Int that is
-// only ever Add-ed to).
+// comes from fn; fn must be monotone (e.g. a count that only ever grows).
 func (r *Registry) NewCounterFunc(name, help string, fn func() float64) *GaugeFunc {
 	g := &GaugeFunc{name: name, help: help, typ: "counter", fn: fn}
 	r.Register(g)
@@ -174,63 +173,6 @@ func (g *GaugeFunc) Name() string { return g.name }
 func (g *GaugeFunc) write(w io.Writer) {
 	header(w, g.name, g.help, g.typ)
 	fmt.Fprintf(w, "%s %s\n", g.name, formatFloat(g.fn()))
-}
-
-// funcChild is one labeled series of a FuncVec.
-type funcChild struct {
-	labels string // pre-rendered {k="v",...}
-	fn     func() float64
-}
-
-// FuncVec is a function-backed metric family with labeled children — e.g.
-// per-backend dispatch counters keyed by a backend label. Children share one
-// HELP/TYPE preamble, as the exposition format requires.
-type FuncVec struct {
-	name string
-	help string
-	typ  string
-
-	mu       sync.Mutex
-	children []funcChild
-}
-
-// NewGaugeFuncVec creates and registers a labeled scrape-time gauge family.
-func (r *Registry) NewGaugeFuncVec(name, help string) *FuncVec {
-	v := &FuncVec{name: name, help: help, typ: "gauge"}
-	r.Register(v)
-	return v
-}
-
-// NewCounterFuncVec creates and registers a labeled scrape-time counter
-// family; every child's fn must be monotone.
-func (r *Registry) NewCounterFuncVec(name, help string) *FuncVec {
-	v := &FuncVec{name: name, help: help, typ: "counter"}
-	r.Register(v)
-	return v
-}
-
-// Name returns the metric family name.
-func (v *FuncVec) Name() string { return v.name }
-
-// With adds one labeled child read at scrape time. Children render in the
-// order they were added; label keys render sorted.
-func (v *FuncVec) With(labels map[string]string, fn func() float64) {
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	s := "{"
-	for i, k := range keys {
-		if i > 0 {
-			s += ","
-		}
-		s += k + "=\"" + escapeLabel(labels[k]) + "\""
-	}
-	s += "}"
-	v.mu.Lock()
-	v.children = append(v.children, funcChild{labels: s, fn: fn})
-	v.mu.Unlock()
 }
 
 // escapeLabel escapes a label value per the exposition format.
@@ -249,16 +191,6 @@ func escapeLabel(s string) string {
 		}
 	}
 	return string(out)
-}
-
-func (v *FuncVec) write(w io.Writer) {
-	v.mu.Lock()
-	children := append([]funcChild(nil), v.children...)
-	v.mu.Unlock()
-	header(w, v.name, v.help, v.typ)
-	for _, c := range children {
-		fmt.Fprintf(w, "%s%s %s\n", v.name, c.labels, formatFloat(c.fn()))
-	}
 }
 
 // DefBuckets is the default histogram bucketing for service latencies in

@@ -8,7 +8,7 @@ import (
 // TestSnapshotVecGolden pins the snapshot-backed family rendering: one
 // HELP/TYPE preamble, sorted deterministic series, label escaping, and a
 // child set that tracks the snapshot function call-by-call (a departed
-// member stops appearing — the property FuncVec cannot offer).
+// member stops appearing).
 func TestSnapshotVecGolden(t *testing.T) {
 	r := NewRegistry()
 	members := []string{"http://b:9090", "http://a:9090"}

@@ -2,9 +2,13 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 
 	"visasim/internal/core"
 	"visasim/internal/harness"
+	"visasim/internal/workload"
 )
 
 // SubmitCell is one sweep cell in a submission: a key naming the cell in
@@ -35,6 +39,66 @@ type SubmitRequest struct {
 	// either way (tracing is observation only and is not part of the
 	// cell's content address).
 	TraceLevel int `json:"trace_level,omitempty"`
+}
+
+// ValidCell is one cell of a submission that DecodeSubmit accepted.
+type ValidCell struct {
+	// Key is the submitted key, or Hash when the cell carried none.
+	Key string
+	// Hash is the cell's content address, Config.Hash().
+	Hash string
+	// Config is the canonical configuration.
+	Config core.Config
+}
+
+// DecodeSubmit reads and checks a SubmitRequest body — the one decoder
+// behind the daemon's POST /v1/sweeps and the coordinator's POST
+// /v1/dispatch. The body must fit in MaxRequestBytes, name no unknown
+// field and carry at least one cell; every cell must canonicalise, pass
+// Machine.Validate, name known benchmarks and have a unique key (defaulted
+// to its hash). It returns the cells in submission order and the trace
+// level clamped at 0. Any error is the caller's fault (HTTP 400); nothing
+// is simulated.
+func DecodeSubmit(body io.Reader) ([]ValidCell, int, error) {
+	var req SubmitRequest
+	dec := json.NewDecoder(io.LimitReader(body, MaxRequestBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, 0, fmt.Errorf("bad request body: %w", err)
+	}
+	if len(req.Cells) == 0 {
+		return nil, 0, errors.New("submission has no cells")
+	}
+	cells := make([]ValidCell, len(req.Cells))
+	seen := map[string]int{}
+	for i, sc := range req.Cells {
+		canon, err := sc.Config.Canonical()
+		if err != nil {
+			return nil, 0, fmt.Errorf("cell %d: %w", i, err)
+		}
+		if err := canon.Machine.Validate(); err != nil {
+			return nil, 0, fmt.Errorf("cell %d: %w", i, err)
+		}
+		for _, b := range canon.Benchmarks {
+			if _, err := workload.Get(b); err != nil {
+				return nil, 0, fmt.Errorf("cell %d: %w", i, err)
+			}
+		}
+		hash, err := canon.Hash()
+		if err != nil {
+			return nil, 0, fmt.Errorf("cell %d: %w", i, err)
+		}
+		key := sc.Key
+		if key == "" {
+			key = hash
+		}
+		if prev, dup := seen[key]; dup {
+			return nil, 0, fmt.Errorf("cells %d and %d share key %q", prev, i, key)
+		}
+		seen[key] = i
+		cells[i] = ValidCell{Key: key, Hash: hash, Config: canon}
+	}
+	return cells, max(req.TraceLevel, 0), nil
 }
 
 // SubmitResponse acknowledges an accepted sweep.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -10,14 +11,14 @@ import (
 	"testing"
 	"time"
 
+	"visasim/internal/cluster"
 	"visasim/internal/core"
 	"visasim/internal/harness"
 )
 
 // TestPromMetricsEndpoint exercises GET /metrics/prom end to end: run one
 // job, scrape, and check the exposition is well formed — correct content
-// type, counters reflecting the job, and at least one populated histogram
-// (the format expvar cannot express, and the reason the endpoint exists).
+// type, counters reflecting the job, and populated histograms.
 func TestPromMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	ack := submit(t, ts, SubmitRequest{Cells: []SubmitCell{
@@ -71,6 +72,86 @@ func TestPromMetricsEndpoint(t *testing.T) {
 			t.Errorf("malformed sample line %q", line)
 		}
 	}
+}
+
+// TestPromFamilySet pins the daemon's exact metric families, name and TYPE,
+// for a daemon with a store and tenants after a one-cell job. perfbench's
+// service workload reads the queue-wait and simulate histograms and the
+// cells, cache-hit and store counters; make obs-smoke greps jobs_done and
+// the histograms. A rename or removal must show up here as a deliberate
+// diff.
+func TestPromFamilySet(t *testing.T) {
+	reg, err := cluster.NewRegistry([]cluster.Tenant{{ID: "papers", Key: "pk"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Options{Store: openStore(t, t.TempDir()), Tenants: reg})
+	resp := postSweep(t, ts.URL, SubmitRequest{Cells: []SubmitCell{
+		{Key: "a", Config: testCfg("gcc", core.SchemeBase)},
+	}}, map[string]string{cluster.KeyHeader: "pk"})
+	var ack SubmitResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d, %v", resp.StatusCode, err)
+	}
+	if st := waitJob(t, ts, ack.ID); st.State != StateDone {
+		t.Fatalf("job state %s (error %q)", st.State, st.Error)
+	}
+
+	want := []string{
+		"visasimd_admission_rejected_jobs_total counter",
+		"visasimd_cache_entries gauge",
+		"visasimd_cache_evictions_total counter",
+		"visasimd_cache_hits_total counter",
+		"visasimd_cache_serve_seconds histogram",
+		"visasimd_cells_total counter",
+		"visasimd_jobs_canceled_total counter",
+		"visasimd_jobs_done_total counter",
+		"visasimd_jobs_failed_total counter",
+		"visasimd_jobs_queued gauge",
+		"visasimd_jobs_rejected_total counter",
+		"visasimd_jobs_running gauge",
+		"visasimd_jobs_submitted_total counter",
+		"visasimd_queue_wait_seconds histogram",
+		"visasimd_sim_cycles_total counter",
+		"visasimd_sim_instructions_total counter",
+		"visasimd_sims_run_total counter",
+		"visasimd_simulate_seconds histogram",
+		"visasimd_store_bytes gauge",
+		"visasimd_store_entries gauge",
+		"visasimd_store_hits_total counter",
+		"visasimd_store_misses_total counter",
+		"visasimd_store_put_errors_total counter",
+		"visasimd_tenant_admitted_cells_total counter",
+		"visasimd_tenant_queued_cells gauge",
+		"visasimd_tenant_rejected_cells_total counter",
+	}
+	got := typeLines(t, ts.URL+"/metrics/prom")
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("metric families changed:\ngot:\n%s\nwant:\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// typeLines fetches a Prometheus exposition and returns its "# TYPE" lines
+// as "name type", in exposition order.
+func typeLines(t *testing.T, url string) []string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			out = append(out, rest)
+		}
+	}
+	return out
 }
 
 // TestClientHonorsCancellation pins the satellite fix: a canceled caller

@@ -67,11 +67,11 @@ func TestStoreWarmRestart(t *testing.T) {
 		}
 	}
 	m := getMetrics(t, ts2)
-	if sims, _ := m["sims_run"].(float64); sims != 0 {
-		t.Fatalf("restarted daemon ran %v simulations, want 0", m["sims_run"])
+	if sims := m["visasimd_sims_run_total"]; sims != 0 {
+		t.Fatalf("restarted daemon ran %v simulations, want 0", sims)
 	}
-	if hits, _ := m["store_hits"].(float64); hits != float64(len(req.Cells)) {
-		t.Fatalf("store_hits = %v, want %d", m["store_hits"], len(req.Cells))
+	if hits := m["visasimd_store_hits_total"]; hits != float64(len(req.Cells)) {
+		t.Fatalf("visasimd_store_hits_total = %v, want %d", hits, len(req.Cells))
 	}
 }
 
@@ -107,9 +107,8 @@ func TestCacheEvictionBound(t *testing.T) {
 	if !bytes.Equal(firstA.Result, secondA.Result) {
 		t.Fatal("re-simulated Result differs from the evicted one")
 	}
-	m := getMetrics(t, ts)
-	if sims, _ := m["sims_run"].(float64); sims != 3 {
-		t.Fatalf("sims_run = %v, want 3 (A, B, A-again)", m["sims_run"])
+	if sims := getMetrics(t, ts)["visasimd_sims_run_total"]; sims != 3 {
+		t.Fatalf("visasimd_sims_run_total = %v, want 3 (A, B, A-again)", sims)
 	}
 }
 
@@ -143,10 +142,10 @@ func TestCacheEvictionFallsBackToStore(t *testing.T) {
 		t.Fatal("store-served Result differs from the original")
 	}
 	m := getMetrics(t, ts)
-	if sims, _ := m["sims_run"].(float64); sims != 2 {
-		t.Fatalf("sims_run = %v, want 2", m["sims_run"])
+	if sims := m["visasimd_sims_run_total"]; sims != 2 {
+		t.Fatalf("visasimd_sims_run_total = %v, want 2", sims)
 	}
-	if hits, _ := m["store_hits"].(float64); hits != 1 {
-		t.Fatalf("store_hits = %v, want 1", m["store_hits"])
+	if hits := m["visasimd_store_hits_total"]; hits != 1 {
+		t.Fatalf("visasimd_store_hits_total = %v, want 1", hits)
 	}
 }

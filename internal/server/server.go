@@ -1,6 +1,6 @@
 // Package server is the visasimd simulation service: an HTTP front end over
 // the deterministic simulator with a bounded job queue, a content-addressed
-// result cache, and expvar-based metrics.
+// result cache, and Prometheus text-format metrics.
 //
 // Clients POST sweep cells (core.Config values, the same shape the harness
 // runs) to /v1/sweeps, receive a job ID, and poll /v1/jobs/{id} or stream
@@ -21,9 +21,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -36,7 +34,6 @@ import (
 	"visasim/internal/harness"
 	"visasim/internal/obs"
 	"visasim/internal/store"
-	"visasim/internal/workload"
 )
 
 // Options tunes the service.
@@ -174,7 +171,6 @@ func New(opt Options) *Server {
 		opt:   opt,
 		cache: newResultCache(opt.CacheEntries),
 		store: opt.Store,
-		met:   newMetrics(),
 		log:   obs.Logger(opt.Logger),
 		jobs:  map[string]*job{},
 		queue: make(chan *job, opt.QueueDepth),
@@ -183,18 +179,14 @@ func New(opt Options) *Server {
 	}
 	if opt.Tenants != nil {
 		s.adm = cluster.NewAdmission(opt.Tenants)
-		s.met.initTenantProm(s.adm)
 	}
+	s.met = newMetrics(s)
 	s.wg.Add(opt.JobWorkers)
 	for i := 0; i < opt.JobWorkers; i++ {
 		go s.worker()
 	}
 	return s
 }
-
-// MetricsVar exposes the root metrics map, e.g. for expvar.Publish in a
-// daemon binary. The library never touches the global expvar registry.
-func (s *Server) MetricsVar() expvar.Var { return &s.met.root }
 
 // Handler returns the service's HTTP routes.
 func (s *Server) Handler() http.Handler {
@@ -205,7 +197,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("GET /v1/tenants", s.handleTenants)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /metrics/prom", s.handleMetricsProm)
 	return mux
 }
@@ -348,7 +339,6 @@ func (s *Server) runJob(j *job) {
 				if res, st, ok := s.store.Get(c.hash); ok {
 					s.met.storeHits.Add(1)
 					s.cache.fill(e, res, st)
-					s.syncCacheGauges()
 					s.finishCell(j, c, e, true)
 					s.met.histCacheHit.Observe(time.Since(t0).Seconds())
 					s.log.Debug("cell served from store", "sweep", j.sweep,
@@ -370,7 +360,7 @@ func (s *Server) runJob(j *job) {
 					"job", j.id, "cell", c.key, "hash", c.hash[:12], "err", err)
 			} else {
 				st := stats[c.hash]
-				s.met.recordSim(c.hash, st)
+				s.met.recordSim(st)
 				s.cache.fill(e, res[c.hash], st)
 				if s.store != nil {
 					// Best-effort write-through: a full disk degrades the
@@ -388,7 +378,6 @@ func (s *Server) runJob(j *job) {
 					"policy_switches", st.Telemetry.PolicySwitches,
 					"dvm_triggers", st.Telemetry.DVMTriggers)
 			}
-			s.syncCacheGauges()
 			s.finishCell(j, c, e, false)
 		}()
 	}
@@ -463,19 +452,9 @@ func (s *Server) runTracedCell(j *job, c *jobCell) {
 			"job", j.id, "cell", c.key, "hash", c.hash[:12], "err", err)
 		return
 	}
+	s.met.recordSim(c.stats)
 	s.log.Debug("traced cell simulated", "sweep", j.sweep, "job", j.id,
 		"cell", c.key, "hash", c.hash[:12], "trace_level", j.traceLevel)
-}
-
-// syncCacheGauges refreshes the cache/store occupancy gauges after a cell
-// resolves.
-func (s *Server) syncCacheGauges() {
-	s.met.cacheSize.Set(int64(s.cache.size()))
-	s.met.cacheEvictions.Set(s.cache.evicted())
-	if s.store != nil {
-		s.met.storeEntries.Set(int64(s.store.Len()))
-		s.met.storeBytes.Set(s.store.Bytes())
-	}
 }
 
 // finishCell records a resolved cache entry into the job's cell.
@@ -518,51 +497,14 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	valid, traceLevel, err := DecodeSubmit(r.Body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if len(req.Cells) == 0 {
-		writeError(w, http.StatusBadRequest, "submission has no cells")
-		return
-	}
-
-	cells := make([]jobCell, len(req.Cells))
-	seen := map[string]int{}
-	for i, sc := range req.Cells {
-		canon, err := sc.Config.Canonical()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "cell %d: %v", i, err)
-			return
-		}
-		if err := canon.Machine.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, "cell %d: %v", i, err)
-			return
-		}
-		for _, b := range canon.Benchmarks {
-			if _, err := workload.Get(b); err != nil {
-				writeError(w, http.StatusBadRequest, "cell %d: %v", i, err)
-				return
-			}
-		}
-		hash, err := canon.Hash()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "cell %d: %v", i, err)
-			return
-		}
-		key := sc.Key
-		if key == "" {
-			key = hash
-		}
-		if prev, dup := seen[key]; dup {
-			writeError(w, http.StatusBadRequest, "cells %d and %d share key %q", prev, i, key)
-			return
-		}
-		seen[key] = i
-		cells[i] = jobCell{key: key, hash: hash, cfg: canon}
+	cells := make([]jobCell, len(valid))
+	for i, vc := range valid {
+		cells[i] = jobCell{key: vc.Key, hash: vc.Hash, cfg: vc.Config}
 	}
 
 	// Adopt the caller's sweep correlation ID (obs.SweepHeader) when it is
@@ -597,10 +539,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.seq++
-	traceLevel := req.TraceLevel
-	if traceLevel < 0 {
-		traceLevel = 0
-	}
 	j := &job{
 		id:         fmt.Sprintf("job-%d", s.seq),
 		sweep:      sweep,
@@ -860,17 +798,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	io.WriteString(w, s.met.root.String()) //nolint:errcheck
-}
-
-// handleMetricsProm renders the same counters (plus latency histograms,
-// which expvar cannot express) in Prometheus text exposition format 0.0.4.
+// handleMetricsProm renders the daemon's metrics in Prometheus text
+// exposition format 0.0.4.
 func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
-	// Occupancy gauges are synced on cell resolution; refresh at scrape
-	// time too so an idle daemon still reports current cache/store sizes.
-	s.syncCacheGauges()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.met.prom.WritePrometheus(w) //nolint:errcheck // scraper went away; nothing to do
 }

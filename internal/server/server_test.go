@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -105,16 +107,30 @@ func getJob(t *testing.T, ts *httptest.Server, id string) JobStatus {
 	return st
 }
 
-func getMetrics(t *testing.T, ts *httptest.Server) map[string]any {
+// getMetrics scrapes GET /metrics/prom and returns its unlabeled samples
+// by name.
+func getMetrics(t *testing.T, ts *httptest.Server) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/metrics/prom")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
+	}
+	m := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if line == "" || line[0] == '#' || strings.Contains(line, "{") {
+			continue
+		}
+		name, val, _ := strings.Cut(line, " ")
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("bad sample line %q", line)
+		}
+		m[name] = v
 	}
 	return m
 }
@@ -185,11 +201,8 @@ func TestCachedResultByteIdentical(t *testing.T) {
 	}
 
 	m := getMetrics(t, ts)
-	if hits, _ := m["cache_hits"].(float64); hits < 1 {
-		t.Fatalf("/metrics cache_hits = %v, want >= 1", m["cache_hits"])
-	}
-	if ratio, _ := m["cache_hit_ratio"].(float64); ratio <= 0 {
-		t.Fatalf("/metrics cache_hit_ratio = %v, want > 0", m["cache_hit_ratio"])
+	if hits := m["visasimd_cache_hits_total"]; hits != 1 {
+		t.Fatalf("visasimd_cache_hits_total = %v, want 1", hits)
 	}
 }
 
@@ -264,11 +277,11 @@ func TestSingleFlight(t *testing.T) {
 	}
 
 	m := getMetrics(t, ts)
-	if sims, _ := m["sims_run"].(float64); sims != 1 {
-		t.Fatalf("%d concurrent identical submissions ran %v simulations, want exactly 1", n, m["sims_run"])
+	if sims := m["visasimd_sims_run_total"]; sims != 1 {
+		t.Fatalf("%d concurrent identical submissions ran %v simulations, want exactly 1", n, sims)
 	}
-	if total, _ := m["cells_total"].(float64); total != n {
-		t.Fatalf("cells_total = %v, want %d", m["cells_total"], n)
+	if total := m["visasimd_cells_total"]; total != n {
+		t.Fatalf("visasimd_cells_total = %v, want %d", total, n)
 	}
 }
 

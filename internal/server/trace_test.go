@@ -35,6 +35,16 @@ func TestTracedJobServesNDJSONTrace(t *testing.T) {
 	if c.CacheHit {
 		t.Fatal("traced cell claims a cache hit; traced jobs must bypass the cache")
 	}
+	// A traced cell is a fresh simulation and is counted as one, so
+	// cells_total == cache_hits_total + sims_run_total holds.
+	m := getMetrics(t, ts)
+	if m["visasimd_cells_total"] != 1 || m["visasimd_cache_hits_total"] != 0 ||
+		m["visasimd_sims_run_total"] != 1 || c.Stats.Instructions == 0 ||
+		m["visasimd_sim_instructions_total"] != float64(c.Stats.Instructions) {
+		t.Errorf("after one traced cell: cells %v, cache hits %v, sims run %v, sim instructions %v (cell ran %d)",
+			m["visasimd_cells_total"], m["visasimd_cache_hits_total"], m["visasimd_sims_run_total"],
+			m["visasimd_sim_instructions_total"], c.Stats.Instructions)
+	}
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + ack.ID + "/trace")
 	if err != nil {

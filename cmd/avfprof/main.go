@@ -101,7 +101,7 @@ func main() {
 		var rows []row
 		for i := range prog.Instrs {
 			if prof.Tag[i] {
-				rows = append(rows, row{i, prof.Instances[i] - prof.ACEInstances[i]})
+				rows = append(rows, row{i, uint64(prof.Instances[i] - prof.ACEInstances[i])})
 			}
 		}
 		sort.Slice(rows, func(a, b int) bool { return rows[a].mismatch > rows[b].mismatch })

@@ -77,8 +77,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		prof.Apply(prog)
-		streams[i] = trace.NewStream(trace.NewExecutor(prog, b.Params.Seed, i), prof.Bits)
+		streams[i] = trace.NewStream(trace.NewExecutor(prog, b.Params.Seed, i), prof.Bits, prof.Tag)
 	}
 	proc, err := pipeline.New(pipeline.Params{
 		Machine:         config.Default(),

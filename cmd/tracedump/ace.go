@@ -34,7 +34,6 @@ func cmdACE(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	prof.Apply(prog)
 
 	exec := trace.NewExecutor(prog, b.Params.Seed, 0)
 	var d trace.DynInst
@@ -49,9 +48,10 @@ func cmdACE(args []string) {
 		if d.Seq < prof.Bits.Len() && prof.Bits.Get(d.Seq) {
 			truth = "ACE"
 		}
-		tag := "-"
-		if d.Static.ACETag {
-			tag = "ACE"
+		// The per-PC tag comes from the profile; the image carries none.
+		tag, inst := "-", d.Static.String()
+		if prof.Tag[prog.IndexOf(d.Static.PC)] {
+			tag, inst = "ACE", inst+" [ACE]"
 		}
 		addr := ""
 		if d.Static.Kind.IsMem() {
@@ -65,6 +65,6 @@ func cmdACE(args []string) {
 				ctl = "not taken"
 			}
 		}
-		fmt.Printf("%-8d %-6s %-5s %-42v %-18s %s\n", d.Seq, truth, tag, d.Static, addr, ctl)
+		fmt.Printf("%-8d %-6s %-5s %-42s %-18s %s\n", d.Seq, truth, tag, inst, addr, ctl)
 	}
 }

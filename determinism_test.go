@@ -196,8 +196,7 @@ func newInjectProcessor(t *testing.T, names []string, budget uint64) *pipeline.P
 		if err != nil {
 			t.Fatal(err)
 		}
-		prof.Apply(prog)
-		streams[i] = trace.NewStream(trace.NewExecutor(prog, b.Params.Seed, i), prof.Bits)
+		streams[i] = trace.NewStream(trace.NewExecutor(prog, b.Params.Seed, i), prof.Bits, prof.Tag)
 	}
 	proc, err := pipeline.New(pipeline.Params{
 		Machine:         config.Default(),

@@ -31,14 +31,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		prof.Apply(prog)
 
-		// Count per-kind tag composition.
+		// Count per-kind tag composition. The profile's Tag is indexed
+		// like the program's instructions.
 		var taggedByKind, totalByKind [isa.NumKinds]int
 		for i := range prog.Instrs {
 			k := prog.Instrs[i].Kind
 			totalByKind[k]++
-			if prog.Instrs[i].ACETag {
+			if prof.Tag[i] {
 				taggedByKind[k]++
 			}
 		}

@@ -28,8 +28,9 @@ func TestTopInconsistentPCs(t *testing.T) {
 	var totalMis uint64
 	for i := range prog.Instrs {
 		if p.ACEInstances[i] > 0 && p.ACEInstances[i] < p.Instances[i] {
-			rows = append(rows, row{i, p.Instances[i] - p.ACEInstances[i]})
-			totalMis += p.Instances[i] - p.ACEInstances[i]
+			mis := uint64(p.Instances[i] - p.ACEInstances[i])
+			rows = append(rows, row{i, mis})
+			totalMis += mis
 		}
 	}
 	sort.Slice(rows, func(a, b int) bool { return rows[a].mismatch > rows[b].mismatch })

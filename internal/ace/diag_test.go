@@ -30,10 +30,10 @@ func TestProfileDiagnostics(t *testing.T) {
 		var inst, aceInst, mixedInst [isa.NumKinds]uint64
 		for i := range prog.Instrs {
 			k := prog.Instrs[i].Kind
-			inst[k] += p.Instances[i]
-			aceInst[k] += p.ACEInstances[i]
+			inst[k] += uint64(p.Instances[i])
+			aceInst[k] += uint64(p.ACEInstances[i])
 			if p.ACEInstances[i] > 0 && p.ACEInstances[i] < p.Instances[i] {
-				mixedInst[k] += p.Instances[i] - p.ACEInstances[i]
+				mixedInst[k] += uint64(p.Instances[i] - p.ACEInstances[i])
 			}
 		}
 		t.Logf("%s: aceFrac=%.3f acc=%.3f late=%d", name, p.ACEFraction(), p.Accuracy(), p.LateMarks)

@@ -18,8 +18,8 @@ func fuzzSeedProfile() *Profile {
 	return &Profile{
 		Bits:         bits,
 		Tag:          []bool{true, false, true, true},
-		Instances:    []uint64{40, 30, 40, 20},
-		ACEInstances: []uint64{40, 2, 39, 0},
+		Instances:    []uint32{40, 30, 40, 20},
+		ACEInstances: []uint32{40, 2, 39, 0},
 		DynInstrs:    130,
 		DynACE:       44,
 		LateMarks:    1,

@@ -18,13 +18,16 @@ type Profile struct {
 
 	// Tag holds the per-static-instruction (per-PC) ACE tag: true if
 	// any profiled dynamic instance of that PC was ACE. Indexed by
-	// static instruction index.
+	// static instruction index. It is the only copy of the tags: the
+	// timing simulation reads it through trace.NewStream, and the
+	// program image stays untouched.
 	Tag []bool
 
 	// Instances and ACEInstances count profiled dynamic instances per
-	// static instruction.
-	Instances    []uint64
-	ACEInstances []uint64
+	// static instruction. Run caps a profile below 2^32 instructions, so
+	// 32 bits cannot overflow.
+	Instances    []uint32
+	ACEInstances []uint32
 
 	// DynInstrs is the number of classified dynamic instructions.
 	DynInstrs uint64
@@ -57,7 +60,7 @@ func (p *Profile) Accuracy() float64 {
 	for i, n := range p.Instances {
 		if p.Tag[i] {
 			// ACE-tagged PC: un-ACE instances mismatch.
-			mismatches += n - p.ACEInstances[i]
+			mismatches += uint64(n - p.ACEInstances[i])
 		}
 		// un-ACE-tagged PC: by construction every instance was
 		// un-ACE; no mismatch possible.
@@ -79,14 +82,18 @@ func Run(prog *program.Program, seed uint64, thread int, dynInstrs uint64, windo
 	if dynInstrs == 0 {
 		return nil, fmt.Errorf("ace: zero-length profile of %s", prog.Name)
 	}
+	if dynInstrs >= maxProfileInstrs {
+		return nil, fmt.Errorf("ace: profile of %s asks for %d instructions, limit %d",
+			prog.Name, dynInstrs, uint64(maxProfileInstrs-1))
+	}
 	if window <= 0 {
 		window = DefaultWindow
 	}
 	p := &Profile{
 		Bits:         trace.NewBitSet(dynInstrs),
 		Tag:          make([]bool, prog.Len()),
-		Instances:    make([]uint64, prog.Len()),
-		ACEInstances: make([]uint64, prog.Len()),
+		Instances:    make([]uint32, prog.Len()),
+		ACEInstances: make([]uint32, prog.Len()),
 	}
 	// Feed dynInstrs + window instructions so every profiled
 	// instruction gets a full analysis window behind it.
@@ -140,6 +147,10 @@ func Run(prog *program.Program, seed uint64, thread int, dynInstrs uint64, windo
 	return p, nil
 }
 
+// maxProfileInstrs bounds a profile's length (exclusive): the per-PC
+// instance counters are 32 bits wide.
+const maxProfileInstrs = 1 << 32
+
 // Run's hand-over between the stages: batchBuffers recycled batches of
 // batchLen edge records (96 KiB each). Both channels can hold every batch,
 // so no send blocks; with four batches the resolver can run up to three
@@ -148,11 +159,3 @@ const (
 	batchLen     = 4096
 	batchBuffers = 4
 )
-
-// Apply writes the profile's per-PC tags into prog's instruction image
-// (the paper's 1-bit ISA extension).
-func (p *Profile) Apply(prog *program.Program) {
-	for i := range prog.Instrs {
-		prog.Instrs[i].ACETag = p.Tag[i]
-	}
-}

@@ -8,8 +8,9 @@ import (
 	"visasim/internal/trace"
 )
 
-// profileFileVersion guards the on-disk format.
-const profileFileVersion = 1
+// profileFileVersion guards the on-disk format. Version 2 stores the
+// per-PC instance counters as 32-bit values.
+const profileFileVersion = 2
 
 // profileFile is the serialised form of a Profile plus the provenance
 // needed to detect mismatched reuse.
@@ -22,8 +23,8 @@ type profileFile struct {
 	BitWords     []uint64
 	BitLen       uint64
 	Tag          []bool
-	Instances    []uint64
-	ACEInstances []uint64
+	Instances    []uint32
+	ACEInstances []uint32
 	DynInstrs    uint64
 	DynACE       uint64
 	LateMarks    uint64

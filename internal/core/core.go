@@ -11,15 +11,16 @@
 //	        MaxInstructions: 400_000,
 //	})
 //
-// Offline profiles (the expensive ACE analysis pass) are cached per
-// (benchmark, budget, window) so sweeps over schemes and policies reuse
-// them.
+// Each benchmark's program image is generated once and shared read-only by
+// every cell and profiling pass; offline profiles (the expensive ACE
+// analysis pass, which also holds the per-PC tags) are cached per
+// (benchmark, budget, window) in a fixed-capacity LRU, so sweeps over
+// schemes and policies reuse them.
 package core
 
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"visasim/internal/ace"
@@ -28,8 +29,6 @@ import (
 	"visasim/internal/decision"
 	"visasim/internal/dvm"
 	"visasim/internal/pipeline"
-	"visasim/internal/program"
-	"visasim/internal/trace"
 	"visasim/internal/uarch"
 	"visasim/internal/workload"
 )
@@ -209,102 +208,6 @@ func (r *Result) CombinedTagAccuracy() float64 {
 	return matches / total
 }
 
-// profileKey identifies a cached offline profile.
-type profileKey struct {
-	bench  string
-	n      uint64
-	window int
-}
-
-type profileEntry struct {
-	once sync.Once
-	p    *ace.Profile
-	err  error
-}
-
-var (
-	profileMu    sync.Mutex
-	profileCache = map[profileKey]*profileEntry{}
-)
-
-// profileSlack covers in-flight instructions beyond the commit budget.
-const profileSlack = 4096
-
-// ProfileFor returns the (cached) offline vulnerability profile of bench
-// covering at least n dynamic instructions with the given analysis window.
-// Concurrent callers for the same key share one profiling pass.
-func ProfileFor(bench workload.Benchmark, n uint64, window int) (*ace.Profile, error) {
-	key := profileKey{bench.Name, n, window}
-	profileMu.Lock()
-	e, ok := profileCache[key]
-	if !ok {
-		e = &profileEntry{}
-		profileCache[key] = e
-	}
-	profileMu.Unlock()
-
-	e.once.Do(func() {
-		prog, err := bench.Generate()
-		if err != nil {
-			e.err = err
-			return
-		}
-		// Thread 0 unconditionally: the address-space tag does not
-		// affect ACE-ness (it is a bijection on addresses), so one
-		// profile serves every thread slot.
-		e.p, e.err = ace.Run(prog, bench.Params.Seed, 0, n, window)
-	})
-	return e.p, e.err
-}
-
-// taggedProgEntry is a cached generated program with its profiled ACE tags
-// applied, plus the profile it was tagged from.
-type taggedProgEntry struct {
-	once sync.Once
-	prog *program.Program
-	prof *ace.Profile
-	err  error
-}
-
-var (
-	taggedMu    sync.Mutex
-	taggedCache = map[profileKey]*taggedProgEntry{}
-)
-
-// taggedProgramFor returns the (cached) generated program for bench with
-// the offline profile's ACE tags applied, and that profile. Program
-// generation and tag application are deterministic per key, executors never
-// mutate the program, and the address-space tag is applied per thread at
-// execution — so one tagged program safely serves every thread slot of
-// every cell in a sweep. Concurrent callers for the same key share one
-// generation pass.
-func taggedProgramFor(bench workload.Benchmark, n uint64, window int) (*program.Program, *ace.Profile, error) {
-	key := profileKey{bench.Name, n, window}
-	taggedMu.Lock()
-	e, ok := taggedCache[key]
-	if !ok {
-		e = &taggedProgEntry{}
-		taggedCache[key] = e
-	}
-	taggedMu.Unlock()
-
-	e.once.Do(func() {
-		prof, err := ProfileFor(bench, n, window)
-		if err != nil {
-			e.err = err
-			return
-		}
-		prog, err := bench.Generate()
-		if err != nil {
-			e.err = err
-			return
-		}
-		prof.Apply(prog)
-		e.prog, e.prof = prog, prof
-	})
-	return e.prog, e.prof, e.err
-}
-
 // Run executes one simulation.
 func Run(cfg Config) (*Result, error) {
 	res, _, err := RunTraced(cfg, RunOptions{})
@@ -327,25 +230,17 @@ func RunTraced(cfg Config, opt RunOptions) (*Result, *decision.Trace, error) {
 		warmup = 0
 	}
 
-	streams := make([]*trace.Stream, len(c.Benchmarks))
+	streams, profs, err := threadStreams(c.Benchmarks, c.MaxInstructions+uint64(warmup)+profileSlack, c.ProfileWindow)
+	if err != nil {
+		return nil, nil, err
+	}
 	var aceFrac, tagAcc float64
-	profLen := c.MaxInstructions + uint64(warmup) + profileSlack
-	for i, name := range c.Benchmarks {
-		b, err := workload.Get(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		prog, prof, err := taggedProgramFor(b, profLen, c.ProfileWindow)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: profiling %s: %w", name, err)
-		}
-		exec := trace.NewExecutor(prog, b.Params.Seed, i)
-		streams[i] = trace.NewStream(exec, prof.Bits)
+	for _, prof := range profs {
 		aceFrac += prof.ACEFraction()
 		tagAcc += prof.Accuracy()
 	}
-	aceFrac /= float64(len(c.Benchmarks))
-	tagAcc /= float64(len(c.Benchmarks))
+	aceFrac /= float64(len(profs))
+	tagAcc /= float64(len(profs))
 
 	sched := uarch.SchedOldestFirst
 	var ctrl pipeline.Controller

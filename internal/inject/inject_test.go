@@ -28,8 +28,7 @@ func newProc(t testing.TB, names []string, budget uint64) *pipeline.Processor {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prof.Apply(prog)
-		streams[i] = trace.NewStream(trace.NewExecutor(prog, b.Params.Seed, i), prof.Bits)
+		streams[i] = trace.NewStream(trace.NewExecutor(prog, b.Params.Seed, i), prof.Bits, prof.Tag)
 	}
 	proc, err := pipeline.New(pipeline.Params{
 		Machine:         config.Default(),

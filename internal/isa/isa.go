@@ -186,7 +186,10 @@ func (r Reg) String() string {
 // this amount on fall-through.
 const InstBytes = 4
 
-// Inst is a static (program-image) instruction.
+// Inst is a static (program-image) instruction. The paper's 1-bit ACE tag
+// is not part of it: offline profiling writes the tags to ace.Profile.Tag,
+// indexed like the program's instructions, so one read-only image serves
+// every profile of a benchmark.
 type Inst struct {
 	PC   uint64
 	Kind Kind
@@ -206,11 +209,6 @@ type Inst struct {
 	// BranchPattern selects the tracer's outcome generator for
 	// conditional branches; 0 otherwise.
 	BranchPattern uint32
-
-	// ACETag is the 1-bit ISA extension written by offline
-	// vulnerability profiling: true if any profiled dynamic instance of
-	// this PC was ACE. The issue logic (VISA) reads only this bit.
-	ACETag bool
 }
 
 // HasDest reports whether the instruction writes a register.
@@ -229,9 +227,6 @@ func (in *Inst) String() string {
 	}
 	if in.Kind.IsControl() {
 		s += fmt.Sprintf(" -> %#08x", in.Target)
-	}
-	if in.ACETag {
-		s += " [ACE]"
 	}
 	return s
 }

@@ -3,6 +3,7 @@ package isa
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestKindClassification(t *testing.T) {
@@ -136,11 +137,19 @@ func TestInstHelpers(t *testing.T) {
 }
 
 func TestInstString(t *testing.T) {
-	in := Inst{PC: 0x2000, Kind: Branch, Dest: RegNone, Src1: 7, Src2: RegNone, Target: 0x2100, ACETag: true}
+	in := Inst{PC: 0x2000, Kind: Branch, Dest: RegNone, Src1: 7, Src2: RegNone, Target: 0x2100}
 	s := in.String()
-	for _, want := range []string{"br", "r7", "0x00002100", "[ACE]"} {
+	for _, want := range []string{"br", "r7", "0x00002100"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q missing %q", s, want)
 		}
+	}
+}
+
+// TestInstSize keeps the program image packed: every benchmark's image is
+// resident for the life of a process, and fetch reads it every cycle.
+func TestInstSize(t *testing.T) {
+	if n := unsafe.Sizeof(Inst{}); n > 32 {
+		t.Errorf("Inst is %d bytes, want at most 32", n)
 	}
 }

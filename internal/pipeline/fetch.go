@@ -121,14 +121,15 @@ func (p *Processor) fetchThread(t *thread, now uint64, maxN int) int {
 // (predicted-taken control flow).
 func (p *Processor) fetchOne(t *thread, now uint64) (*uarch.Uop, bool) {
 	prog := t.stream.Executor().Prog
-	in := prog.At(t.pc)
+	idx := prog.IndexOf(t.pc)
+	in := &prog.Instrs[idx]
 
 	u := p.pool.Get()
 	u.Thread = int32(t.id)
 	u.Age = p.age
 	u.FetchedAt = now
 	u.DecodeReady = now + uint64(p.cfg.DecodeLatency)
-	u.ACETag = in.ACETag
+	u.ACETag = t.stream.Tag(idx)
 	p.age++
 
 	if t.onTrace {

@@ -9,7 +9,7 @@ import (
 )
 
 func fqUop(tag bool) *uarch.Uop {
-	in := &isa.Inst{Kind: isa.IntALU, Dest: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone, ACETag: tag}
+	in := &isa.Inst{Kind: isa.IntALU, Dest: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone}
 	return &uarch.Uop{Dyn: trace.DynInst{Static: in}, ACETag: tag, IQSlot: -1, LSQSlot: -1}
 }
 

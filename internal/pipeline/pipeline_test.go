@@ -29,8 +29,7 @@ func buildStreams(t testing.TB, names []string, budget uint64) []*trace.Stream {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prof.Apply(prog)
-		streams[i] = trace.NewStream(trace.NewExecutor(prog, b.Params.Seed, i), prof.Bits)
+		streams[i] = trace.NewStream(trace.NewExecutor(prog, b.Params.Seed, i), prof.Bits, prof.Tag)
 	}
 	return streams
 }

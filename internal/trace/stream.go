@@ -79,7 +79,8 @@ const streamCap = 1024
 // stream. The pipeline's fetch unit addresses it by absolute position; the
 // commit stage releases positions it will never need again. If the profiled
 // ACE bit set is attached, each instruction carries its ground-truth
-// ACE-ness.
+// ACE-ness. The stream also carries the per-PC ACE tags the issue logic
+// reads, so the program image it executes can be shared read-only.
 type Stream struct {
 	exec *Executor
 	ace  *BitSet // may be nil (unprofiled run)
@@ -87,13 +88,31 @@ type Stream struct {
 	buf  [streamCap]DynInst
 	next uint64 // absolute index of the first ungenerated position
 	low  uint64 // lowest position still addressable
+
+	// tag holds the per-PC tags by static instruction index (all false
+	// when untagged); it sits after the ring so the ring's entries keep
+	// their cache-line placement.
+	tag []bool
 }
 
 // NewStream wraps exec. ace, if non-nil, supplies ground-truth ACE bits by
-// sequence number; positions beyond its length default to un-ACE.
-func NewStream(exec *Executor, ace *BitSet) *Stream {
-	return &Stream{exec: exec, ace: ace}
+// sequence number; positions beyond its length default to un-ACE. tag
+// holds the per-PC ACE tags indexed like exec.Prog.Instrs (an offline
+// profile's Tag); nil means every instruction is untagged. The stream
+// reads tag and never writes it, so one slice may back many streams.
+func NewStream(exec *Executor, ace *BitSet, tag []bool) *Stream {
+	switch {
+	case tag == nil:
+		tag = make([]bool, exec.Prog.Len())
+	case len(tag) != exec.Prog.Len():
+		panic(fmt.Sprintf("trace: %d ACE tags for a %d-instruction program", len(tag), exec.Prog.Len()))
+	}
+	return &Stream{exec: exec, ace: ace, tag: tag}
 }
+
+// Tag returns the per-PC ACE tag of the static instruction at index i of
+// the executor's program (see program.IndexOf).
+func (s *Stream) Tag(i int) bool { return s.tag[i] }
 
 // At returns the dynamic instruction at absolute position pos, generating
 // forward as needed. Positions below the released low-water mark panic:

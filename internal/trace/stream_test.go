@@ -75,7 +75,7 @@ func TestQuickBitSetCount(t *testing.T) {
 
 func TestStreamWindow(t *testing.T) {
 	prog := testProgram(10)
-	s := NewStream(NewExecutor(prog, 1, 0), nil)
+	s := NewStream(NewExecutor(prog, 1, 0), nil, nil)
 
 	d0 := *s.At(0)
 	if s.At(0).Seq != 0 || s.At(5).Seq != 5 {
@@ -100,7 +100,7 @@ func TestStreamWindow(t *testing.T) {
 
 func TestStreamOverflowPanics(t *testing.T) {
 	prog := testProgram(11)
-	s := NewStream(NewExecutor(prog, 1, 0), nil)
+	s := NewStream(NewExecutor(prog, 1, 0), nil, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("window overflow must panic")
@@ -114,7 +114,7 @@ func TestStreamCarriesACEBits(t *testing.T) {
 	ace := NewBitSet(100)
 	ace.Set(4, true)
 	ace.Set(7, true)
-	s := NewStream(NewExecutor(prog, 1, 0), ace)
+	s := NewStream(NewExecutor(prog, 1, 0), ace, nil)
 	for i := uint64(0); i < 100; i++ {
 		want := i == 4 || i == 7
 		if got := s.At(i).ACE; got != want {
@@ -128,9 +128,33 @@ func TestStreamCarriesACEBits(t *testing.T) {
 	}
 }
 
+func TestStreamCarriesTags(t *testing.T) {
+	prog := testProgram(14)
+	untagged := NewStream(NewExecutor(prog, 1, 0), nil, nil)
+	tag := make([]bool, prog.Len())
+	for i := range tag {
+		tag[i] = i%3 == 0
+	}
+	tagged := NewStream(NewExecutor(prog, 1, 0), nil, tag)
+	for i := range tag {
+		if untagged.Tag(i) {
+			t.Fatalf("untagged stream reports a tag at %d", i)
+		}
+		if tagged.Tag(i) != tag[i] {
+			t.Fatalf("tag %d = %v, want %v", i, tagged.Tag(i), tag[i])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a tag slice of the wrong length must panic")
+		}
+	}()
+	NewStream(NewExecutor(prog, 1, 0), nil, tag[1:])
+}
+
 func TestStreamMatchesExecutor(t *testing.T) {
 	prog := testProgram(13)
-	s := NewStream(NewExecutor(prog, 9, 0), nil)
+	s := NewStream(NewExecutor(prog, 9, 0), nil, nil)
 	ref := NewExecutor(prog, 9, 0)
 	var d DynInst
 	for i := uint64(0); i < 5000; i++ {

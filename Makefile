@@ -30,10 +30,10 @@ test-cover:
 	$(GO) test -covermode=atomic -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-# Cluster smoke test: real processes — a visasimcoord with zero static
-# backends, two self-registering visasimd daemons, mixed-priority tenanted
-# sweeps, and a mid-flight drain, asserting byte-identical results against
-# a local run (see scripts/cluster-smoke.sh).
+# Cluster smoke test: real processes — two visasimd daemons behind an
+# `experiments -backends ... -store -resume` Fig. 5 run, one daemon killed
+# mid-sweep, output asserted byte-identical to a local run, then a store-only
+# -resume re-run asserted identical again (see scripts/cluster-smoke.sh).
 cluster-smoke:
 	./scripts/cluster-smoke.sh
 
@@ -56,9 +56,9 @@ explore-smoke:
 docs-lint:
 	./scripts/docs-lint.sh
 
-# The Go microbenchmarks perfbench has no counterpart for: the twin's
-# screening rate (internal/explore) and the coordinator's queue round trip
-# (internal/cluster). Simulator throughput is perfbench's (see perf-smoke).
+# The one Go microbenchmark perfbench has no counterpart for: the twin's
+# screening rate (BenchmarkTwinScreen, internal/explore). Simulator
+# throughput is perfbench's (see perf-smoke).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 

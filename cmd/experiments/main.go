@@ -18,8 +18,8 @@
 // With -server, every sweep runs through a visasimd daemon instead of
 // in-process, so repeated regenerations (and overlapping figures) hit the
 // daemon's content-addressed result cache. With -backends URL,URL,... the
-// sweeps instead shard across a cluster of daemons via the dispatch
-// coordinator (least-loaded assignment, retry/failover);
+// sweeps instead shard across a static list of daemons via the in-process
+// dispatch coordinator (least-loaded assignment, retry/failover);
 // add -store DIR to checkpoint completed cells to disk and -resume to skip
 // cells already checkpointed by an earlier (possibly killed) run.
 // -trace-level records decision traces on local sweeps only. Flags that

@@ -1,26 +1,20 @@
-// Command visasimctl operates a visasimd cluster from the shell: probe
-// backend health, dump their metrics, or dispatch a sweep across all of
-// them through the coordinator (internal/dispatch) — with the same
+// Command visasimctl operates a set of visasimd daemons from the shell:
+// probe backend health, dump their metrics, or dispatch a sweep across all
+// of them through the coordinator (internal/dispatch) — with the same
 // retry/failover and checkpointed-resume behaviour the experiments
-// binary gets via -backends. Against a visasimcoord control plane it also
-// lists tenants and pool membership, drains backends gracefully, and
-// submits sweeps with a tenant API key and priority class (sweep -coord);
-// sweep -local runs the same cells in-process, and because the simulator is
-// deterministic the two outputs diff byte-identically with -results-only.
+// binary gets via -backends. sweep -local runs the same cells in-process,
+// and because the simulator is deterministic the two outputs diff
+// byte-identically with -results-only.
 //
 // Usage:
 //
 //	visasimctl health  -backends URL,URL,...
 //	visasimctl metrics -backends URL,URL,...
-//	visasimctl sweep   (-backends URL,... | -coord URL | -local) [-cells FILE]
-//	                   [-key API_KEY] [-priority CLASS] [-results-only]
-//	                   [-store DIR] [-resume] [-workers N]
+//	visasimctl sweep   (-backends URL,... | -local) [-cells FILE]
+//	                   [-results-only] [-store DIR] [-resume] [-workers N]
 //	                   [-timeout 10m] [-log-level info] [-log-format text] [-seed N]
 //	visasimctl explore -backends URL,URL,... [-samples N] [-seed N] [-verify K]
 //	                   [-workers N] [-timeout 10m] [-json FILE]
-//	visasimctl tenants  -server URL [-json]
-//	visasimctl backends -coord URL
-//	visasimctl drain    -coord URL BACKEND_URL
 //
 // The explore subcommand screens the SMT design space through the
 // analytical twin (internal/twin) locally, then verifies a spread of the
@@ -41,7 +35,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -55,7 +48,6 @@ import (
 	"syscall"
 	"time"
 
-	"visasim/internal/cluster"
 	"visasim/internal/dispatch"
 	"visasim/internal/harness"
 	"visasim/internal/obs"
@@ -78,12 +70,6 @@ func main() {
 		err = cmdSweep(os.Args[2:])
 	case "explore":
 		err = cmdExplore(os.Args[2:])
-	case "tenants":
-		err = cmdTenants(os.Args[2:])
-	case "drain":
-		err = cmdDrain(os.Args[2:])
-	case "backends":
-		err = cmdBackends(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -102,17 +88,13 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   visasimctl health  -backends URL,URL,...
   visasimctl metrics -backends URL,URL,...
-  visasimctl sweep   (-backends URL,... | -coord URL | -local) [-cells FILE]
-                     [-key API_KEY] [-priority interactive|standard|bulk]
+  visasimctl sweep   (-backends URL,... | -local) [-cells FILE]
                      [-results-only] [-store DIR] [-resume]
                      [-workers N] [-timeout D]
                      [-log-level L] [-log-format F] [-seed N]
   visasimctl explore -backends URL,URL,... [-samples N] [-seed N] [-verify K]
                      [-workers N] [-timeout D] [-json FILE]
-                     [-log-level L] [-log-format F]
-  visasimctl tenants  -server URL
-  visasimctl backends -coord URL
-  visasimctl drain    -coord URL BACKEND_URL`)
+                     [-log-level L] [-log-format F]`)
 }
 
 // backendList splits and validates the -backends flag value.
@@ -124,7 +106,7 @@ func backendList(csv string) ([]string, error) {
 }
 
 // cmdHealth probes every backend once and prints one line each; the exit
-// status reports whether the whole cluster is serviceable.
+// status reports whether every backend is serviceable.
 func cmdHealth(args []string) error {
 	fs := flag.NewFlagSet("health", flag.ExitOnError)
 	backendsCSV := fs.String("backends", "", "comma-separated visasimd base URLs")
@@ -207,21 +189,16 @@ func fetchBody(url string, timeout time.Duration) ([]byte, error) {
 	return io.ReadAll(io.LimitReader(resp.Body, 4<<20))
 }
 
-// cmdSweep runs one sweep and prints keyed results on stdout. Three modes
+// cmdSweep runs one sweep and prints keyed results on stdout. Two modes
 // share one output shape, so results can be diffed byte for byte — the
 // simulator is deterministic, so they must match:
 //
 //   - -backends runs the in-process coordinator over a static pool
-//   - -coord posts the sweep to a visasimcoord control plane (tenant key
-//     and priority class travel as headers)
 //   - -local runs the cells through internal/harness in this process
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	backendsCSV := fs.String("backends", "", "comma-separated visasimd base URLs")
-	coordURL := fs.String("coord", "", "visasimcoord base URL to dispatch through (instead of -backends)")
-	local := fs.Bool("local", false, "run the cells locally through the harness (no cluster)")
-	apiKey := fs.String("key", "", "tenant API key (X-Visasim-Key) for admission-controlled clusters")
-	priority := fs.String("priority", "", "priority class: interactive, standard, or bulk")
+	local := fs.Bool("local", false, "run the cells locally through the harness (no backends)")
 	resultsOnly := fs.Bool("results-only", false, "omit per-cell cost stats (deterministic output, diffable across modes)")
 	cellsPath := fs.String("cells", "-", `cells JSON file ("-" = stdin; same shape as POST /v1/sweeps)`)
 	storeDir := fs.String("store", "", "checkpoint completed cells to this directory")
@@ -245,28 +222,15 @@ func cmdSweep(args []string) error {
 
 	// SIGINT/SIGTERM cancel the sweep: queued groups are skipped and every
 	// in-flight dispatch attempt is aborted, instead of the old behaviour
-	// of polling the cluster to completion after the operator gave up.
+	// of polling the backends to completion after the operator gave up.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *priority != "" {
-		class, cerr := cluster.ParseClass(*priority)
-		if cerr != nil {
-			return cerr
-		}
-		ctx = cluster.WithClass(ctx, class)
-	}
-	if *apiKey != "" {
-		ctx = cluster.WithAPIKey(ctx, *apiKey)
-	}
 
 	var results map[string]json.RawMessage
 	var stats harness.Stats
-	switch {
-	case *local:
+	if *local {
 		results, stats, err = sweepLocal(cells, *workers)
-	case *coordURL != "":
-		results, stats, err = sweepViaCoord(ctx, *coordURL, cells, *apiKey, *priority)
-	default:
+	} else {
 		results, stats, err = sweepViaBackends(ctx, cells, sweepDispatchOptions{
 			backendsCSV: *backendsCSV, storeDir: *storeDir, resume: *resume,
 			workers: *workers, cellTimeout: *cellTimeout,
@@ -312,7 +276,7 @@ func rawResults(cells []harness.Cell, res harness.Results) (map[string]json.RawM
 	return out, nil
 }
 
-// sweepLocal runs the cells in-process — the ground truth the cluster modes
+// sweepLocal runs the cells in-process — the ground truth the -backends mode
 // must match byte for byte.
 func sweepLocal(cells []harness.Cell, workers int) (map[string]json.RawMessage, harness.Stats, error) {
 	res, stats, err := harness.RunStats(cells, harness.Options{Workers: workers})
@@ -375,58 +339,6 @@ func sweepViaBackends(ctx context.Context, cells []harness.Cell, o sweepDispatch
 	}
 	raw, err := rawResults(cells, results)
 	return raw, stats, err
-}
-
-// sweepViaCoord posts the whole sweep to a visasimcoord control plane and
-// lets its scheduler run it.
-func sweepViaCoord(ctx context.Context, coordURL string, cells []harness.Cell, apiKey, priority string) (map[string]json.RawMessage, harness.Stats, error) {
-	req := server.SubmitRequest{Cells: make([]server.SubmitCell, len(cells))}
-	for i, c := range cells {
-		req.Cells[i] = server.SubmitCell{Key: c.Key, Config: c.Cfg}
-	}
-	blob, err := json.Marshal(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	target := strings.TrimRight(coordURL, "/") + "/v1/dispatch"
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, target, strings.NewReader(string(blob)))
-	if err != nil {
-		return nil, nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	if apiKey != "" {
-		hreq.Header.Set(cluster.KeyHeader, apiKey)
-	}
-	if priority != "" {
-		hreq.Header.Set(cluster.ClassHeader, priority)
-	}
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		return nil, nil, fmt.Errorf("coordinator answered HTTP %d: %s",
-			resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	var dr dispatch.DispatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&dr); err != nil {
-		return nil, nil, fmt.Errorf("decoding dispatch response: %w", err)
-	}
-	results := make(map[string]json.RawMessage, len(dr.Cells))
-	stats := make(harness.Stats, len(dr.Cells))
-	for _, c := range dr.Cells {
-		// The control plane indents its response; re-compact so the result
-		// bytes are identical to a local json.Marshal of the same Result.
-		var compact bytes.Buffer
-		if err := json.Compact(&compact, c.Result); err != nil {
-			return nil, nil, fmt.Errorf("cell %s: %w", c.Key, err)
-		}
-		results[c.Key] = compact.Bytes()
-		stats[c.Key] = c.Stats
-	}
-	return results, stats, nil
 }
 
 // readCells decodes a sweep request in the daemon's submit shape.

@@ -57,12 +57,13 @@
 // Commands: cmd/visasim (one simulation), cmd/avfprof (offline profiling),
 // cmd/faultsim (injection campaigns), cmd/tracedump (stream inspection),
 // cmd/experiments (regenerate every table/figure plus the explore
-// target's screen-then-verify frontier search, optionally through a
-// daemon via -server or a cluster via -backends), cmd/visasimd (the
-// simulation service, optionally store-backed via -store), and
-// cmd/visasimctl (cluster operations: health, metrics, distributed
+// target's screen-then-verify frontier search, optionally through one
+// daemon via -server or a static list of daemons via -backends),
+// cmd/visasimd (the simulation service, optionally store-backed via
+// -store; POST /v1/sweeps is its one submission API), and cmd/visasimctl
+// (operations over a list of daemons: health, metrics, distributed
 // sweeps with checkpointed resume, and explore — screen locally, verify
-// the frontier across the cluster).
+// the frontier across the daemons).
 // Runnable examples live under examples/; this root package holds the
 // golden, parity and determinism tests. Simulator throughput is measured
 // by the repository benchmark under perfbench/.

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"visasim/internal/cluster"
 	"visasim/internal/core"
 	"visasim/internal/harness"
 	"visasim/internal/obs"
@@ -110,52 +109,31 @@ func TestSeededBackoffReproducible(t *testing.T) {
 }
 
 // TestPromFamilySet pins the coordinator's exact metric families, name and
-// TYPE, for a coordinator with admission after a one-cell dispatch, so a
-// later rename or removal shows up here as a deliberate diff.
+// TYPE, after a one-cell dispatch, so a later rename or removal shows up
+// here as a deliberate diff.
 func TestPromFamilySet(t *testing.T) {
-	reg, err := cluster.NewRegistry([]cluster.Tenant{{ID: "papers", Key: "pk"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newCoordinator(t, Options{
-		Backends:  []string{newBackend(t).URL},
-		Admission: cluster.NewAdmission(reg),
-	})
-	ctx := cluster.WithAPIKey(context.Background(), "pk")
-	if _, err := c.RunContext(ctx, []harness.Cell{
+	c := newCoordinator(t, Options{Backends: []string{newBackend(t).URL}})
+	if _, err := c.RunContext(context.Background(), []harness.Cell{
 		{Key: "a", Cfg: testCfg("gcc", core.SchemeBase)},
 	}, harness.Options{}); err != nil {
 		t.Fatal(err)
 	}
 
 	want := []string{
-		"visasim_dispatch_admission_rejected_sweeps_total counter",
 		"visasim_dispatch_attempt_seconds histogram",
 		"visasim_dispatch_backend_dispatched_total counter",
-		"visasim_dispatch_backend_draining gauge",
 		"visasim_dispatch_backend_failures_total counter",
 		"visasim_dispatch_backend_healthy gauge",
 		"visasim_dispatch_backend_inflight gauge",
 		"visasim_dispatch_cells_total counter",
-		"visasim_dispatch_class_admitted_cells_total counter",
-		"visasim_dispatch_class_latency_seconds histogram",
-		"visasim_dispatch_class_queued_groups gauge",
 		"visasim_dispatch_dedup_shares_total counter",
 		"visasim_dispatch_failovers_total counter",
-		"visasim_dispatch_jain_fairness gauge",
-		"visasim_dispatch_membership_drains_total counter",
-		"visasim_dispatch_membership_joins_total counter",
-		"visasim_dispatch_membership_leaves_total counter",
 		"visasim_dispatch_queue_wait_seconds histogram",
 		"visasim_dispatch_resume_skips_total counter",
 		"visasim_dispatch_retries_total counter",
-		"visasim_dispatch_served_cells_total counter",
 		"visasim_dispatch_store_hits_total counter",
 		"visasim_dispatch_store_misses_total counter",
 		"visasim_dispatch_store_put_errors_total counter",
-		"visasim_dispatch_tenant_admitted_cells_total counter",
-		"visasim_dispatch_tenant_queued_cells gauge",
-		"visasim_dispatch_tenant_rejected_cells_total counter",
 	}
 	var text bytes.Buffer
 	c.WritePrometheus(&text)

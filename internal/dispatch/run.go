@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"time"
 
-	"visasim/internal/cluster"
 	"visasim/internal/core"
 	"visasim/internal/harness"
 	"visasim/internal/obs"
@@ -25,13 +24,13 @@ type group struct {
 	stats harness.CellStats
 }
 
-// schedJob is one group waiting in the scheduling queue, with the channel
-// its Run collects the outcome on.
+// schedJob is one group waiting in the queue, with the channel its Run
+// collects the outcome on.
 type schedJob struct {
-	ctx    context.Context
-	g      *group
-	tenant string
-	ch     chan<- schedOutcome
+	ctx      context.Context
+	g        *group
+	ch       chan<- schedOutcome
+	enqueued time.Time // stamped by queue.push
 }
 
 // schedOutcome is a dispatcher's verdict on one group.
@@ -42,7 +41,7 @@ type schedOutcome struct {
 	err error
 }
 
-// Run dispatches the cells across the cluster and returns keyed results
+// Run dispatches the cells across the backends and returns keyed results
 // with harness.Run's semantics: the first failing cell aborts the sweep
 // (in-flight cells finish, queued ones are skipped) and is returned as a
 // *harness.CellError naming the cell. It ignores caller cancellation;
@@ -65,34 +64,13 @@ func (c *Coordinator) RunStats(cells []harness.Cell, opt harness.Options) (harne
 	return c.RunStatsContext(context.Background(), cells, opt)
 }
 
-// classOf resolves the priority class a sweep schedules under: the class
-// the context asks for, clamped to the tenant's own class (a bulk tenant
-// cannot ask for interactive service), defaulting to the tenant's class,
-// then Standard.
-func classOf(ctx context.Context, tenant *cluster.Tenant) cluster.PriorityClass {
-	cls := cluster.Standard
-	if tenant != nil {
-		cls = tenant.DefaultClass()
-	}
-	if want, ok := cluster.ClassFrom(ctx); ok {
-		if tenant != nil && want < tenant.DefaultClass() {
-			want = tenant.DefaultClass()
-		}
-		cls = want
-	}
-	return cls
-}
-
 // RunStatsContext is Run plus the per-cell cost records the winning backend
 // measured, bounded by ctx. The opt.Workers bound is ignored — concurrency
-// is Options.Workers across the whole cluster, shared by all concurrent
-// sweeps through the priority scheduler. When ctx does not already carry a
-// sweep correlation ID one is minted here, so a sweep entering the cluster
-// at the coordinator is correlated end to end exactly like one entering at
-// a client. With Options.Admission set, ctx must carry an admitted
-// tenant's API key (cluster.WithAPIKey); rejections surface unwrapped as
-// cluster.ErrUnknownKey or *cluster.AdmissionError before any cell
-// dispatches.
+// is Options.Workers across the whole pool, shared by all concurrent
+// sweeps through the FIFO queue. When ctx does not already carry a sweep
+// correlation ID one is minted here, so a sweep entering at the
+// coordinator is correlated end to end exactly like one entering at a
+// client.
 func (c *Coordinator) RunStatsContext(ctx context.Context, cells []harness.Cell, _ harness.Options) (harness.Results, harness.Stats, error) {
 	if len(cells) == 0 {
 		return harness.Results{}, harness.Stats{}, nil
@@ -101,22 +79,6 @@ func (c *Coordinator) RunStatsContext(ctx context.Context, cells []harness.Cell,
 		return nil, nil, err
 	}
 	ctx, sweep := obs.EnsureSweep(ctx)
-
-	var tenant *cluster.Tenant
-	tenantID := "default"
-	if c.opt.Admission != nil {
-		t, err := c.opt.Admission.Admit(cluster.APIKeyFrom(ctx), len(cells))
-		if err != nil {
-			c.met.admissionRejects.Inc()
-			c.log.Warn("sweep rejected at admission", "sweep", sweep,
-				"cells", len(cells), "err", err)
-			return nil, nil, err
-		}
-		tenant = t
-		tenantID = t.ID
-		defer c.opt.Admission.Release(t.ID, len(cells))
-	}
-	class := classOf(ctx, tenant)
 
 	// Content-address every cell up front and fold duplicates into one
 	// dispatch group each.
@@ -140,7 +102,6 @@ func (c *Coordinator) RunStatsContext(ctx context.Context, cells []harness.Cell,
 		g.keys = append(g.keys, cell.Key)
 	}
 	c.met.cellsTotal.Add(int64(len(cells)))
-	c.met.addAdmitted(class, len(cells))
 	if shared := len(cells) - len(groups); shared > 0 {
 		c.met.dedupShares.Add(int64(shared))
 	}
@@ -164,8 +125,7 @@ func (c *Coordinator) RunStatsContext(ctx context.Context, cells []harness.Cell,
 	c.log.Info("sweep dispatching", "sweep", sweep,
 		"cells", len(cells), "groups", len(groups),
 		"pending", len(pending), "resumed", len(groups)-len(pending),
-		"tenant", tenantID, "class", class.String(),
-		"backends", c.BackendCount())
+		"backends", len(c.backends))
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -173,11 +133,7 @@ func (c *Coordinator) RunStatsContext(ctx context.Context, cells []harness.Cell,
 	queued := 0
 	var firstErr error
 	for _, g := range pending {
-		item := &cluster.Item{
-			Class:   class,
-			Payload: &schedJob{ctx: ctx, g: g, tenant: tenantID, ch: outcomes},
-		}
-		if !c.sched.Push(item) {
+		if !c.queue.push(&schedJob{ctx: ctx, g: g, ch: outcomes}) {
 			firstErr = keyedError(g.keys[0], errors.New("dispatch: coordinator closed"))
 			cancel()
 			break
@@ -213,20 +169,18 @@ func (c *Coordinator) RunStatsContext(ctx context.Context, cells []harness.Cell,
 	return results, stats, nil
 }
 
-// dispatcher is one worker of the shared pool: it drains the scheduling
-// queue in priority order, runs each group to completion, checkpoints the
-// result, and reports back to the owning Run. The pool — not the number of
-// concurrent Runs — bounds cluster-wide in-flight cells.
+// dispatcher is one worker of the shared pool: it drains the queue in
+// arrival order, runs each group to completion, checkpoints the result, and
+// reports back to the owning Run. The pool — not the number of concurrent
+// Runs — bounds pool-wide in-flight cells.
 func (c *Coordinator) dispatcher() {
 	defer c.wg.Done()
 	for {
-		it, ok := c.sched.Pop()
+		j, ok := c.queue.pop()
 		if !ok {
 			return
 		}
-		j := it.Payload.(*schedJob)
-		cls := it.Class.String()
-		c.met.queueWait.Observe(cls, time.Since(it.Enqueued).Seconds())
+		c.met.queueWait.Observe(time.Since(j.enqueued).Seconds())
 		if err := j.ctx.Err(); err != nil {
 			// The owning Run already failed or was canceled; don't burn a
 			// backend on a result nobody collects.
@@ -234,18 +188,14 @@ func (c *Coordinator) dispatcher() {
 			continue
 		}
 		res, st, err := c.dispatchGroup(j.ctx, j.g)
-		if err == nil {
-			c.met.classLatency.Observe(cls, time.Since(it.Enqueued).Seconds())
-			c.met.addServed(j.tenant, len(j.g.keys))
-			if c.opt.Store != nil {
-				// Checkpoint as cells complete: a killed coordinator
-				// resumes from exactly this set. Best-effort — a full
-				// disk costs durability, not the sweep.
-				if perr := c.opt.Store.Put(j.g.hash, res, st); perr != nil {
-					c.met.storePutErrors.Add(1)
-					c.log.Warn("checkpoint write failed", "sweep", obs.SweepID(j.ctx),
-						"hash", j.g.hash[:12], "err", perr)
-				}
+		if err == nil && c.opt.Store != nil {
+			// Checkpoint as cells complete: a killed coordinator resumes
+			// from exactly this set. Best-effort — a full disk costs
+			// durability, not the sweep.
+			if perr := c.opt.Store.Put(j.g.hash, res, st); perr != nil {
+				c.met.storePutErrors.Add(1)
+				c.log.Warn("checkpoint write failed", "sweep", obs.SweepID(j.ctx),
+					"hash", j.g.hash[:12], "err", perr)
 			}
 		}
 		j.ch <- schedOutcome{g: j.g, res: res, st: st, err: err}
@@ -281,7 +231,7 @@ func permanent(err error) bool {
 
 // dispatchGroup runs one group to completion: up to MaxAttempts dispatch
 // attempts, exponential backoff with jitter between them, each attempt
-// routed by Options.Routing — preferring a backend the group has not just
+// sent to the least-loaded backend — preferring one the group has not just
 // failed on (failover).
 func (c *Coordinator) dispatchGroup(ctx context.Context, g *group) (*core.Result, harness.CellStats, error) {
 	sweep := obs.SweepID(ctx)
@@ -302,14 +252,7 @@ func (c *Coordinator) dispatchGroup(ctx context.Context, g *group) (*core.Result
 		if err := ctx.Err(); err != nil {
 			return nil, harness.CellStats{}, err
 		}
-		b, err := c.pickWait(ctx, avoid, g.hash)
-		if err != nil {
-			return nil, harness.CellStats{}, err
-		}
-		if b == nil {
-			lastErr = errors.New("dispatch: no backend available")
-			continue
-		}
+		b := c.pick(avoid)
 		if avoid != "" && b.url != avoid {
 			c.met.failovers.Add(1)
 			c.log.Warn("cell failing over", "sweep", sweep, "cell", g.keys[0],
@@ -395,7 +338,7 @@ func (c *Coordinator) runOn(ctx context.Context, b *backend, g *group) (*core.Re
 	if cell.Error != "" {
 		// The simulation itself failed — permanent, and keyed like a
 		// local harness failure so callers' errors.As handling works
-		// unchanged through the cluster.
+		// unchanged through the coordinator.
 		return nil, harness.CellStats{}, &harness.CellError{Key: cell.Key, Err: errors.New(cell.Error)}
 	}
 	var res core.Result

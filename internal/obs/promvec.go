@@ -4,16 +4,12 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 )
 
-// This file adds the two vector collectors the multi-tenant control plane
-// needs beyond prom.go's fixed families: SnapshotVec, whose labeled samples
-// are produced wholesale at scrape time (the right shape when series come
-// and go — tenants, dynamically registered backends — because nothing is
-// ever registered per series and a member that rejoins cannot duplicate
-// itself), and HistogramVec, a labeled histogram family (per-priority-class
-// latency distributions).
+// This file adds a vector collector beyond prom.go's fixed families:
+// SnapshotVec, whose labeled samples are produced wholesale at scrape time
+// (the dispatch coordinator's per-backend families read the pool this way,
+// so nothing is ever registered per series).
 
 // Sample is one labeled measurement returned by a SnapshotVec's snapshot
 // function.
@@ -25,9 +21,9 @@ type Sample struct {
 }
 
 // SnapshotVec is a metric family whose entire child set is recomputed by
-// one function at scrape time. Use it when series membership is dynamic:
-// the function reflects exactly the tenants/backends that exist right now,
-// and departed members simply stop appearing.
+// one function at scrape time. Use it when the series are read from
+// another structure: the function reflects exactly the members that exist
+// right now.
 type SnapshotVec struct {
 	name string
 	help string
@@ -85,118 +81,4 @@ func renderLabels(labels map[string]string) string {
 		s += k + "=\"" + escapeLabel(labels[k]) + "\""
 	}
 	return s + "}"
-}
-
-// HistogramVec is a histogram family keyed by one label — e.g. sweep
-// latency by priority class. Children share the family's HELP/TYPE
-// preamble and bucket bounds; unknown label values create children on
-// first use.
-type HistogramVec struct {
-	name   string
-	help   string
-	label  string
-	bounds []float64
-
-	mu       sync.Mutex
-	children map[string]*histChild
-}
-
-// histChild is one label value's bucket state.
-type histChild struct {
-	counts []uint64
-	sum    float64
-	total  uint64
-}
-
-// NewHistogramVec creates and registers a labeled histogram family with the
-// given upper bounds (nil selects DefBuckets).
-func (r *Registry) NewHistogramVec(name, help, label string, bounds []float64) *HistogramVec {
-	if bounds == nil {
-		bounds = DefBuckets
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("obs: histogram bounds not increasing: " + name)
-		}
-	}
-	if label == "" {
-		panic("obs: histogram vec needs a label name: " + name)
-	}
-	h := &HistogramVec{
-		name:     name,
-		help:     help,
-		label:    label,
-		bounds:   append([]float64(nil), bounds...),
-		children: map[string]*histChild{},
-	}
-	r.Register(h)
-	return h
-}
-
-// Name returns the metric family name.
-func (h *HistogramVec) Name() string { return h.name }
-
-// Observe records one sample under the given label value.
-func (h *HistogramVec) Observe(labelValue string, v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	c := h.children[labelValue]
-	if c == nil {
-		c = &histChild{counts: make([]uint64, len(h.bounds))}
-		h.children[labelValue] = c
-	}
-	c.total++
-	c.sum += v
-	for i, b := range h.bounds {
-		if v <= b {
-			c.counts[i]++
-		}
-	}
-}
-
-// Count returns how many samples the given label value has observed.
-func (h *HistogramVec) Count(labelValue string) uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if c := h.children[labelValue]; c != nil {
-		return c.total
-	}
-	return 0
-}
-
-func (h *HistogramVec) write(w io.Writer) {
-	h.mu.Lock()
-	values := make([]string, 0, len(h.children))
-	for v := range h.children {
-		values = append(values, v)
-	}
-	sort.Strings(values)
-	type snap struct {
-		value  string
-		counts []uint64
-		sum    float64
-		total  uint64
-	}
-	snaps := make([]snap, 0, len(values))
-	for _, v := range values {
-		c := h.children[v]
-		snaps = append(snaps, snap{
-			value:  v,
-			counts: append([]uint64(nil), c.counts...),
-			sum:    c.sum,
-			total:  c.total,
-		})
-	}
-	h.mu.Unlock()
-
-	header(w, h.name, h.help, "histogram")
-	for _, s := range snaps {
-		lv := escapeLabel(s.value) // escaped by hand; %q would double-escape
-		for i, b := range h.bounds {
-			fmt.Fprintf(w, "%s_bucket{%s=\"%s\",le=%q} %d\n", h.name, h.label, lv, formatFloat(b), s.counts[i])
-		}
-		fmt.Fprintf(w, "%s_bucket{%s=\"%s\",le=\"+Inf\"} %d\n", h.name, h.label, lv, s.total)
-		fmt.Fprintf(w, "%s_sum{%s=\"%s\"} %s\n", h.name, h.label, lv, formatFloat(s.sum))
-		fmt.Fprintf(w, "%s_count{%s=\"%s\"} %d\n", h.name, h.label, lv, s.total)
-	}
 }

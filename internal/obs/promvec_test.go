@@ -50,53 +50,3 @@ func TestSnapshotVecCounterTypeAndEmpty(t *testing.T) {
 		t.Errorf("empty snapshot rendering = %q, want %q", b.String(), want)
 	}
 }
-
-// TestHistogramVecGolden pins the labeled-histogram rendering: per-child
-// cumulative buckets under one preamble, children sorted by label value.
-func TestHistogramVecGolden(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogramVec("demo_latency_seconds", "Sweep latency by class.", "class", []float64{0.1, 1})
-	h.Observe("interactive", 0.05)
-	h.Observe("interactive", 0.5)
-	h.Observe("bulk", 30)
-
-	if h.Count("interactive") != 2 || h.Count("bulk") != 1 || h.Count("missing") != 0 {
-		t.Fatalf("counts = %d/%d/%d", h.Count("interactive"), h.Count("bulk"), h.Count("missing"))
-	}
-
-	var b strings.Builder
-	r.WritePrometheus(&b)
-	want := `# HELP demo_latency_seconds Sweep latency by class.
-# TYPE demo_latency_seconds histogram
-demo_latency_seconds_bucket{class="bulk",le="0.1"} 0
-demo_latency_seconds_bucket{class="bulk",le="1"} 0
-demo_latency_seconds_bucket{class="bulk",le="+Inf"} 1
-demo_latency_seconds_sum{class="bulk"} 30
-demo_latency_seconds_count{class="bulk"} 1
-demo_latency_seconds_bucket{class="interactive",le="0.1"} 1
-demo_latency_seconds_bucket{class="interactive",le="1"} 2
-demo_latency_seconds_bucket{class="interactive",le="+Inf"} 2
-demo_latency_seconds_sum{class="interactive"} 0.55
-demo_latency_seconds_count{class="interactive"} 2
-`
-	if b.String() != want {
-		t.Errorf("rendering drifted\n--- got ---\n%s--- want ---\n%s", b.String(), want)
-	}
-}
-
-func TestHistogramVecValidation(t *testing.T) {
-	r := NewRegistry()
-	for name, fn := range map[string]func(){
-		"bad bounds": func() { r.NewHistogramVec("v1", "x", "class", []float64{1, 1}) },
-		"no label":   func() { r.NewHistogramVec("v2", "x", "", nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}

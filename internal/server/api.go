@@ -23,9 +23,8 @@ type SubmitCell struct {
 	Config core.Config `json:"config"`
 }
 
-// MaxRequestBytes caps every request body the daemon and the dispatch
-// coordinator decode; a longer body is cut off there and rejected as
-// malformed.
+// MaxRequestBytes caps every submission body the daemon decodes; a longer
+// body is cut off there and rejected as malformed.
 const MaxRequestBytes = 16 << 20
 
 // SubmitRequest is the body of POST /v1/sweeps.
@@ -51,9 +50,8 @@ type ValidCell struct {
 	Config core.Config
 }
 
-// DecodeSubmit reads and checks a SubmitRequest body — the one decoder
-// behind the daemon's POST /v1/sweeps and the coordinator's POST
-// /v1/dispatch. The body must fit in MaxRequestBytes, name no unknown
+// DecodeSubmit reads and checks a SubmitRequest body — the decoder behind
+// POST /v1/sweeps, the one submission API. The body must fit in MaxRequestBytes, name no unknown
 // field and carry at least one cell; every cell must canonicalise, pass
 // Machine.Validate, name known benchmarks and have a unique key (defaulted
 // to its hash). It returns the cells in submission order and the trace

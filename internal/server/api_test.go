@@ -6,9 +6,8 @@ import (
 	"testing"
 )
 
-// FuzzDecodeSubmit drives the submit decoder shared by POST /v1/sweeps and
-// the coordinator's POST /v1/dispatch with arbitrary bodies. It must never
-// panic, and every body it accepts must yield canonical cells that pass
+// FuzzDecodeSubmit drives the submit decoder behind POST /v1/sweeps with
+// arbitrary bodies. It must never panic, and every body it accepts must yield canonical cells that pass
 // Machine.Validate, carry unique keys and carry their own Config.Hash. The
 // decoder is called directly, so nothing simulates.
 func FuzzDecodeSubmit(f *testing.F) {

@@ -10,10 +10,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"strconv"
 	"time"
 
-	"visasim/internal/cluster"
 	"visasim/internal/core"
 	"visasim/internal/harness"
 	"visasim/internal/obs"
@@ -44,16 +42,6 @@ type Client struct {
 	// every submitted cell (see SubmitRequest.TraceLevel); download them
 	// with Trace after the job resolves.
 	TraceLevel int
-	// APIKey identifies the tenant against an admission-controlled daemon
-	// or coordinator; it travels in the cluster.KeyHeader header. Empty
-	// sends no key (fine against untenanted servers, 401 against tenanted
-	// ones).
-	APIKey string
-	// Retry429 bounds how many times Submit automatically backs off and
-	// retries a 429 (throttled) answer, honoring the server's Retry-After /
-	// cluster.RetryAfterMsHeader hints. 0 means the default (4); negative
-	// disables the backoff so a 429 surfaces immediately.
-	Retry429 int
 }
 
 func (c *Client) log() *slog.Logger { return obs.Logger(c.Logger) }
@@ -81,12 +69,6 @@ type HTTPError struct {
 	StatusCode int
 	// Msg is the daemon's error body (or raw bytes when not JSON).
 	Msg string
-	// RetryAfter is the server's back-off hint on a 429 — the
-	// cluster.RetryAfterMsHeader millisecond value when present, else the
-	// Retry-After header in either RFC 7231 form (delta-seconds or an
-	// HTTP-date). Hints are clamped to [0, maxRetryAfter]; zero when the
-	// response carried neither header or the hint was in the past.
-	RetryAfter time.Duration
 }
 
 func (e *HTTPError) Error() string {
@@ -94,72 +76,19 @@ func (e *HTTPError) Error() string {
 }
 
 // Temporary reports whether retrying the identical request could succeed:
-// false for 4xx (except 429, the canonical back-off-and-retry status),
-// true for everything else.
+// false for 4xx, true for everything else (notably the 503 a full queue or
+// a shutting-down daemon answers).
 func (e *HTTPError) Temporary() bool {
-	if e.StatusCode == http.StatusTooManyRequests {
-		return true
-	}
 	return e.StatusCode < 400 || e.StatusCode >= 500
 }
 
-// maxRetryAfter caps any server back-off hint. A misconfigured (or hostile)
-// server sending "Retry-After: 99999999999" or a far-future HTTP-date must
-// not park a sweep for years — and naive multiplication of such values by
-// time.Second overflows int64 into a negative Duration, which the Submit
-// back-off loop would treat as "no hint" and hammer the server instead.
-const maxRetryAfter = time.Hour
-
-// clampRetryAfter folds a hint into [0, maxRetryAfter]: negatives (a date in
-// the past, or an overflowed product) mean "retry now", not "never".
-func clampRetryAfter(d time.Duration) time.Duration {
-	switch {
-	case d <= 0:
-		return 0
-	case d > maxRetryAfter:
-		return maxRetryAfter
-	}
-	return d
-}
-
-// parseRetryAfter interprets a Retry-After header value per RFC 7231 §7.1.3:
-// either delta-seconds or an HTTP-date. Unparseable values yield 0.
-func parseRetryAfter(v string) time.Duration {
-	if secs, err := strconv.ParseInt(v, 10, 64); err == nil {
-		if secs > int64(maxRetryAfter/time.Second) {
-			return maxRetryAfter
-		}
-		return clampRetryAfter(time.Duration(secs) * time.Second)
-	}
-	if at, err := http.ParseTime(v); err == nil {
-		return clampRetryAfter(time.Until(at))
-	}
-	return 0
-}
-
-// decodeError surfaces the server's JSON error body as an *HTTPError,
-// capturing any back-off hint headers on the way. The millisecond header is
-// preferred (finer grained, set by our own daemons); the standard Retry-After
-// header is honored in both RFC 7231 forms — delta-seconds and HTTP-date.
+// decodeError surfaces the server's JSON error body as an *HTTPError.
 func decodeError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	he := &HTTPError{StatusCode: resp.StatusCode, Msg: string(bytes.TrimSpace(body))}
 	var er errorResponse
 	if json.Unmarshal(body, &er) == nil && er.Error != "" {
 		he.Msg = er.Error
-	}
-	if ms := resp.Header.Get(cluster.RetryAfterMsHeader); ms != "" {
-		if v, err := strconv.ParseInt(ms, 10, 64); err == nil && v > 0 {
-			if v > int64(maxRetryAfter/time.Millisecond) {
-				v = int64(maxRetryAfter / time.Millisecond)
-			}
-			he.RetryAfter = time.Duration(v) * time.Millisecond
-		}
-	}
-	if he.RetryAfter == 0 {
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			he.RetryAfter = parseRetryAfter(ra)
-		}
 	}
 	return he
 }
@@ -170,10 +99,6 @@ func decodeError(resp *http.Response) error {
 // one is minted here, and either way it travels to the daemon in the
 // obs.SweepHeader header so client, daemon and coordinator logs of the
 // same sweep grep together.
-// An admission-throttled daemon (429) is retried automatically: Submit
-// sleeps for the server's hinted duration and tries again, up to Retry429
-// times, so quota pressure degrades a tenant's sweep into a polite wait
-// instead of an error.
 func (c *Client) Submit(ctx context.Context, cells []harness.Cell) (SubmitResponse, error) {
 	ctx, sweep := obs.EnsureSweep(ctx)
 	req := SubmitRequest{Cells: make([]SubmitCell, len(cells)), TraceLevel: c.TraceLevel}
@@ -184,50 +109,12 @@ func (c *Client) Submit(ctx context.Context, cells []harness.Cell) (SubmitRespon
 	if err != nil {
 		return SubmitResponse{}, err
 	}
-	for attempt := 0; ; attempt++ {
-		ack, err := c.submitOnce(ctx, sweep, blob, len(cells))
-		var he *HTTPError
-		if err == nil || !errors.As(err, &he) ||
-			he.StatusCode != http.StatusTooManyRequests || attempt >= c.retries429() {
-			return ack, err
-		}
-		wait := he.RetryAfter
-		if wait <= 0 {
-			wait = 100 * time.Millisecond
-		}
-		c.log().Warn("sweep submit throttled; backing off", "sweep", sweep,
-			"server", c.BaseURL, "retry_after", wait, "attempt", attempt+1)
-		select {
-		case <-ctx.Done():
-			return SubmitResponse{}, fmt.Errorf("server: backing off after 429: %w", ctx.Err())
-		case <-time.After(wait):
-		}
-	}
-}
-
-// retries429 resolves the Retry429 knob: default 4, negative disables.
-func (c *Client) retries429() int {
-	switch {
-	case c.Retry429 < 0:
-		return 0
-	case c.Retry429 == 0:
-		return 4
-	default:
-		return c.Retry429
-	}
-}
-
-// submitOnce is one POST /v1/sweeps attempt.
-func (c *Client) submitOnce(ctx context.Context, sweep string, blob []byte, cells int) (SubmitResponse, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/sweeps", bytes.NewReader(blob))
 	if err != nil {
 		return SubmitResponse{}, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	hreq.Header.Set(obs.SweepHeader, sweep)
-	if c.APIKey != "" {
-		hreq.Header.Set(cluster.KeyHeader, c.APIKey)
-	}
 	resp, err := c.http().Do(hreq)
 	if err != nil {
 		c.log().Error("sweep submit failed", "sweep", sweep, "server", c.BaseURL, "err", err)
@@ -244,7 +131,7 @@ func (c *Client) submitOnce(ctx context.Context, sweep string, blob []byte, cell
 		return SubmitResponse{}, fmt.Errorf("decoding submit response: %w", err)
 	}
 	c.log().Info("sweep submitted", "sweep", sweep, "server", c.BaseURL,
-		"job", ack.ID, "cells", cells)
+		"job", ack.ID, "cells", len(cells))
 	return ack, nil
 }
 

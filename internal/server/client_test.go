@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"visasim/internal/cluster"
 	"visasim/internal/core"
 	"visasim/internal/harness"
 )
@@ -103,62 +102,5 @@ func TestWaitDeadline(t *testing.T) {
 	cells := []harness.Cell{{Key: "c", Cfg: testCfg("gcc", core.SchemeBase)}}
 	if _, _, err := cli.RunStats(cells, harness.Options{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("RunStats with Timeout returned %v, want deadline exceeded", err)
-	}
-}
-
-// TestParseRetryAfter covers both RFC 7231 Retry-After forms plus the
-// clamping rules: delta-seconds, an HTTP-date (future, past, and garbage),
-// and hints so large that naive multiplication would overflow a Duration.
-func TestParseRetryAfter(t *testing.T) {
-	cases := []struct {
-		name  string
-		value string
-		min   time.Duration
-		max   time.Duration
-	}{
-		{"delta seconds", "7", 7 * time.Second, 7 * time.Second},
-		{"zero seconds", "0", 0, 0},
-		{"negative seconds", "-3", 0, 0},
-		{"overflowing seconds", "99999999999999", maxRetryAfter, maxRetryAfter},
-		{"http-date future", time.Now().Add(10 * time.Second).UTC().Format(http.TimeFormat), 8 * time.Second, 10 * time.Second},
-		{"http-date past", time.Now().Add(-time.Minute).UTC().Format(http.TimeFormat), 0, 0},
-		{"http-date far future", time.Now().Add(400 * 24 * time.Hour).UTC().Format(http.TimeFormat), maxRetryAfter, maxRetryAfter},
-		{"garbage", "soon", 0, 0},
-		{"empty", "", 0, 0},
-	}
-	for _, tc := range cases {
-		got := parseRetryAfter(tc.value)
-		if got < tc.min || got > tc.max {
-			t.Errorf("%s: parseRetryAfter(%q) = %v, want in [%v, %v]", tc.name, tc.value, got, tc.min, tc.max)
-		}
-	}
-}
-
-// TestDecodeErrorRetryAfterDate pins the header plumbing end to end: a 429
-// carrying only an HTTP-date Retry-After (no millisecond header) must still
-// yield a usable positive back-off hint, and an absurd millisecond hint is
-// clamped rather than trusted.
-func TestDecodeErrorRetryAfterDate(t *testing.T) {
-	resp := &http.Response{
-		StatusCode: http.StatusTooManyRequests,
-		Header:     http.Header{},
-		Body:       http.NoBody,
-	}
-	resp.Header.Set("Retry-After", time.Now().Add(30*time.Second).UTC().Format(http.TimeFormat))
-	var he *HTTPError
-	if !errors.As(decodeError(resp), &he) {
-		t.Fatal("decodeError did not return an *HTTPError")
-	}
-	if he.RetryAfter <= 25*time.Second || he.RetryAfter > 30*time.Second {
-		t.Errorf("RetryAfter from HTTP-date = %v, want ~30s", he.RetryAfter)
-	}
-
-	resp.Body = http.NoBody
-	resp.Header.Set(cluster.RetryAfterMsHeader, "999999999999999999")
-	if !errors.As(decodeError(resp), &he) {
-		t.Fatal("decodeError did not return an *HTTPError")
-	}
-	if he.RetryAfter != maxRetryAfter {
-		t.Errorf("RetryAfter from overflowing ms header = %v, want clamp to %v", he.RetryAfter, maxRetryAfter)
 	}
 }

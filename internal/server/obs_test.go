@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -11,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"visasim/internal/cluster"
 	"visasim/internal/core"
 	"visasim/internal/harness"
 )
@@ -75,30 +73,21 @@ func TestPromMetricsEndpoint(t *testing.T) {
 }
 
 // TestPromFamilySet pins the daemon's exact metric families, name and TYPE,
-// for a daemon with a store and tenants after a one-cell job. perfbench's
+// for a daemon with a store after a one-cell job. perfbench's
 // service workload reads the queue-wait and simulate histograms and the
 // cells, cache-hit and store counters; make obs-smoke greps jobs_done and
 // the histograms. A rename or removal must show up here as a deliberate
 // diff.
 func TestPromFamilySet(t *testing.T) {
-	reg, err := cluster.NewRegistry([]cluster.Tenant{{ID: "papers", Key: "pk"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts := newTestServer(t, Options{Store: openStore(t, t.TempDir()), Tenants: reg})
-	resp := postSweep(t, ts.URL, SubmitRequest{Cells: []SubmitCell{
+	_, ts := newTestServer(t, Options{Store: openStore(t, t.TempDir())})
+	ack := submit(t, ts, SubmitRequest{Cells: []SubmitCell{
 		{Key: "a", Config: testCfg("gcc", core.SchemeBase)},
-	}}, map[string]string{cluster.KeyHeader: "pk"})
-	var ack SubmitResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil || resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d, %v", resp.StatusCode, err)
-	}
+	}})
 	if st := waitJob(t, ts, ack.ID); st.State != StateDone {
 		t.Fatalf("job state %s (error %q)", st.State, st.Error)
 	}
 
 	want := []string{
-		"visasimd_admission_rejected_jobs_total counter",
 		"visasimd_cache_entries gauge",
 		"visasimd_cache_evictions_total counter",
 		"visasimd_cache_hits_total counter",
@@ -121,9 +110,6 @@ func TestPromFamilySet(t *testing.T) {
 		"visasimd_store_hits_total counter",
 		"visasimd_store_misses_total counter",
 		"visasimd_store_put_errors_total counter",
-		"visasimd_tenant_admitted_cells_total counter",
-		"visasimd_tenant_queued_cells gauge",
-		"visasimd_tenant_rejected_cells_total counter",
 	}
 	got := typeLines(t, ts.URL+"/metrics/prom")
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {

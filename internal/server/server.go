@@ -24,11 +24,9 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
-	"visasim/internal/cluster"
 	"visasim/internal/core"
 	"visasim/internal/decision"
 	"visasim/internal/harness"
@@ -62,16 +60,6 @@ type Options struct {
 	// before simulating, so a restarted daemon serves previously computed
 	// cells from disk (see DESIGN.md §8).
 	Store *store.Store
-	// Tenants, when non-nil, turns on multi-tenant admission control: every
-	// submission must carry a known API key in the cluster.KeyHeader header
-	// (unknown or missing keys answer 401), and each tenant's token-bucket
-	// rate and outstanding-cell quota are enforced at submit. Rejections
-	// answer 429 with Retry-After (whole seconds) and
-	// cluster.RetryAfterMsHeader (millisecond precision) hints; the client
-	// in this package backs off on them automatically. Quota is released
-	// when the job retires — done, failed, or canceled alike. Nil keeps the
-	// daemon single-tenant and unauthenticated.
-	Tenants *cluster.Registry
 	// Logger receives the service's structured log lines. Every line
 	// about a job or cell carries the job's sweep correlation ID (taken
 	// from the obs.SweepHeader request header, or minted at submit), so
@@ -125,9 +113,6 @@ type job struct {
 	// traceLevel is the submission's decision-trace level; traced jobs
 	// bypass the result cache (see SubmitRequest.TraceLevel).
 	traceLevel int
-	// tenant is the admitted tenant's ID when admission control is on;
-	// its quota is released when the job retires.
-	tenant string
 
 	mu      sync.Mutex
 	state   string
@@ -149,7 +134,6 @@ type Server struct {
 	cache *resultCache
 	store *store.Store // durable tier; nil when not configured
 	met   *metrics
-	adm   *cluster.Admission // nil when Options.Tenants is nil
 	log   *slog.Logger
 
 	mu     sync.Mutex
@@ -177,9 +161,6 @@ func New(opt Options) *Server {
 		quit:  make(chan struct{}),
 		sem:   make(chan struct{}, opt.SimWorkers),
 	}
-	if opt.Tenants != nil {
-		s.adm = cluster.NewAdmission(opt.Tenants)
-	}
 	s.met = newMetrics(s)
 	s.wg.Add(opt.JobWorkers)
 	for i := 0; i < opt.JobWorkers; i++ {
@@ -195,7 +176,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
-	mux.HandleFunc("GET /v1/tenants", s.handleTenants)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics/prom", s.handleMetricsProm)
 	return mux
@@ -261,14 +241,8 @@ func (s *Server) cancelJob(j *job) {
 
 // retireJob records j as terminal and evicts terminal jobs beyond the
 // JobHistory cap, oldest first, so the jobs map (and the per-cell Results
-// it pins) stays bounded on a long-running daemon. It is also the single
-// admission-release point: every accepted job — done, failed, or canceled —
-// retires exactly once, so its tenant's outstanding-cell quota frees here
-// and nowhere else.
+// it pins) stays bounded on a long-running daemon.
 func (s *Server) retireJob(j *job) {
-	if s.adm != nil && j.tenant != "" {
-		s.adm.Release(j.tenant, len(j.cells))
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.hist = append(s.hist, j.id)
@@ -516,23 +490,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		sweep = obs.NewSweepID()
 	}
 
-	// The admission gate: authenticate the tenant key and charge the cells
-	// against its rate and quota before the job can enter the queue. Every
-	// rejection below this point must hand the charge back.
-	tenant := ""
-	if s.adm != nil {
-		t, err := s.adm.Admit(r.Header.Get(cluster.KeyHeader), len(cells))
-		if err != nil {
-			s.rejectAdmission(w, sweep, err)
-			return
-		}
-		tenant = t.ID
-	}
-
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		s.releaseAdmission(tenant, len(cells))
 		s.met.jobsRejected.Add(1)
 		s.log.Warn("job rejected", "sweep", sweep, "reason", "shutting down")
 		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
@@ -544,7 +504,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		sweep:      sweep,
 		queuedAt:   time.Now(),
 		traceLevel: traceLevel,
-		tenant:     tenant,
 		state:      StateQueued,
 		cells:      cells,
 		changed:    make(chan struct{}),
@@ -553,7 +512,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case s.queue <- j:
 	default:
 		s.mu.Unlock()
-		s.releaseAdmission(tenant, len(cells))
 		s.met.jobsRejected.Add(1)
 		s.log.Warn("job rejected", "sweep", sweep, "reason", "queue full",
 			"queue_depth", s.opt.QueueDepth)
@@ -565,11 +523,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.met.jobsSubmitted.Add(1)
 	s.met.jobsQueued.Add(1)
-	if tenant != "" {
-		s.log.Info("job accepted", "sweep", sweep, "job", j.id, "cells", len(cells), "tenant", tenant)
-	} else {
-		s.log.Info("job accepted", "sweep", sweep, "job", j.id, "cells", len(cells))
-	}
+	s.log.Info("job accepted", "sweep", sweep, "job", j.id, "cells", len(cells))
 	writeJSON(w, http.StatusAccepted, SubmitResponse{
 		ID:     j.id,
 		Sweep:  sweep,
@@ -577,41 +531,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Job:    "/v1/jobs/" + j.id,
 		Stream: "/v1/jobs/" + j.id + "/stream",
 	})
-}
-
-// rejectAdmission answers an admission failure: 401 for an unknown (or
-// missing) API key, 429 with both retry hints for a rate or quota bounce.
-func (s *Server) rejectAdmission(w http.ResponseWriter, sweep string, err error) {
-	s.met.jobsRejected.Add(1)
-	s.met.admissionRejects.Add(1)
-	var ae *cluster.AdmissionError
-	switch {
-	case errors.Is(err, cluster.ErrUnknownKey):
-		s.log.Warn("job rejected", "sweep", sweep, "reason", "unknown API key")
-		writeError(w, http.StatusUnauthorized, "%v", err)
-	case errors.As(err, &ae):
-		secs := int((ae.RetryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		w.Header().Set(cluster.RetryAfterMsHeader,
-			strconv.FormatInt(ae.RetryAfter.Milliseconds(), 10))
-		s.log.Warn("job rejected", "sweep", sweep, "tenant", ae.Tenant,
-			"reason", ae.Reason, "retry_after", ae.RetryAfter)
-		writeError(w, http.StatusTooManyRequests, "%v", err)
-	default:
-		s.log.Error("admission failed", "sweep", sweep, "err", err)
-		writeError(w, http.StatusInternalServerError, "%v", err)
-	}
-}
-
-// releaseAdmission hands an admitted charge back when the job is rejected
-// after the admission gate (queue full, shutdown race).
-func (s *Server) releaseAdmission(tenant string, cells int) {
-	if s.adm != nil && tenant != "" {
-		s.adm.Release(tenant, cells)
-	}
 }
 
 // snapshot renders the job's current state. It marshals results outside the
@@ -774,17 +693,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		tr.WriteNDJSON(w) //nolint:errcheck // client went away; nothing to do
 	}
-}
-
-// handleTenants reports tenant quotas and usage (never keys) — the same
-// shape the coordinator's control plane serves, so `visasimctl tenants`
-// works against either. An untenanted daemon answers an empty list.
-func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
-	if s.adm == nil {
-		writeJSON(w, http.StatusOK, []cluster.TenantStatus{})
-		return
-	}
-	writeJSON(w, http.StatusOK, s.adm.Snapshot())
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -1,135 +1,99 @@
 #!/usr/bin/env bash
-# Cluster smoke test: boot a visasimcoord with ZERO static backends, let two
-# visasimd daemons join by self-registration, run two tenanted sweeps of
-# mixed priority classes through the control plane, drain one backend while
-# work is in flight, and assert the promises end to end —
-#   1. both sweep outputs are byte-identical to a local harness run
-#      (scheduling, routing and drains never change result bytes),
-#   2. the drained backend leaves exactly one member in the pool,
-#   3. the coordinator's structured log carries every membership transition
-#      (joined x2, draining, drained) under one cluster- correlation scope.
+# Cluster smoke test: the multi-daemon path figure regeneration uses. Two
+# visasimd daemons serve an `experiments -backends D1,D2 -store DIR -resume`
+# run of Fig. 5; one daemon is killed with SIGKILL once the coordinator's
+# store holds some but not all cells. The script asserts end to end —
+#   1. the sweep still finishes, its in-flight cells failing over to the
+#      surviving daemon, and its output and CSV are byte-identical to a
+#      local `experiments` run (which daemon ran a cell, and how often it
+#      was retried, never changes result bytes);
+#   2. with both daemons gone, a -resume re-run produces the same bytes
+#      again, served from the store alone.
 # Used by `make cluster-smoke` and the CI cluster-smoke job.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-COORD="127.0.0.1:19431"
 D1="127.0.0.1:19432"
 D2="127.0.0.1:19433"
+BUDGET=200000
+TARGET=fig5
 TMP="$(mktemp -d)"
-CLOG="$TMP/visasimcoord.log"
+STORE="$TMP/store"
 
 cleanup() {
     [ -n "${D1PID:-}" ] && kill "$D1PID" 2>/dev/null || true
     [ -n "${D2PID:-}" ] && kill "$D2PID" 2>/dev/null || true
-    [ -n "${CPID:-}" ] && kill "$CPID" 2>/dev/null || true
+    [ -n "${EXPID:-}" ] && kill "$EXPID" 2>/dev/null || true
     wait 2>/dev/null || true
     rm -rf "$TMP"
 }
 trap cleanup EXIT
 
-go build -o "$TMP/visasimcoord" ./cmd/visasimcoord
 go build -o "$TMP/visasimd" ./cmd/visasimd
-go build -o "$TMP/visasimctl" ./cmd/visasimctl
+go build -o "$TMP/experiments" ./cmd/experiments
 
-cat >"$TMP/tenants.json" <<'EOF'
-{"tenants": [
-  {"id": "papers", "key": "pk-papers", "class": "interactive"},
-  {"id": "batch", "key": "pk-batch", "class": "bulk"}
-]}
-EOF
+# Ground truth: the same figure run in-process.
+"$TMP/experiments" -n "$BUDGET" -csv "$TMP/local" "$TARGET" >"$TMP/local.out" 2>/dev/null
 
-# Two disjoint sweeps (unique budgets => unique cell keys) big enough that a
-# drain lands while cells are still in flight.
-{
-    echo '{"cells":['
-    for i in 1 2 3 4 5 6; do
-        [ "$i" != 1 ] && echo ','
-        printf '{"key":"int-%d","config":{"Benchmarks":["gcc","mcf"],"Scheme":1,"MaxInstructions":%d}}' \
-            "$i" $((300000 + i))
-    done
-    echo ']}'
-} >"$TMP/cells-interactive.json"
-{
-    echo '{"cells":['
-    for i in 1 2 3 4 5 6; do
-        [ "$i" != 1 ] && echo ','
-        printf '{"key":"blk-%d","config":{"Benchmarks":["vpr","perlbmk"],"Scheme":2,"MaxInstructions":%d}}' \
-            "$i" $((300000 + i))
-    done
-    echo ']}'
-} >"$TMP/cells-bulk.json"
-
-# Coordinator with an EMPTY static pool: membership comes only from daemon
-# self-registration.
-"$TMP/visasimcoord" -addr "$COORD" -tenants "$TMP/tenants.json" \
-    -routing affinity \
-    -log-format json -log-level debug 2>"$CLOG" &
-CPID=$!
-
-for i in $(seq 1 50); do
-    curl -sf "http://$COORD/healthz" >/dev/null 2>&1 && break
-    [ "$i" = 50 ] && { echo "cluster-smoke: coordinator never came up"; cat "$CLOG"; exit 1; }
-    sleep 0.2
-done
-
-"$TMP/visasimd" -addr "$D1" -register "http://$COORD" 2>"$TMP/d1.log" &
+"$TMP/visasimd" -addr "$D1" 2>"$TMP/d1.log" &
 D1PID=$!
-"$TMP/visasimd" -addr "$D2" -register "http://$COORD" 2>"$TMP/d2.log" &
+"$TMP/visasimd" -addr "$D2" 2>"$TMP/d2.log" &
 D2PID=$!
-
-for i in $(seq 1 50); do
-    N=$(curl -sf "http://$COORD/v1/backends" | grep -o '"url"' | wc -l || true)
-    [ "$N" = 2 ] && break
-    [ "$i" = 50 ] && { echo "cluster-smoke: expected 2 registered backends, have $N"; cat "$CLOG"; exit 1; }
-    sleep 0.2
+for addr in "$D1" "$D2"; do
+    for i in $(seq 1 50); do
+        curl -sf "http://$addr/healthz" >/dev/null 2>&1 && break
+        [ "$i" = 50 ] && { echo "cluster-smoke: daemon $addr never came up"; exit 1; }
+        sleep 0.2
+    done
 done
 
-# Mixed-priority load from both tenants, concurrently.
-"$TMP/visasimctl" sweep -coord "http://$COORD" -key pk-papers -priority interactive \
-    -results-only -cells "$TMP/cells-interactive.json" >"$TMP/out-interactive.json" &
-SW1=$!
-"$TMP/visasimctl" sweep -coord "http://$COORD" -key pk-batch -priority bulk \
-    -results-only -cells "$TMP/cells-bulk.json" >"$TMP/out-bulk.json" &
-SW2=$!
+stored() { find "$STORE" -name '*.json' 2>/dev/null | wc -l; }
 
-# Drain one backend mid-flight: no new cells route to it, in-flight cells
-# finish, then it leaves — the sweeps above must not lose a single cell.
-sleep 0.3
-"$TMP/visasimctl" drain -coord "http://$COORD" "http://$D1" >/dev/null || {
-    echo "cluster-smoke: drain failed"; cat "$CLOG"; exit 1; }
+"$TMP/experiments" -n "$BUDGET" -backends "http://$D1,http://$D2" \
+    -store "$STORE" -resume -csv "$TMP/remote" -log-level warn \
+    "$TARGET" >"$TMP/remote.out" 2>"$TMP/remote.log" &
+EXPID=$!
 
-wait "$SW1" || { echo "cluster-smoke: interactive sweep failed"; cat "$CLOG"; exit 1; }
-wait "$SW2" || { echo "cluster-smoke: bulk sweep failed"; cat "$CLOG"; exit 1; }
-
-# Byte-parity: the control plane must produce exactly the bytes a local
-# harness run produces.
-"$TMP/visasimctl" sweep -local -results-only -cells "$TMP/cells-interactive.json" >"$TMP/local-interactive.json"
-"$TMP/visasimctl" sweep -local -results-only -cells "$TMP/cells-bulk.json" >"$TMP/local-bulk.json"
-cmp "$TMP/out-interactive.json" "$TMP/local-interactive.json" || {
-    echo "cluster-smoke: interactive sweep diverged from local run"; exit 1; }
-cmp "$TMP/out-bulk.json" "$TMP/local-bulk.json" || {
-    echo "cluster-smoke: bulk sweep diverged from local run"; exit 1; }
-
-N=$(curl -sf "http://$COORD/v1/backends" | grep -o '"url"' | wc -l || true)
-[ "$N" = 1 ] || { echo "cluster-smoke: expected 1 backend after drain, have $N"; cat "$CLOG"; exit 1; }
-
-# Tenant accounting survived the round trip.
-"$TMP/visasimctl" tenants -server "http://$COORD" >"$TMP/tenants.out"
-for want in papers batch; do
-    grep -q "^$want " "$TMP/tenants.out" || {
-        echo "cluster-smoke: tenants table missing $want"; cat "$TMP/tenants.out"; exit 1; }
+# Kill one daemon as soon as the first cells are checkpointed, while the
+# rest of the sweep is still queued or in flight.
+for i in $(seq 1 600); do
+    [ "$(stored)" -gt 0 ] && break
+    kill -0 "$EXPID" 2>/dev/null || break
+    [ "$i" = 600 ] && { echo "cluster-smoke: no cell was ever checkpointed"; cat "$TMP/remote.log"; exit 1; }
+    sleep 0.05
 done
+kill -9 "$D1PID"
+wait "$D1PID" 2>/dev/null || true
+D1PID=
+AT_KILL=$(stored)
 
-# Membership transitions are logged under one cluster- correlation scope.
-SCOPE=$(sed -n 's/.*"scope":"\(cluster-[^"]*\)".*/\1/p' "$CLOG" | sort -u)
-[ "$(echo "$SCOPE" | wc -l)" = 1 ] && [ -n "$SCOPE" ] || {
-    echo "cluster-smoke: expected one cluster- scope, got: $SCOPE"; cat "$CLOG"; exit 1; }
-for want in "backend joined" "backend draining" "backend drained"; do
-    grep -q "\"msg\":\"$want\".*\"scope\":\"$SCOPE\"" "$CLOG" || {
-        echo "cluster-smoke: coordinator log missing '$want' under $SCOPE"; cat "$CLOG"; exit 1; }
-done
-[ "$(grep -c '"msg":"backend joined"' "$CLOG")" = 2 ] || {
-    echo "cluster-smoke: expected exactly 2 join lines"; cat "$CLOG"; exit 1; }
+wait "$EXPID" || { echo "cluster-smoke: sweep failed after a daemon was killed"; cat "$TMP/remote.log"; exit 1; }
+EXPID=
+TOTAL=$(stored)
+[ "$AT_KILL" -gt 0 ] && [ "$AT_KILL" -lt "$TOTAL" ] || {
+    echo "cluster-smoke: daemon killed with $AT_KILL of $TOTAL cells stored; want some but not all"; exit 1; }
+grep -q "cell failing over" "$TMP/remote.log" || {
+    echo "cluster-smoke: no cell failed over from the killed daemon"; cat "$TMP/remote.log"; exit 1; }
 
-echo "cluster-smoke: OK (2 registered backends, mixed-priority sweeps byte-identical to local, drain lost no cells, scope $SCOPE)"
+cmp "$TMP/local.out" "$TMP/remote.out" || {
+    echo "cluster-smoke: dispatched output diverged from local run"; exit 1; }
+cmp "$TMP/local/$TARGET.csv" "$TMP/remote/$TARGET.csv" || {
+    echo "cluster-smoke: dispatched CSV diverged from local run"; exit 1; }
+
+# Store-only re-run: no daemon is left, so every cell must come from the
+# store.
+kill "$D2PID"
+wait "$D2PID" 2>/dev/null || true
+D2PID=
+"$TMP/experiments" -n "$BUDGET" -backends "http://$D1,http://$D2" \
+    -store "$STORE" -resume -csv "$TMP/resumed" \
+    "$TARGET" >"$TMP/resumed.out" 2>"$TMP/resumed.log" || {
+    echo "cluster-smoke: store-only re-run failed"; cat "$TMP/resumed.log"; exit 1; }
+cmp "$TMP/local.out" "$TMP/resumed.out" || {
+    echo "cluster-smoke: store-only output diverged from local run"; exit 1; }
+cmp "$TMP/local/$TARGET.csv" "$TMP/resumed/$TARGET.csv" || {
+    echo "cluster-smoke: store-only CSV diverged from local run"; exit 1; }
+[ "$(stored)" = "$TOTAL" ] || { echo "cluster-smoke: store changed during the store-only re-run"; exit 1; }
+
+echo "cluster-smoke: OK ($TARGET at $BUDGET: daemon killed with $AT_KILL of $TOTAL cells stored, output byte-identical to local, store-only re-run identical)"

@@ -44,7 +44,7 @@ for doc in $DOCS; do
         if [ -n "$frag" ]; then
             case "$file" in
             *.md)
-                if ! slugs "$file" | grep -qx "$frag"; then
+                if ! grep -qx -- "$frag" <<<"$(slugs "$file")"; then
                     echo "docs-lint: $doc links to missing anchor: $t"
                     fail=1
                 fi
@@ -74,7 +74,7 @@ for doc in README.md DESIGN.md EXPERIMENTS.md; do
             }
         }' "$doc" | sort -u)
     for t in $named; do
-        if ! printf '%s\n' "$make_targets" | grep -qx -- "$t"; then
+        if ! grep -qx -- "$t" <<<"$make_targets"; then
             echo "docs-lint: $doc names a missing make target: make $t"
             fail=1
         fi

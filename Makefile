@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race test-cover cluster-smoke obs-smoke explore-smoke perf-smoke docs-lint bench golden twin-golden experiments examples serve fmt vet staticcheck clean
+.PHONY: all build test test-short test-race test-cover cluster-smoke obs-smoke perf-smoke docs-lint golden experiments examples serve fmt vet staticcheck clean
 
 all: build test
 
@@ -44,23 +44,10 @@ cluster-smoke:
 obs-smoke:
 	./scripts/obs-smoke.sh
 
-# Design-space exploration smoke test: screens a seeded sample through the
-# analytical twin and verifies the frontier locally, through a real
-# visasimd, and through the dispatch coordinator, asserting the three
-# frontier reports are byte-identical (see internal/explore, DESIGN.md §11).
-explore-smoke:
-	./scripts/explore-smoke.sh
-
 # Prose gate: README/DESIGN/EXPERIMENTS/ROADMAP/CHANGES links and anchors
 # must resolve, and every cmd/* binary must be mentioned in README.
 docs-lint:
 	./scripts/docs-lint.sh
-
-# The one Go microbenchmark perfbench has no counterpart for: the twin's
-# screening rate (BenchmarkTwinScreen, internal/explore). Simulator
-# throughput is perfbench's (see perf-smoke).
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # Throughput-floor gate: short seed-1 perfbench runs of mem-long and figs
 # must report every cell digest correct, no failed operation, and a
@@ -73,13 +60,6 @@ perf-smoke:
 # after a deliberate modelling change; commit the diff with an explanation.
 golden:
 	$(GO) test . -run TestGolden -update
-
-# Refits the analytical twin against fresh simulator measurements and
-# rewrites internal/twin/model.json plus testdata/golden/twin. Run after
-# any change to the simulator's modelled behaviour or the twin's equations;
-# commit both artifacts together.
-twin-golden:
-	$(GO) test ./internal/twin -run TestGoldenCalibration -update
 
 # Regenerates every table and figure at the recorded budget (see
 # EXPERIMENTS.md). Takes several minutes.

@@ -7,10 +7,7 @@
 //
 // Targets: fig1 fig2 fig5 fig6 fig8 fig9 fig10 table1 table2 table3
 // iqmatrix ablations ext-rob, or all (the default: the tables, the figures
-// and iqmatrix). `explore` screens the design space through the
-// analytical twin (internal/twin) and verifies the Pareto frontier through
-// the simulator (see -explore-samples, -explore-seed, -explore-verify,
-// -explore-json and DESIGN.md §11). The shapes — not the absolute values — are the
+// and iqmatrix). The shapes — not the absolute values — are the
 // reproduction target; EXPERIMENTS.md records the comparison against the
 // paper. Simulator throughput is measured by perfbench, not here (see
 // perfbench/README.md).
@@ -64,13 +61,6 @@ func main() {
 		logFormat     = flag.String("log-format", "text", "log line format: text or json")
 		traceLevel    = flag.Int("trace-level", 0, "record per-cell decision traces: 0 off, 1 decision edges, 2 adds per-sample observations (local sweeps only)")
 		traceDir      = flag.String("trace-dir", "", "with -trace-level: write each cell's trace to DIR/<key>.vdt (default decision-traces)")
-
-		exploreSamples = flag.Uint64("explore-samples", 0, "explore target: screen this many seeded samples instead of the full space (0 = exhaustive)")
-		exploreSeed    = flag.Uint64("explore-seed", 1, "explore target: sampling seed")
-		exploreVerify  = flag.Int("explore-verify", 8, "explore target: frontier points to verify through the simulator (0 = screen only)")
-		exploreJSON    = flag.String("explore-json", "", "explore target: also write the full frontier report as JSON to this file")
-		exploreOrgs    = flag.String("explore-orgs", "", "explore target: comma-separated IQ organizations to sweep (default all: unified-age,swque,partitioned)")
-		exploreProts   = flag.String("explore-prots", "", "explore target: comma-separated IQ protection modes to sweep (default all: none,parity,ecc,partial-replication)")
 	)
 	flag.Parse()
 
@@ -165,23 +155,6 @@ func main() {
 	}
 	for _, tgt := range targets {
 		start := time.Now()
-		if tgt == "explore" {
-			out, err := runExplore(p, exploreParams{
-				Samples: *exploreSamples,
-				Seed:    *exploreSeed,
-				Verify:  *exploreVerify,
-				JSON:    *exploreJSON,
-				Orgs:    *exploreOrgs,
-				Prots:   *exploreProts,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: explore: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(out)
-			fmt.Fprintf(os.Stderr, "[explore done in %v]\n\n", time.Since(start).Round(time.Millisecond))
-			continue
-		}
 		out, csv, err := figures[tgt](p)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", tgt, err)
@@ -241,7 +214,7 @@ func checkArgs(a args) error {
 		return errors.New("-resume needs -store")
 	}
 	for _, t := range a.targets {
-		if _, ok := figures[t]; !ok && t != "explore" {
+		if _, ok := figures[t]; !ok {
 			return fmt.Errorf("unknown target %q", t)
 		}
 	}
@@ -266,8 +239,7 @@ func figure[R interface {
 // has one, its CSV form.
 type target func(experiments.Params) (string, csvWriter, error)
 
-// figures maps every target name except explore, which main runs with its
-// own flags, to its experiment.
+// figures maps every target name to its experiment.
 var figures = map[string]target{
 	"fig1":     figure(experiments.Fig1),
 	"fig2":     figure(experiments.Fig2),

@@ -18,7 +18,7 @@ func TestCheckArgs(t *testing.T) {
 		{"local", args{targets: figs}, ""},
 		{"local traced", args{traceLevel: 1, targets: figs}, ""},
 		{"every target", args{targets: []string{"fig1", "fig2", "fig5", "fig6", "fig8", "fig9",
-			"fig10", "table1", "table2", "table3", "iqmatrix", "ext-rob", "ablations", "explore"}}, ""},
+			"fig10", "table1", "table2", "table3", "iqmatrix", "ext-rob", "ablations"}}, ""},
 		{"server", args{server: url, targets: figs}, ""},
 		{"backends with store", args{backends: url, store: "ckpt", resume: true, targets: figs}, ""},
 		{"traced server", args{traceLevel: 1, server: url, targets: figs}, "-trace-level"},
@@ -29,6 +29,7 @@ func TestCheckArgs(t *testing.T) {
 		{"resume without store", args{backends: url, resume: true, targets: figs}, "-store"},
 		{"unknown target last", args{targets: []string{"fig5", "fgi6"}}, `"fgi6"`},
 		{"retired bench target", args{targets: []string{"bench"}}, `"bench"`},
+		{"retired explore target", args{targets: []string{"explore"}}, `"explore"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := checkArgs(tc.a)

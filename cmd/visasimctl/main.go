@@ -12,14 +12,7 @@
 //	visasimctl metrics -backends URL,URL,...
 //	visasimctl sweep   (-backends URL,... | -local) [-cells FILE]
 //	                   [-results-only] [-store DIR] [-resume] [-workers N]
-//	                   [-timeout 10m] [-log-level info] [-log-format text] [-seed N]
-//	visasimctl explore -backends URL,URL,... [-samples N] [-seed N] [-verify K]
-//	                   [-workers N] [-timeout 10m] [-json FILE]
-//
-// The explore subcommand screens the SMT design space through the
-// analytical twin (internal/twin) locally, then verifies a spread of the
-// Pareto frontier across the cluster and prints the frontier report table
-// (DESIGN.md §11). With -verify 0 it screens only and needs no backends.
+//	                   [-timeout 10m] [-log-level info] [-log-format text] [-seed N] [-v]
 //
 // The sweep subcommand reads cells from FILE (or stdin when "-", the
 // default) in the same JSON shape POST /v1/sweeps accepts:
@@ -30,13 +23,17 @@
 // and writes keyed results as JSON on stdout. With -store the completed
 // cells are checkpointed to disk as they finish; re-running with -resume
 // re-dispatches only the cells not yet checkpointed, so a killed sweep
-// continues where it stopped. Exit status is non-zero when any backend is
+// continues where it stopped. -local takes none of the coordinator's
+// flags (-backends, -store, -resume, -seed, -timeout, -v), and -resume
+// needs -store; such command lines are refused before any cell is read.
+// Exit status is 2 for a refused command line, and 1 when any backend is
 // unhealthy (health) or the sweep fails (sweep).
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -68,8 +65,6 @@ func main() {
 		err = cmdMetrics(os.Args[2:])
 	case "sweep":
 		err = cmdSweep(os.Args[2:])
-	case "explore":
-		err = cmdExplore(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -80,9 +75,17 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "visasimctl: %v\n", err)
+		var ue usageError
+		if errors.As(err, &ue) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
+
+// usageError is a command line refused before any work starts; main exits
+// 2 on it, as it does for a flag the flag package cannot parse.
+type usageError struct{ error }
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
@@ -91,10 +94,7 @@ func usage() {
   visasimctl sweep   (-backends URL,... | -local) [-cells FILE]
                      [-results-only] [-store DIR] [-resume]
                      [-workers N] [-timeout D]
-                     [-log-level L] [-log-format F] [-seed N]
-  visasimctl explore -backends URL,URL,... [-samples N] [-seed N] [-verify K]
-                     [-workers N] [-timeout D] [-json FILE]
-                     [-log-level L] [-log-format F]`)
+                     [-log-level L] [-log-format F] [-seed N] [-v]`)
 }
 
 // backendList splits and validates the -backends flag value.
@@ -196,26 +196,15 @@ func fetchBody(url string, timeout time.Duration) ([]byte, error) {
 //   - -backends runs the in-process coordinator over a static pool
 //   - -local runs the cells through internal/harness in this process
 func cmdSweep(args []string) error {
-	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	backendsCSV := fs.String("backends", "", "comma-separated visasimd base URLs")
-	local := fs.Bool("local", false, "run the cells locally through the harness (no backends)")
-	resultsOnly := fs.Bool("results-only", false, "omit per-cell cost stats (deterministic output, diffable across modes)")
-	cellsPath := fs.String("cells", "-", `cells JSON file ("-" = stdin; same shape as POST /v1/sweeps)`)
-	storeDir := fs.String("store", "", "checkpoint completed cells to this directory")
-	resume := fs.Bool("resume", false, "skip cells already checkpointed in -store")
-	workers := fs.Int("workers", 0, "concurrently in-flight cells (0 = 4 per backend)")
-	cellTimeout := fs.Duration("timeout", 10*time.Minute, "per-cell dispatch attempt deadline")
-	verbose := fs.Bool("v", false, "print coordinator metrics (Prometheus text) to stderr after the sweep")
-	logLevel := fs.String("log-level", "warn", "minimum log level: debug, info, warn, error")
-	logFormat := fs.String("log-format", "text", "log line format: text or json")
-	seed := fs.Int64("seed", 0, "backoff-jitter RNG seed (0 = from the clock)")
-	fs.Parse(args) //nolint:errcheck // ExitOnError
-
-	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
+	f, err := parseSweepFlags(args)
 	if err != nil {
 		return err
 	}
-	cells, err := readCells(*cellsPath)
+	logger, err := obs.NewLogger(os.Stderr, f.logLevel, f.logFormat)
+	if err != nil {
+		return err
+	}
+	cells, err := readCells(f.cells)
 	if err != nil {
 		return err
 	}
@@ -228,14 +217,10 @@ func cmdSweep(args []string) error {
 
 	var results map[string]json.RawMessage
 	var stats harness.Stats
-	if *local {
-		results, stats, err = sweepLocal(cells, *workers)
+	if f.local {
+		results, stats, err = sweepLocal(cells, f.workers)
 	} else {
-		results, stats, err = sweepViaBackends(ctx, cells, sweepDispatchOptions{
-			backendsCSV: *backendsCSV, storeDir: *storeDir, resume: *resume,
-			workers: *workers, cellTimeout: *cellTimeout,
-			seed: *seed, verbose: *verbose, logger: logger,
-		})
+		results, stats, err = sweepViaBackends(ctx, cells, f, logger)
 	}
 	if err != nil {
 		return err
@@ -251,7 +236,7 @@ func cmdSweep(args []string) error {
 	}{Cells: make([]outCell, 0, len(cells))}
 	for _, c := range cells { // submission order, not map order
 		oc := outCell{Key: c.Key, Result: results[c.Key]}
-		if !*resultsOnly {
+		if !f.resultsOnly {
 			st := stats[c.Key]
 			oc.Stats = &st
 		}
@@ -260,6 +245,59 @@ func cmdSweep(args []string) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
+}
+
+// sweepFlags is the sweep subcommand's command line.
+type sweepFlags struct {
+	backends, cells, store, logLevel, logFormat string
+	local, resultsOnly, resume, verbose         bool
+	workers                                     int
+	timeout                                     time.Duration
+	seed                                        int64
+}
+
+// localIgnored names the flags only the coordinator reads; -local runs the
+// cells in-process, where they would do nothing.
+var localIgnored = []string{"backends", "store", "resume", "seed", "timeout", "v"}
+
+// parseSweepFlags parses the sweep command line and refuses, before any
+// cell is read, one that would silently do nothing or fail only midway: a
+// coordinator flag with -local, no backends without -local, or -resume
+// without -store.
+func parseSweepFlags(args []string) (*sweepFlags, error) {
+	f := &sweepFlags{}
+	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
+	fs.StringVar(&f.backends, "backends", "", "comma-separated visasimd base URLs")
+	fs.BoolVar(&f.local, "local", false, "run the cells locally through the harness (no backends)")
+	fs.BoolVar(&f.resultsOnly, "results-only", false, "omit per-cell cost stats (deterministic output, diffable across modes)")
+	fs.StringVar(&f.cells, "cells", "-", `cells JSON file ("-" = stdin; same shape as POST /v1/sweeps)`)
+	fs.StringVar(&f.store, "store", "", "checkpoint completed cells to this directory")
+	fs.BoolVar(&f.resume, "resume", false, "skip cells already checkpointed in -store")
+	fs.IntVar(&f.workers, "workers", 0, "concurrently in-flight cells (0 = 4 per backend; with -local, parallel simulations)")
+	fs.DurationVar(&f.timeout, "timeout", 10*time.Minute, "per-cell dispatch attempt deadline")
+	fs.BoolVar(&f.verbose, "v", false, "print coordinator metrics (Prometheus text) to stderr after the sweep")
+	fs.StringVar(&f.logLevel, "log-level", "warn", "minimum log level: debug, info, warn, error")
+	fs.StringVar(&f.logFormat, "log-format", "text", "log line format: text or json")
+	fs.Int64Var(&f.seed, "seed", 0, "backoff-jitter RNG seed (0 = from the clock)")
+	fs.Parse(args) //nolint:errcheck // ExitOnError
+
+	set := map[string]bool{}
+	fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
+	if f.local {
+		for _, name := range localIgnored {
+			if set[name] {
+				return nil, usageError{fmt.Errorf("-%s does nothing with -local", name)}
+			}
+		}
+		return f, nil
+	}
+	if _, err := backendList(f.backends); err != nil {
+		return nil, usageError{fmt.Errorf("%w, or -local", err)}
+	}
+	if f.resume && f.store == "" {
+		return nil, usageError{errors.New("-resume needs -store")}
+	}
+	return f, nil
 }
 
 // rawResults marshals keyed results once, so every sweep mode emits the
@@ -287,40 +325,23 @@ func sweepLocal(cells []harness.Cell, workers int) (map[string]json.RawMessage, 
 	return raw, stats, err
 }
 
-// sweepDispatchOptions carries the static-pool mode's flags.
-type sweepDispatchOptions struct {
-	backendsCSV string
-	storeDir    string
-	resume      bool
-	workers     int
-	cellTimeout time.Duration
-	seed        int64
-	verbose     bool
-	logger      *slog.Logger
-}
-
 // sweepViaBackends runs the in-process coordinator over a static pool.
-func sweepViaBackends(ctx context.Context, cells []harness.Cell, o sweepDispatchOptions) (map[string]json.RawMessage, harness.Stats, error) {
-	urls, err := backendList(o.backendsCSV)
-	if err != nil {
-		return nil, nil, err
-	}
+func sweepViaBackends(ctx context.Context, cells []harness.Cell, f *sweepFlags, logger *slog.Logger) (map[string]json.RawMessage, harness.Stats, error) {
 	var st *store.Store
-	if o.storeDir != "" {
-		if st, err = store.Open(o.storeDir, store.Options{}); err != nil {
+	if f.store != "" {
+		var err error
+		if st, err = store.Open(f.store, store.Options{}); err != nil {
 			return nil, nil, err
 		}
-	} else if o.resume {
-		return nil, nil, fmt.Errorf("-resume needs -store")
 	}
 	coord, err := dispatch.New(dispatch.Options{
-		Backends:    urls,
-		Workers:     o.workers,
-		CellTimeout: o.cellTimeout,
+		Backends:    strings.Split(f.backends, ","),
+		Workers:     f.workers,
+		CellTimeout: f.timeout,
 		Store:       st,
-		Resume:      o.resume,
-		Seed:        o.seed,
-		Logger:      o.logger,
+		Resume:      f.resume,
+		Seed:        f.seed,
+		Logger:      logger,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -329,7 +350,7 @@ func sweepViaBackends(ctx context.Context, cells []harness.Cell, o sweepDispatch
 
 	start := time.Now()
 	results, stats, err := coord.RunStatsContext(ctx, cells, harness.Options{})
-	if o.verbose {
+	if f.verbose {
 		fmt.Fprintf(os.Stderr, "visasimctl: %d cells in %v\n",
 			len(cells), time.Since(start).Round(time.Millisecond))
 		coord.WritePrometheus(os.Stderr)

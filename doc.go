@@ -35,13 +35,6 @@
 //     persistent on-disk result store keyed by the same content hashes),
 //     and dispatch (a coordinator sharding sweeps across several daemons
 //     with retry, failover, and checkpointed resume).
-//   - Analytical twin — twin (a calibrated surrogate model predicting
-//     IPC, IQ occupancy and IQ/ROB AVF per design point in under a
-//     microsecond, its accuracy pinned by a golden calibration report)
-//     and explore (design-space enumeration and seeded sampling, the
-//     Pareto frontier over IPC/IQ-AVF/area, and frontier verification
-//     back through the simulator via the same runner seam the
-//     experiments use).
 //
 // # Determinism as a load-bearing property
 //
@@ -56,14 +49,12 @@
 //
 // Commands: cmd/visasim (one simulation), cmd/avfprof (offline profiling),
 // cmd/faultsim (injection campaigns), cmd/tracedump (stream inspection),
-// cmd/experiments (regenerate every table/figure plus the explore
-// target's screen-then-verify frontier search, optionally through one
+// cmd/experiments (regenerate every table/figure, optionally through one
 // daemon via -server or a static list of daemons via -backends),
 // cmd/visasimd (the simulation service, optionally store-backed via
 // -store; POST /v1/sweeps is its one submission API), and cmd/visasimctl
-// (operations over a list of daemons: health, metrics, distributed
-// sweeps with checkpointed resume, and explore — screen locally, verify
-// the frontier across the daemons).
+// (operations over a list of daemons: health, metrics, and distributed
+// sweeps with checkpointed resume, or the same sweep run locally).
 // Runnable examples live under examples/; this root package holds the
 // golden, parity and determinism tests. Simulator throughput is measured
 // by the repository benchmark under perfbench/.

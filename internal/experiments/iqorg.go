@@ -14,8 +14,7 @@ import (
 )
 
 // iqMatrixMixes are the representative mixes the organization/protection
-// matrix sweeps — one per Table 3 category, matching the explorer's
-// calibration coverage.
+// matrix sweeps — one per Table 3 category.
 var iqMatrixMixes = []string{"CPU-A", "MIX-A", "MEM-A"}
 
 // iqMatrixSchemes are the schemes the matrix crosses the new axes with:
@@ -51,9 +50,9 @@ type IQMatrixCell struct {
 	IQAVF       float64 // residual, after the protection's mitigation
 	IQOcc       float64
 	DVMTriggers uint64
-	// AreaExtra is the protection's added area in explore.AreaProxy units
-	// (AreaPerEntry × IQ entries) — the cost axis the reliability gain
-	// trades against.
+	// AreaExtra is the protection's added area (AreaPerEntry × IQ
+	// entries, in units where an unprotected entry costs 4; see
+	// iqorg.ProtCost) — the cost axis the reliability gain trades against.
 	AreaExtra float64
 }
 

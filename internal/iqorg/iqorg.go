@@ -27,14 +27,14 @@ import (
 type Kind uint8
 
 // Registered organizations, in canonical order. The zero value is the
-// paper's baseline so zero-valued inputs (twin, explore) mean "unchanged".
+// paper's baseline, so a zero-valued Kind means "unchanged".
 const (
 	UnifiedAGE Kind = iota
 	SWQUE
 	Partitioned
 
-	// NumKinds is the number of registered organizations.
-	NumKinds = 3
+	// numKinds is the number of registered organizations.
+	numKinds = 3
 )
 
 func (k Kind) String() string {

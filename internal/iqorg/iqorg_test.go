@@ -34,8 +34,8 @@ func TestParseKindRoundTrip(t *testing.T) {
 	if _, err := ParseKind("ring"); err == nil {
 		t.Error("unknown organization must not parse")
 	}
-	if len(Kinds()) != NumKinds {
-		t.Errorf("Kinds() lists %d of %d kinds", len(Kinds()), NumKinds)
+	if len(Kinds()) != numKinds {
+		t.Errorf("Kinds() lists %d of %d kinds", len(Kinds()), numKinds)
 	}
 }
 
@@ -52,8 +52,8 @@ func TestParseProtectionRoundTrip(t *testing.T) {
 	if _, err := ParseProtection("tmr"); err == nil {
 		t.Error("unknown protection must not parse")
 	}
-	if len(Protections()) != NumProtections {
-		t.Errorf("Protections() lists %d of %d modes", len(Protections()), NumProtections)
+	if len(Protections()) != numProtections {
+		t.Errorf("Protections() lists %d of %d modes", len(Protections()), numProtections)
 	}
 }
 

@@ -11,6 +11,9 @@ import (
 // queue entry, and the wakeup-latency tax of sitting in the result-broadcast
 // path. The zero value is unprotected, so zero-valued inputs mean "today's
 // machine".
+//
+// Area is a relative unit, not silicon: an unprotected, CAM-heavy queue
+// entry costs 4 units. It only has to order the modes against each other.
 type Protection uint8
 
 // Registered protection modes, in canonical order.
@@ -20,8 +23,8 @@ const (
 	ECC
 	PartialReplication
 
-	// NumProtections is the number of registered protection modes.
-	NumProtections = 4
+	// numProtections is the number of registered protection modes.
+	numProtections = 4
 )
 
 func (p Protection) String() string {
@@ -63,8 +66,8 @@ type ProtCost struct {
 	// Mitigation is the fraction of unprotected issue-queue AVF the mode
 	// removes; reported IQ AVF scales by (1 - Mitigation).
 	Mitigation float64
-	// AreaPerEntry is the added area per queue entry in explore.AreaProxy
-	// units, where an unprotected entry costs 4 units.
+	// AreaPerEntry is the added area per queue entry, in units where an
+	// unprotected entry costs 4.
 	AreaPerEntry float64
 	// WakeupLatency is the extra cycles the mode adds to every result
 	// broadcast (checkers/correctors sitting in the wakeup path).
@@ -86,7 +89,7 @@ type ProtCost struct {
 //     Elzar-style partial TMR. Half the entry doubled is +2 units; fields
 //     outside the replicated slice stay exposed, so mitigation is 85% with
 //     no added wakeup latency.
-var protCosts = [NumProtections]ProtCost{
+var protCosts = [numProtections]ProtCost{
 	None:               {Mitigation: 0, AreaPerEntry: 0, WakeupLatency: 0},
 	Parity:             {Mitigation: 0.70, AreaPerEntry: 0.25, WakeupLatency: 0},
 	ECC:                {Mitigation: 0.99, AreaPerEntry: 0.80, WakeupLatency: 1},
@@ -105,7 +108,7 @@ func (p Protection) Cost() ProtCost {
 func (p Protection) AVFScale() float64 { return 1 - p.Cost().Mitigation }
 
 // AreaCost returns the total added area of protecting iqSize entries, in
-// explore.AreaProxy units.
+// units where an unprotected entry costs 4.
 func (p Protection) AreaCost(iqSize int) float64 {
 	return p.Cost().AreaPerEntry * float64(iqSize)
 }

@@ -26,9 +26,6 @@ const (
 	numPolicies
 )
 
-// NumPolicies is the number of fetch policies.
-const NumPolicies = int(numPolicies)
-
 var policyNames = [...]string{
 	PolicyICOUNT: "ICOUNT",
 	PolicySTALL:  "STALL",

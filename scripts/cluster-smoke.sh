@@ -1,13 +1,18 @@
 #!/usr/bin/env bash
-# Cluster smoke test: the multi-daemon path figure regeneration uses. Two
-# visasimd daemons serve an `experiments -backends D1,D2 -store DIR -resume`
-# run of Fig. 5; one daemon is killed with SIGKILL once the coordinator's
-# store holds some but not all cells. The script asserts end to end —
-#   1. the sweep still finishes, its in-flight cells failing over to the
-#      surviving daemon, and its output and CSV are byte-identical to a
-#      local `experiments` run (which daemon ran a cell, and how often it
-#      was retried, never changes result bytes);
-#   2. with both daemons gone, a -resume re-run produces the same bytes
+# Cluster smoke test: every remote path figure regeneration and sweeps
+# use, on real processes. Two visasimd daemons come up; the script asserts
+# end to end —
+#   1. `experiments -server D2` prints the same Fig. 5 output and CSV as a
+#      local `experiments` run;
+#   2. `visasimctl sweep -results-only` over a small cells file prints the
+#      same bytes with -local and with -backends D2;
+#   3. an `experiments -backends D1,D2 -store DIR -resume` run of Fig. 5,
+#      with D1 killed by SIGKILL once the coordinator's store holds some
+#      but not all cells, still finishes, its in-flight cells failing over
+#      to D2, and its output and CSV are byte-identical to a local run
+#      (which daemon ran a cell, and how often it was retried, never
+#      changes result bytes);
+#   4. with both daemons gone, a -resume re-run produces the same bytes
 #      again, served from the store alone.
 # Used by `make cluster-smoke` and the CI cluster-smoke job.
 set -euo pipefail
@@ -17,6 +22,10 @@ cd "$(dirname "$0")/.."
 D1="127.0.0.1:19432"
 D2="127.0.0.1:19433"
 BUDGET=200000
+# The single-daemon check runs at its own budget, so D2's result cache holds
+# none of the failover sweep's cells: cached cells would answer at once and
+# leave nothing in flight when D1 is killed.
+SERVER_BUDGET=100000
 TARGET=fig5
 TMP="$(mktemp -d)"
 STORE="$TMP/store"
@@ -32,9 +41,11 @@ trap cleanup EXIT
 
 go build -o "$TMP/visasimd" ./cmd/visasimd
 go build -o "$TMP/experiments" ./cmd/experiments
+go build -o "$TMP/visasimctl" ./cmd/visasimctl
 
-# Ground truth: the same figure run in-process.
+# Ground truth: the same figure run in-process, at both budgets.
 "$TMP/experiments" -n "$BUDGET" -csv "$TMP/local" "$TARGET" >"$TMP/local.out" 2>/dev/null
+"$TMP/experiments" -n "$SERVER_BUDGET" -csv "$TMP/local-s" "$TARGET" >"$TMP/local-s.out" 2>/dev/null
 
 "$TMP/visasimd" -addr "$D1" 2>"$TMP/d1.log" &
 D1PID=$!
@@ -48,6 +59,35 @@ for addr in "$D1" "$D2"; do
     done
 done
 
+# One daemon: `experiments -server` must match the in-process run.
+"$TMP/experiments" -n "$SERVER_BUDGET" -server "http://$D2" -csv "$TMP/server" \
+    "$TARGET" >"$TMP/server.out" 2>"$TMP/server.log" || {
+    echo "cluster-smoke: experiments -server failed"; cat "$TMP/server.log"; exit 1; }
+cmp "$TMP/local-s.out" "$TMP/server.out" || {
+    echo "cluster-smoke: -server output diverged from local run"; exit 1; }
+cmp "$TMP/local-s/$TARGET.csv" "$TMP/server/$TARGET.csv" || {
+    echo "cluster-smoke: -server CSV diverged from local run"; exit 1; }
+
+# visasimctl: the same cells swept in-process and through the coordinator
+# must print the same bytes.
+cat >"$TMP/cells.json" <<'EOF'
+{"cells":[
+  {"key":"gcc-base","config":{"Benchmarks":["gcc"],"Scheme":0,"MaxInstructions":50000}},
+  {"key":"mcf-visa","config":{"Benchmarks":["mcf"],"Scheme":1,"MaxInstructions":50000}},
+  {"key":"gcc-mcf-opt2","config":{"Benchmarks":["gcc","mcf"],"Scheme":3,"MaxInstructions":50000}}
+]}
+EOF
+"$TMP/visasimctl" sweep -local -results-only -cells "$TMP/cells.json" >"$TMP/ctl-local.out" || {
+    echo "cluster-smoke: visasimctl sweep -local failed"; exit 1; }
+"$TMP/visasimctl" sweep -backends "http://$D2" -results-only -cells "$TMP/cells.json" \
+    >"$TMP/ctl-remote.out" 2>"$TMP/ctl-remote.log" || {
+    echo "cluster-smoke: visasimctl sweep -backends failed"; cat "$TMP/ctl-remote.log"; exit 1; }
+grep -q '"key": "gcc-mcf-opt2"' "$TMP/ctl-local.out" || {
+    echo "cluster-smoke: visasimctl sweep -local printed no results"; cat "$TMP/ctl-local.out"; exit 1; }
+cmp "$TMP/ctl-local.out" "$TMP/ctl-remote.out" || {
+    echo "cluster-smoke: visasimctl sweep -backends output diverged from -local"; exit 1; }
+
+# Two daemons, one killed mid-sweep.
 stored() { find "$STORE" -name '*.json' 2>/dev/null | wc -l; }
 
 "$TMP/experiments" -n "$BUDGET" -backends "http://$D1,http://$D2" \
@@ -96,4 +136,4 @@ cmp "$TMP/local/$TARGET.csv" "$TMP/resumed/$TARGET.csv" || {
     echo "cluster-smoke: store-only CSV diverged from local run"; exit 1; }
 [ "$(stored)" = "$TOTAL" ] || { echo "cluster-smoke: store changed during the store-only re-run"; exit 1; }
 
-echo "cluster-smoke: OK ($TARGET at $BUDGET: daemon killed with $AT_KILL of $TOTAL cells stored, output byte-identical to local, store-only re-run identical)"
+echo "cluster-smoke: OK (-server and visasimctl sweep byte-identical to local; $TARGET at $BUDGET: daemon killed with $AT_KILL of $TOTAL cells stored, output byte-identical to local, store-only re-run identical)"

@@ -22,13 +22,11 @@ import (
 
 func main() {
 	var (
-		bench    = flag.String("benchmark", "gcc", "benchmark to profile (see -list)")
-		n        = flag.Uint64("n", 400_000, "dynamic instructions to classify")
-		window   = flag.Int("window", ace.DefaultWindow, "post-retirement analysis window")
-		top      = flag.Int("top", 0, "print the N static instructions with the most tag mismatches")
-		list     = flag.Bool("list", false, "list available benchmarks and exit")
-		saveFile = flag.String("save", "", "write the profile to this file")
-		loadFile = flag.String("load", "", "read a previously saved profile instead of profiling")
+		bench  = flag.String("benchmark", "gcc", "benchmark to profile (see -list)")
+		n      = flag.Uint64("n", 400_000, "dynamic instructions to classify")
+		window = flag.Int("window", ace.DefaultWindow, "post-retirement analysis window")
+		top    = flag.Int("top", 0, "print the N static instructions with the most tag mismatches")
+		list   = flag.Bool("list", false, "list available benchmarks and exit")
 	)
 	flag.Parse()
 
@@ -44,35 +42,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var prof *ace.Profile
-	if *loadFile != "" {
-		f, err := os.Open(*loadFile)
-		if err != nil {
-			fatal(err)
-		}
-		prof, err = ace.Load(f, b.Name, b.Params.Seed, 0)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		prof, err = core.ProfileFor(b, *n, *window)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	if *saveFile != "" {
-		f, err := os.Create(*saveFile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := prof.Save(f, b.Name, b.Params.Seed, *window); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "profile saved to %s\n", *saveFile)
+	prof, err := core.ProfileFor(b, *n, *window)
+	if err != nil {
+		fatal(err)
 	}
 
 	fmt.Printf("benchmark          %s (%s-intensive)\n", b.Name, b.Class)

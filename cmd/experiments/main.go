@@ -12,17 +12,18 @@
 // paper. Simulator throughput is measured by perfbench, not here (see
 // perfbench/README.md).
 //
-// With -server, every sweep runs through a visasimd daemon instead of
-// in-process, so repeated regenerations (and overlapping figures) hit the
-// daemon's content-addressed result cache. With -backends URL,URL,... the
-// sweeps instead shard across a static list of daemons via the in-process
-// dispatch coordinator (least-loaded assignment, retry/failover);
-// add -store DIR to checkpoint completed cells to disk and -resume to skip
-// cells already checkpointed by an earlier (possibly killed) run.
-// -trace-level records decision traces on local sweeps only. Flags that
-// would do nothing (-trace-level with -server or -backends, -store or
-// -resume without -backends) and unknown targets are rejected before any
-// target runs, with exit status 2.
+// With -backends URL,URL,... every sweep runs on visasimd daemons instead
+// of in-process, sharded across the static list by the in-process dispatch
+// coordinator (least-loaded assignment, retry/failover), so repeated
+// regenerations (and overlapping figures) hit the daemons' content-addressed
+// result caches. One URL is enough for a single daemon. Add -store DIR to
+// checkpoint completed cells to disk and -resume to skip cells already
+// checkpointed by an earlier (possibly killed) run. -trace-level records
+// decision traces on local sweeps only: the simulator is deterministic, so
+// a local traced run yields the same results a daemon would. Flags that
+// would do nothing (-trace-level with -backends, -store or -resume without
+// -backends) and unknown targets are rejected before any target runs, with
+// exit status 2.
 package main
 
 import (
@@ -43,24 +44,21 @@ import (
 	"visasim/internal/experiments"
 	"visasim/internal/harness"
 	"visasim/internal/obs"
-	"visasim/internal/server"
 	"visasim/internal/store"
 )
 
 func main() {
 	var (
-		budget        = flag.Uint64("n", experiments.DefaultBudget, "instructions per simulation")
-		workers       = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-		csvDir        = flag.String("csv", "", "also write machine-readable CSVs into this directory")
-		serverURL     = flag.String("server", "", "run sweeps through a visasimd daemon at this base URL (e.g. http://localhost:8080)")
-		serverTimeout = flag.Duration("server-timeout", time.Hour, "per-sweep deadline when using -server (0 disables)")
-		backendsCSV   = flag.String("backends", "", "comma-separated visasimd base URLs; sweeps shard across them via the dispatch coordinator")
-		storeDir      = flag.String("store", "", "with -backends: checkpoint completed cells to this directory")
-		resume        = flag.Bool("resume", false, "with -backends and -store: skip cells already checkpointed")
-		logLevel      = flag.String("log-level", "warn", "minimum log level for -server/-backends sweeps: debug, info, warn, error")
-		logFormat     = flag.String("log-format", "text", "log line format: text or json")
-		traceLevel    = flag.Int("trace-level", 0, "record per-cell decision traces: 0 off, 1 decision edges, 2 adds per-sample observations (local sweeps only)")
-		traceDir      = flag.String("trace-dir", "", "with -trace-level: write each cell's trace to DIR/<key>.vdt (default decision-traces)")
+		budget      = flag.Uint64("n", experiments.DefaultBudget, "instructions per simulation")
+		workers     = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
+		csvDir      = flag.String("csv", "", "also write machine-readable CSVs into this directory")
+		backendsCSV = flag.String("backends", "", "comma-separated visasimd base URLs (e.g. http://localhost:8080); sweeps shard across them via the dispatch coordinator")
+		storeDir    = flag.String("store", "", "with -backends: checkpoint completed cells to this directory")
+		resume      = flag.Bool("resume", false, "with -backends and -store: skip cells already checkpointed")
+		logLevel    = flag.String("log-level", "warn", "minimum log level for -backends sweeps: debug, info, warn, error")
+		logFormat   = flag.String("log-format", "text", "log line format: text or json")
+		traceLevel  = flag.Int("trace-level", 0, "record per-cell decision traces: 0 off, 1 decision edges, 2 adds per-sample observations (local sweeps only)")
+		traceDir    = flag.String("trace-dir", "", "with -trace-level: write each cell's trace to DIR/<key>.vdt (default decision-traces)")
 	)
 	flag.Parse()
 
@@ -71,7 +69,6 @@ func main() {
 	}
 	if err := checkArgs(args{
 		traceLevel: *traceLevel,
-		server:     *serverURL,
 		backends:   *backendsCSV,
 		store:      *storeDir,
 		resume:     *resume,
@@ -87,7 +84,7 @@ func main() {
 		os.Exit(2)
 	}
 	// Ctrl-C aborts a remote sweep mid-flight (queued cells are skipped,
-	// in-flight dispatches canceled) instead of letting it poll on; local
+	// in-flight dispatches canceled) instead of letting it run on; local
 	// in-process sweeps are unaffected.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
@@ -121,8 +118,7 @@ func main() {
 			}
 		}
 	}
-	switch {
-	case *backendsCSV != "":
+	if *backendsCSV != "" {
 		var st *store.Store
 		if *storeDir != "" {
 			var err error
@@ -143,14 +139,9 @@ func main() {
 			os.Exit(1)
 		}
 		defer coord.Close()
-		p.Runner = func(cells []harness.Cell, opt harness.Options) (harness.Results, error) {
-			return coord.RunContext(ctx, cells, opt)
-		}
-	case *serverURL != "":
-		cli := &server.Client{BaseURL: strings.TrimRight(*serverURL, "/"),
-			Timeout: *serverTimeout, Logger: logger}
-		p.Runner = func(cells []harness.Cell, opt harness.Options) (harness.Results, error) {
-			return cli.RunContext(ctx, cells, opt)
+		p.Runner = func(cells []harness.Cell) (harness.Results, error) {
+			res, _, err := coord.Run(ctx, cells)
+			return res, err
 		}
 	}
 	for _, tgt := range targets {
@@ -193,10 +184,10 @@ func writeCSV(dir, target string, c csvWriter) error {
 
 // args is the part of the command line checkArgs validates.
 type args struct {
-	traceLevel              int
-	server, backends, store string
-	resume                  bool
-	targets                 []string
+	traceLevel      int
+	backends, store string
+	resume          bool
+	targets         []string
 }
 
 // checkArgs rejects, before any target runs, command lines that would
@@ -206,8 +197,8 @@ type args struct {
 // only once every target before it had run.
 func checkArgs(a args) error {
 	switch {
-	case a.traceLevel > 0 && (a.server != "" || a.backends != ""):
-		return errors.New("-trace-level records local sweeps only; drop -server/-backends or -trace-level")
+	case a.traceLevel > 0 && a.backends != "":
+		return errors.New("-trace-level records local sweeps only; drop -backends or -trace-level")
 	case (a.store != "" || a.resume) && a.backends == "":
 		return errors.New("-store and -resume need -backends")
 	case a.resume && a.store == "":

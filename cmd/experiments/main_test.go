@@ -19,13 +19,11 @@ func TestCheckArgs(t *testing.T) {
 		{"local traced", args{traceLevel: 1, targets: figs}, ""},
 		{"every target", args{targets: []string{"fig1", "fig2", "fig5", "fig6", "fig8", "fig9",
 			"fig10", "table1", "table2", "table3", "iqmatrix", "ext-rob", "ablations"}}, ""},
-		{"server", args{server: url, targets: figs}, ""},
+		{"one backend", args{backends: url, targets: figs}, ""},
 		{"backends with store", args{backends: url, store: "ckpt", resume: true, targets: figs}, ""},
-		{"traced server", args{traceLevel: 1, server: url, targets: figs}, "-trace-level"},
 		{"traced backends", args{traceLevel: 2, backends: url, targets: figs}, "-trace-level"},
 		{"store without backends", args{store: "ckpt", targets: figs}, "-backends"},
 		{"resume without backends", args{resume: true, targets: figs}, "-backends"},
-		{"store and resume on server", args{server: url, store: "ckpt", resume: true, targets: figs}, "-backends"},
 		{"resume without store", args{backends: url, resume: true, targets: figs}, "-store"},
 		{"unknown target last", args{targets: []string{"fig5", "fgi6"}}, `"fgi6"`},
 		{"retired bench target", args{targets: []string{"bench"}}, `"bench"`},

@@ -210,8 +210,8 @@ func cmdSweep(args []string) error {
 	}
 
 	// SIGINT/SIGTERM cancel the sweep: queued groups are skipped and every
-	// in-flight dispatch attempt is aborted, instead of the old behaviour
-	// of polling the backends to completion after the operator gave up.
+	// in-flight dispatch attempt is aborted, instead of waiting on the
+	// backends to completion after the operator gave up.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -349,7 +349,7 @@ func sweepViaBackends(ctx context.Context, cells []harness.Cell, f *sweepFlags, 
 	defer coord.Close()
 
 	start := time.Now()
-	results, stats, err := coord.RunStatsContext(ctx, cells, harness.Options{})
+	results, stats, err := coord.Run(ctx, cells)
 	if f.verbose {
 		fmt.Fprintf(os.Stderr, "visasimctl: %d cells in %v\n",
 			len(cells), time.Since(start).Round(time.Millisecond))

@@ -6,11 +6,11 @@
 // backed by a persistent on-disk store (internal/store): results survive
 // restarts, and a warm daemon serves them from disk without re-simulating.
 //
-// Endpoints:
+// Endpoints — the whole API; a client submits, then reads the stream:
 //
-//	POST /v1/sweeps           submit cells, returns a job ID
-//	GET  /v1/jobs/{id}        poll job status and results
-//	GET  /v1/jobs/{id}/stream NDJSON per-cell results as they resolve
+//	POST /v1/sweeps           submit cells, returns a job ID and stream URL
+//	GET  /v1/jobs/{id}/stream NDJSON per-cell results as they resolve, then
+//	                          an "end" event with the job's terminal state
 //	GET  /healthz             liveness
 //	GET  /metrics/prom        Prometheus text metrics: job, cell, cache and
 //	                          store counters plus queue-wait/simulate/
@@ -30,7 +30,7 @@
 //	curl -s localhost:8080/v1/sweeps -d '{"cells":[{"key":"demo",
 //	  "config":{"Benchmarks":["gcc","mcf","vpr","perlbmk"],"Scheme":1,
 //	  "MaxInstructions":100000}}]}'
-//	curl -s localhost:8080/v1/jobs/job-1
+//	curl -sN localhost:8080/v1/jobs/job-1/stream
 //	curl -s localhost:8080/metrics/prom
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: in-flight jobs finish, queued
@@ -59,7 +59,7 @@ func main() {
 		jobWorkers = flag.Int("job-workers", 2, "concurrently executing jobs")
 		simWorkers = flag.Int("workers", 0, "concurrent simulations across all jobs (0 = GOMAXPROCS)")
 		queueDepth = flag.Int("queue-depth", 64, "bounded job queue; beyond it submissions get 503")
-		jobHistory = flag.Int("job-history", 256, "terminal jobs retained for polling; older ones are evicted")
+		jobHistory = flag.Int("job-history", 256, "terminal jobs whose stream stays readable; older ones are evicted")
 		drainWait  = flag.Duration("drain", 10*time.Minute, "shutdown grace period for in-flight jobs")
 		storeDir   = flag.String("store", "", "persist results to this directory; warm restarts serve from disk")
 		storeMax   = flag.Int64("store-max-bytes", 0, "evict oldest store entries beyond this size (0 = unbounded)")

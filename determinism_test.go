@@ -65,11 +65,11 @@ func serializeBatch(t *testing.T, res harness.Results) map[string]string {
 // the test -race exercises the worker pool for data races.)
 func TestHarnessWorkerCountInvariance(t *testing.T) {
 	cells := determinismCells()
-	serial, err := harness.Run(cells, harness.Options{Workers: 1})
+	serial, _, err := harness.RunStats(cells, harness.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := harness.Run(cells, harness.Options{Workers: runtime.GOMAXPROCS(0)})
+	parallel, _, err := harness.RunStats(cells, harness.Options{Workers: runtime.GOMAXPROCS(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func encodeTraces(t *testing.T, traces harness.Traces) map[string]string {
 // observation-only guarantee that lets TraceLevel stay out of Config.Hash.
 func TestTracingDoesNotPerturbResults(t *testing.T) {
 	cells := determinismCells()
-	plain, err := harness.Run(cells, harness.Options{})
+	plain, _, err := harness.RunStats(cells, harness.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,8 @@
 //   - Experiment & service layer — harness (parallel sweep runner),
 //     experiments (every table and figure), report (ASCII rendering),
 //     server (the visasimd HTTP daemon with a job queue, a
-//     content-addressed result cache, and Prometheus metrics), store (a
+//     content-addressed result cache, Prometheus metrics, and the
+//     submit-and-stream client), store (a
 //     persistent on-disk result store keyed by the same content hashes),
 //     and dispatch (a coordinator sharding sweeps across several daemons
 //     with retry, failover, and checkpointed resume).
@@ -49,10 +50,10 @@
 //
 // Commands: cmd/visasim (one simulation), cmd/avfprof (offline profiling),
 // cmd/faultsim (injection campaigns), cmd/tracedump (stream inspection),
-// cmd/experiments (regenerate every table/figure, optionally through one
-// daemon via -server or a static list of daemons via -backends),
-// cmd/visasimd (the simulation service, optionally store-backed via
-// -store; POST /v1/sweeps is its one submission API), and cmd/visasimctl
+// cmd/experiments (regenerate every table/figure, optionally through a
+// static list of one or more daemons via -backends), cmd/visasimd (the
+// simulation service, optionally store-backed via -store; a client submits
+// to POST /v1/sweeps, then reads the job's event stream), and cmd/visasimctl
 // (operations over a list of daemons: health, metrics, and distributed
 // sweeps with checkpointed resume, or the same sweep run locally).
 // Runnable examples live under examples/; this root package holds the

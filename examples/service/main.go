@@ -1,6 +1,7 @@
-// Service example: run the visasimd simulation service in-process, then use
-// the programmatic client to submit a small VISA-vs-baseline sweep (ICOUNT
-// fetch policy) and print the issue-queue AVF delta. The sweep is submitted
+// Service example: run the visasimd simulation service in-process, then
+// send a small VISA-vs-baseline sweep (ICOUNT fetch policy) to it through a
+// one-backend dispatch coordinator — the same path `experiments -backends`
+// takes — and print the issue-queue AVF delta. The sweep is submitted
 // twice to show the content-addressed cache at work: the second submission
 // is served without re-simulating, byte-identical to the first.
 //
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"visasim/internal/core"
+	"visasim/internal/dispatch"
 	"visasim/internal/harness"
 	"visasim/internal/pipeline"
 	"visasim/internal/server"
@@ -25,7 +27,7 @@ import (
 
 func main() {
 	// The daemon, on a loopback port. Against a real deployment only the
-	// client half of this program is needed.
+	// coordinator half of this program is needed.
 	srv := server.New(server.Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -34,7 +36,13 @@ func main() {
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	go httpSrv.Serve(ln) //nolint:errcheck
 
-	cli := &server.Client{BaseURL: "http://" + ln.Addr().String()}
+	daemon := "http://" + ln.Addr().String()
+	coord, err := dispatch.New(dispatch.Options{Backends: []string{daemon}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer coord.Close()
+	ctx := context.Background()
 	workload := []string{"bzip2", "eon", "gcc", "perlbmk"}
 	cells := []harness.Cell{
 		{Key: "base", Cfg: core.Config{Benchmarks: workload, Scheme: core.SchemeBase,
@@ -44,7 +52,7 @@ func main() {
 	}
 
 	t0 := time.Now()
-	res, err := cli.Run(cells, harness.Options{})
+	res, _, err := coord.Run(ctx, cells)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,13 +69,13 @@ func main() {
 
 	// Same sweep again: every cell is a cache hit.
 	t0 = time.Now()
-	if _, err := cli.Run(cells, harness.Options{}); err != nil {
+	if _, _, err := coord.Run(ctx, cells); err != nil {
 		log.Fatal(err)
 	}
 	warm := time.Since(t0)
 	fmt.Printf("\nfirst run %v, cached rerun %v\n", cold.Round(time.Millisecond), warm.Round(time.Millisecond))
 
-	metrics, err := http.Get(cli.BaseURL + "/metrics/prom")
+	metrics, err := http.Get(daemon + "/metrics/prom")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -85,10 +93,10 @@ func main() {
 	fmt.Printf("daemon metrics: sims_run=%s cache_hits=%s\n",
 		m["visasimd_sims_run_total"], m["visasimd_cache_hits_total"])
 
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	shutdownCtx, cancel := context.WithTimeout(ctx, time.Minute)
 	defer cancel()
-	httpSrv.Shutdown(ctx) //nolint:errcheck
-	if err := srv.Shutdown(ctx); err != nil {
+	httpSrv.Shutdown(shutdownCtx) //nolint:errcheck
+	if err := srv.Shutdown(shutdownCtx); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -3,6 +3,7 @@ package ace
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"slices"
@@ -107,7 +108,47 @@ func TestRunMatchesSynchronousDrive(t *testing.T) {
 	}
 }
 
-// TestProfileBytesPinned pins the saved bytes of the MEM-A benchmarks'
+// profileFile is the gob record TestProfileBytesPinned hashes: every field
+// of a Profile plus its provenance. It is the version-2 layout of the
+// retired on-disk profile format, kept byte for byte (gob encodes the type
+// name and field names too) so the pinned digests still apply.
+type profileFile struct {
+	Version   int
+	Benchmark string
+	Seed      uint64
+	Window    int
+
+	BitWords     []uint64
+	BitLen       uint64
+	Tag          []bool
+	Instances    []uint32
+	ACEInstances []uint32
+	DynInstrs    uint64
+	DynACE       uint64
+	LateMarks    uint64
+}
+
+// profileBytes gob-encodes p as a profileFile record.
+func profileBytes(p *Profile, benchmark string, seed uint64, window int) ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(profileFile{
+		Version:      2,
+		Benchmark:    benchmark,
+		Seed:         seed,
+		Window:       window,
+		BitWords:     p.Bits.Words(),
+		BitLen:       p.Bits.Len(),
+		Tag:          p.Tag,
+		Instances:    p.Instances,
+		ACEInstances: p.ACEInstances,
+		DynInstrs:    p.DynInstrs,
+		DynACE:       p.DynACE,
+		LateMarks:    p.LateMarks,
+	})
+	return buf.Bytes(), err
+}
+
+// TestProfileBytesPinned pins the encoded bytes of the MEM-A benchmarks'
 // profiles at a mem-long cell's profile length (1M committed plus the
 // quarter warmup plus the in-flight slack). The digests were first
 // recorded with the single-stage analyzer this package replaced, so they
@@ -132,13 +173,13 @@ func TestProfileBytesPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := p.Save(&buf, name, b.Params.Seed, DefaultWindow); err != nil {
+		blob, err := profileBytes(p, name, b.Params.Seed, DefaultWindow)
+		if err != nil {
 			t.Fatal(err)
 		}
-		sum := sha256.Sum256(buf.Bytes())
+		sum := sha256.Sum256(blob)
 		if got := hex.EncodeToString(sum[:]); got != want[name] {
-			t.Errorf("%s: saved profile sha256 %s, want %s", name, got, want[name])
+			t.Errorf("%s: encoded profile sha256 %s, want %s", name, got, want[name])
 		}
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"visasim/internal/dvm"
 	"visasim/internal/pipeline"
 	"visasim/internal/uarch"
-	"visasim/internal/workload"
 )
 
 // Scheme selects the paper's reliability mechanism under evaluation.
@@ -385,14 +384,4 @@ func controllerName(s Scheme) string {
 		return "dvm-static"
 	}
 	return ""
-}
-
-// RunMix is a convenience wrapper running one of Table 3's workloads.
-func RunMix(mix workload.Mix, scheme Scheme, policy pipeline.FetchPolicyKind, budget uint64) (*Result, error) {
-	return Run(Config{
-		Benchmarks:      mix.Benchmarks[:],
-		Scheme:          scheme,
-		Policy:          policy,
-		MaxInstructions: budget,
-	})
 }

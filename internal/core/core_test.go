@@ -133,7 +133,9 @@ func TestProfileCacheReuse(t *testing.T) {
 }
 
 func TestRunMix(t *testing.T) {
-	r, err := RunMix(workload.Mixes()[0], SchemeBase, pipeline.PolicyICOUNT, 12_000)
+	mix := workload.Mixes()[0]
+	r, err := Run(Config{Benchmarks: mix.Benchmarks[:], Scheme: SchemeBase,
+		Policy: pipeline.PolicyICOUNT, MaxInstructions: 12_000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,9 @@
 // dispatch groups wait in one first-come-first-served queue that a fixed
 // dispatcher pool drains.
 //
-// The coordinator's Run and RunStats mirror harness.Run / harness.RunStats
-// (keyed results, first failing cell aborts with a *harness.CellError), so
-// it drops into the experiments.Params.Runner seam: every paper table and
+// The coordinator's Run mirrors harness.RunStats (keyed results and cost
+// records, first failing cell aborts with a *harness.CellError), so it
+// drops into the experiments.Params.Runner seam: every paper table and
 // figure regenerates across the pool unchanged. Determinism makes the
 // distribution invisible — a cell's core.Config fully determines its
 // core.Result, so which backend ran it or how many times it was retried
@@ -47,9 +47,6 @@ type Options struct {
 	// HTTP is the transport shared by all backend clients and health
 	// probes (http.DefaultClient when nil).
 	HTTP *http.Client
-	// PollInterval spaces job polls against a backend (the client's 50ms
-	// default when 0).
-	PollInterval time.Duration
 	// ProbeInterval spaces /healthz probes of every backend (2s when 0).
 	// A backend that fails a probe — or a dispatch — is deprioritized
 	// until a probe succeeds again; it is never removed.
@@ -186,8 +183,7 @@ func New(opt Options) (*Coordinator, error) {
 		seen[url] = true
 		b := &backend{
 			url: url,
-			cli: &server.Client{BaseURL: url, HTTP: opt.HTTP, PollInterval: opt.PollInterval,
-				Logger: opt.Logger},
+			cli: &server.Client{BaseURL: url, HTTP: opt.HTTP, Logger: opt.Logger},
 		}
 		b.healthy.Store(true)
 		c.backends = append(c.backends, b)

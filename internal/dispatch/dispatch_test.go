@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -47,7 +48,6 @@ func newBackend(t *testing.T) *httptest.Server {
 
 func newCoordinator(t *testing.T, opt Options) *Coordinator {
 	t.Helper()
-	opt.PollInterval = 2 * time.Millisecond
 	if opt.BaseBackoff == 0 {
 		opt.BaseBackoff = time.Millisecond
 	}
@@ -73,7 +73,7 @@ func backendDispatchCounts(c *Coordinator) map[string]int64 {
 
 // TestClusterParity is the acceptance check: a sweep dispatched across two
 // in-process backends returns results byte-identical to a local
-// harness.Run, exercises both backends, and folds duplicate configs into
+// harness.RunStats, exercises both backends, and folds duplicate configs into
 // one dispatch. Run under -race in CI.
 func TestClusterParity(t *testing.T) {
 	b1, b2 := newBackend(t), newBackend(t)
@@ -86,11 +86,11 @@ func TestClusterParity(t *testing.T) {
 		{Key: "mcf-visa", Cfg: testCfg("mcf", core.SchemeVISA)},
 		{Key: "gcc-base-dup", Cfg: testCfg("gcc", core.SchemeBase)}, // same hash as gcc-base
 	}
-	remote, remoteStats, err := c.RunStats(cells, harness.Options{})
+	remote, remoteStats, err := c.Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := harness.Run(cells, harness.Options{})
+	local, _, err := harness.RunStats(cells, harness.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestClusterParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(rj, lj) {
-			t.Fatalf("cell %s: dispatched Result differs from local harness.Run", key)
+			t.Fatalf("cell %s: dispatched Result differs from local harness.RunStats", key)
 		}
 	}
 
@@ -127,7 +127,7 @@ func TestClusterParity(t *testing.T) {
 
 // flakyBackend wraps a real backend handler and fails the first `left`
 // sweep submissions: errors when hang is false, stalls until client
-// disconnect when true. Everything else (healthz, job polls) passes
+// disconnect when true. Everything else (healthz, job streams) passes
 // through, like a daemon that is reachable but misbehaving on work.
 type flakyBackend struct {
 	real    http.Handler
@@ -194,11 +194,11 @@ func TestFlakyBackendDoesNotFailSweep(t *testing.T) {
 		{Key: "b", Cfg: testCfg("gcc", core.SchemeVISA)},
 		{Key: "c", Cfg: testCfg("mcf", core.SchemeBase)},
 	}
-	remote, err := c.Run(cells, harness.Options{})
+	remote, _, err := c.Run(context.Background(), cells)
 	if err != nil {
 		t.Fatalf("sweep failed despite a healthy backend: %v", err)
 	}
-	local, err := harness.Run(cells, harness.Options{})
+	local, _, err := harness.RunStats(cells, harness.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestFlakyBackendDoesNotFailSweep(t *testing.T) {
 
 // TestCellErrorKeySurvivesDispatch pins the error contract through the
 // cluster: a doomed cell aborts the sweep with a *harness.CellError whose
-// Key is the submitted cell's key, exactly as local harness.Run would.
+// Key is the submitted cell's key, exactly as local harness.RunStats would.
 func TestCellErrorKeySurvivesDispatch(t *testing.T) {
 	b := newBackend(t)
 	c := newCoordinator(t, Options{Backends: []string{b.URL}})
@@ -231,7 +231,7 @@ func TestCellErrorKeySurvivesDispatch(t *testing.T) {
 		{Key: "fine", Cfg: testCfg("gcc", core.SchemeBase)},
 		{Key: "doomed", Cfg: core.Config{Benchmarks: []string{"nonesuch"}, MaxInstructions: 1000}},
 	}
-	_, err := c.Run(cells, harness.Options{})
+	_, _, err := c.Run(context.Background(), cells)
 	if err == nil {
 		t.Fatal("sweep with a doomed cell succeeded")
 	}
@@ -268,7 +268,7 @@ func TestResumeSkipsCompletedCells(t *testing.T) {
 	}
 	b1 := newBackend(t)
 	first := newCoordinator(t, Options{Backends: []string{b1.URL}, Store: st1})
-	if _, err := first.Run(cells[:2], harness.Options{}); err != nil {
+	if _, _, err := first.Run(context.Background(), cells[:2]); err != nil {
 		t.Fatal(err)
 	}
 	if st1.Len() != 2 {
@@ -283,11 +283,11 @@ func TestResumeSkipsCompletedCells(t *testing.T) {
 	}
 	b2 := newBackend(t)
 	second := newCoordinator(t, Options{Backends: []string{b2.URL}, Store: st2, Resume: true})
-	remote, err := second.Run(cells, harness.Options{})
+	remote, _, err := second.Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := harness.Run(cells, harness.Options{})
+	local, _, err := harness.RunStats(cells, harness.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestWedgedBackendTimesOutAndFailsOver(t *testing.T) {
 	var remote harness.Results
 	go func() {
 		var err error
-		remote, err = c.Run(cells, harness.Options{})
+		remote, _, err = c.Run(context.Background(), cells)
 		done <- err
 	}()
 	select {
@@ -365,7 +365,7 @@ func TestWedgedBackendTimesOutAndFailsOver(t *testing.T) {
 			t.Fatal("timed-out backend still marked healthy")
 		}
 	}
-	local, err := harness.Run(cells, harness.Options{})
+	local, _, err := harness.RunStats(cells, harness.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,6 +373,125 @@ func TestWedgedBackendTimesOutAndFailsOver(t *testing.T) {
 	lj, _ := json.Marshal(local["x"])
 	if !bytes.Equal(rj, lj) {
 		t.Fatal("failed-over result differs from local run")
+	}
+}
+
+// cutStreamBackend is a stub daemon whose job streams never carry the
+// submitted cell's result: it accepts every submission, and each stream
+// does what mode says —
+//   - "cut": one "cell" event carrying a bogus result, then a hang-up
+//     before the "end" event;
+//   - "short": an "end" event for a done job without its cell;
+//   - "foreign": a complete stream whose one cell has another content hash,
+//     like a restarted daemon that reused the job ID for another job.
+type cutStreamBackend struct {
+	mode    string
+	mu      sync.Mutex
+	cells   map[string]server.SubmitCell // by job ID
+	streams int
+}
+
+func (b *cutStreamBackend) handler(t *testing.T) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"status":"ok"}`) //nolint:errcheck
+	})
+	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
+		var req server.SubmitRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || len(req.Cells) != 1 {
+			t.Errorf("stub got a bad submission (%v, %d cells)", err, len(req.Cells))
+			http.Error(w, `{"error":"bad submission"}`, http.StatusBadRequest)
+			return
+		}
+		b.mu.Lock()
+		id := fmt.Sprintf("job-%d", len(b.cells)+1)
+		b.cells[id] = req.Cells[0]
+		b.mu.Unlock()
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(server.SubmitResponse{ //nolint:errcheck
+			ID: id, Cells: 1, Stream: "/v1/jobs/" + id + "/stream"})
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
+		b.mu.Lock()
+		sc, ok := b.cells[r.PathValue("id")]
+		b.streams++
+		b.mu.Unlock()
+		if !ok {
+			http.NotFound(w, r)
+			return
+		}
+		hash, err := sc.Config.Hash()
+		if err != nil {
+			t.Error(err)
+		}
+		enc := json.NewEncoder(w)
+		bogus := server.StreamEvent{Type: "cell", Cell: &server.CellStatus{
+			Key: sc.Key, Hash: hash, Done: true, Result: json.RawMessage(`{"Cycles":1}`)}}
+		done := server.StreamEvent{Type: "end", State: server.StateDone}
+		switch b.mode {
+		case "cut":
+			enc.Encode(bogus) //nolint:errcheck
+			w.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler) // hang up mid-stream
+		case "short":
+			enc.Encode(done) //nolint:errcheck
+		case "foreign":
+			bogus.Cell.Hash = strings.Repeat("0", len(hash))
+			enc.Encode(bogus) //nolint:errcheck
+			enc.Encode(done)  //nolint:errcheck
+		}
+	})
+	return mux
+}
+
+// TestCutStreamFailsOver pins that only a job stream reaching its "end"
+// event with the submitted cell counts as a result: a backend whose streams
+// are cut after a bogus cell event, end without their cell, or answer with
+// another job's cell costs a failover, and the two-cell sweep still comes
+// out byte-identical to a local run.
+func TestCutStreamFailsOver(t *testing.T) {
+	for _, mode := range []string{"cut", "short", "foreign"} {
+		t.Run(mode, func(t *testing.T) {
+			healthy := newBackend(t)
+			stub := &cutStreamBackend{mode: mode, cells: map[string]server.SubmitCell{}}
+			stubTS := httptest.NewServer(stub.handler(t))
+			t.Cleanup(stubTS.Close)
+
+			// The stub first, so least-loaded tie-breaking sends it a cell;
+			// no probe runs, so only the cut stream can mark it unhealthy.
+			c := newCoordinator(t, Options{
+				Backends:      []string{stubTS.URL, healthy.URL},
+				ProbeInterval: time.Hour,
+			})
+			cells := []harness.Cell{
+				{Key: "a", Cfg: testCfg("gcc", core.SchemeBase)},
+				{Key: "b", Cfg: testCfg("gcc", core.SchemeVISA)},
+			}
+			remote, _, err := c.Run(context.Background(), cells)
+			if err != nil {
+				t.Fatalf("sweep failed despite a healthy backend: %v", err)
+			}
+			local, _, err := harness.RunStats(cells, harness.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for key := range local {
+				rj, _ := json.Marshal(remote[key])
+				lj, _ := json.Marshal(local[key])
+				if !bytes.Equal(rj, lj) {
+					t.Fatalf("cell %s differs from local run after a bad stream", key)
+				}
+			}
+			stub.mu.Lock()
+			streams := stub.streams
+			stub.mu.Unlock()
+			if streams == 0 {
+				t.Fatal("no stream was ever read from the stub")
+			}
+			if got := c.met.failovers.Value(); got < 1 {
+				t.Fatalf("failovers = %v, want >= 1", got)
+			}
+		})
 	}
 }
 
@@ -398,7 +517,7 @@ func TestProbeMarksDownBackend(t *testing.T) {
 		t.Fatalf("live backend reported unhealthy: %+v", sts[1])
 	}
 
-	remote, err := c.Run([]harness.Cell{{Key: "k", Cfg: testCfg("gcc", core.SchemeBase)}}, harness.Options{})
+	remote, _, err := c.Run(context.Background(), []harness.Cell{{Key: "k", Cfg: testCfg("gcc", core.SchemeBase)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,11 +530,11 @@ func TestProbeMarksDownBackend(t *testing.T) {
 	}
 }
 
-// TestEmptyAndInvalidSweeps covers the edges shared with harness.Run.
+// TestEmptyAndInvalidSweeps covers the edges shared with harness.RunStats.
 func TestEmptyAndInvalidSweeps(t *testing.T) {
 	b := newBackend(t)
 	c := newCoordinator(t, Options{Backends: []string{b.URL}})
-	res, stats, err := c.RunStats(nil, harness.Options{})
+	res, stats, err := c.Run(context.Background(), nil)
 	if err != nil || len(res) != 0 || len(stats) != 0 {
 		t.Fatalf("empty sweep: %v %v %v", res, stats, err)
 	}
@@ -423,7 +542,7 @@ func TestEmptyAndInvalidSweeps(t *testing.T) {
 		{Key: "x", Cfg: testCfg("gcc", core.SchemeBase)},
 		{Key: "x", Cfg: testCfg("mcf", core.SchemeBase)},
 	}
-	if _, err := c.Run(dup, harness.Options{}); err == nil {
+	if _, _, err := c.Run(context.Background(), dup); err == nil {
 		t.Fatal("duplicate keys accepted")
 	}
 }

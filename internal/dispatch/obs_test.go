@@ -37,11 +37,12 @@ func TestSweepCorrelationAcrossLayers(t *testing.T) {
 
 	ctx, sweep := obs.EnsureSweep(context.Background())
 
-	cli := &server.Client{BaseURL: ts.URL, PollInterval: 2 * time.Millisecond,
-		Logger: newLogger(&bufClient)}
-	if _, err := cli.RunContext(ctx, []harness.Cell{
-		{Key: "direct", Cfg: testCfg("gcc", core.SchemeBase)},
-	}, harness.Options{}); err != nil {
+	cli := &server.Client{BaseURL: ts.URL, Logger: newLogger(&bufClient)}
+	ack, err := cli.Submit(ctx, []harness.Cell{{Key: "direct", Cfg: testCfg("gcc", core.SchemeBase)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Wait(ctx, ack); err != nil {
 		t.Fatal(err)
 	}
 
@@ -49,9 +50,9 @@ func TestSweepCorrelationAcrossLayers(t *testing.T) {
 		Backends: []string{ts.URL},
 		Logger:   newLogger(&bufCoord),
 	})
-	if _, err := coord.RunContext(ctx, []harness.Cell{
+	if _, _, err := coord.Run(ctx, []harness.Cell{
 		{Key: "via-coord", Cfg: testCfg("gcc", core.SchemeVISA)},
-	}, harness.Options{}); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,9 +114,9 @@ func TestSeededBackoffReproducible(t *testing.T) {
 // here as a deliberate diff.
 func TestPromFamilySet(t *testing.T) {
 	c := newCoordinator(t, Options{Backends: []string{newBackend(t).URL}})
-	if _, err := c.RunContext(context.Background(), []harness.Cell{
+	if _, _, err := c.Run(context.Background(), []harness.Cell{
 		{Key: "a", Cfg: testCfg("gcc", core.SchemeBase)},
-	}, harness.Options{}); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -135,7 +135,7 @@ func TestCloseDrainsQueuedSweepsThenRefuses(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := c.Run(cells, harness.Options{})
+		res, _, err := c.Run(context.Background(), cells)
 		done <- outcome{res, err}
 	}()
 
@@ -160,7 +160,7 @@ func TestCloseDrainsQueuedSweepsThenRefuses(t *testing.T) {
 
 	lateErr := make(chan error, 1)
 	go func() {
-		_, err := c.Run([]harness.Cell{{Key: "late", Cfg: testCfg("mcf", core.SchemeBase)}}, harness.Options{})
+		_, _, err := c.Run(context.Background(), []harness.Cell{{Key: "late", Cfg: testCfg("mcf", core.SchemeBase)}})
 		lateErr <- err
 	}()
 	select {
@@ -192,7 +192,7 @@ func TestCloseDrainsQueuedSweepsThenRefuses(t *testing.T) {
 	case <-time.After(time.Minute):
 		t.Fatal("Close did not return after the queue drained")
 	}
-	local, err := harness.Run(cells, harness.Options{})
+	local, _, err := harness.RunStats(cells, harness.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

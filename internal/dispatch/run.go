@@ -41,37 +41,18 @@ type schedOutcome struct {
 	err error
 }
 
-// Run dispatches the cells across the backends and returns keyed results
-// with harness.Run's semantics: the first failing cell aborts the sweep
-// (in-flight cells finish, queued ones are skipped) and is returned as a
-// *harness.CellError naming the cell. It ignores caller cancellation;
-// interactive callers use RunContext.
-func (c *Coordinator) Run(cells []harness.Cell, opt harness.Options) (harness.Results, error) {
-	res, _, err := c.RunStats(cells, opt)
-	return res, err
-}
-
-// RunContext is Run bounded by ctx: canceling ctx aborts queued groups and
-// every in-flight dispatch attempt.
-func (c *Coordinator) RunContext(ctx context.Context, cells []harness.Cell, opt harness.Options) (harness.Results, error) {
-	res, _, err := c.RunStatsContext(ctx, cells, opt)
-	return res, err
-}
-
-// RunStats is RunStatsContext with a background context — it returns only
-// when the sweep resolves or fails.
-func (c *Coordinator) RunStats(cells []harness.Cell, opt harness.Options) (harness.Results, harness.Stats, error) {
-	return c.RunStatsContext(context.Background(), cells, opt)
-}
-
-// RunStatsContext is Run plus the per-cell cost records the winning backend
-// measured, bounded by ctx. The opt.Workers bound is ignored — concurrency
-// is Options.Workers across the whole pool, shared by all concurrent
-// sweeps through the FIFO queue. When ctx does not already carry a sweep
+// Run dispatches the cells across the backends, bounded by ctx, and
+// returns keyed results plus the per-cell cost records the winning backend
+// measured, with harness.RunStats's semantics: the first failing cell
+// aborts the sweep (in-flight cells finish, queued ones are skipped) and is
+// returned as a *harness.CellError naming the cell. Canceling ctx aborts
+// queued groups and every in-flight dispatch attempt. Concurrency is
+// Options.Workers across the whole pool, shared by all concurrent sweeps
+// through the FIFO queue. When ctx does not already carry a sweep
 // correlation ID one is minted here, so a sweep entering at the
 // coordinator is correlated end to end exactly like one entering at a
 // client.
-func (c *Coordinator) RunStatsContext(ctx context.Context, cells []harness.Cell, _ harness.Options) (harness.Results, harness.Stats, error) {
+func (c *Coordinator) Run(ctx context.Context, cells []harness.Cell) (harness.Results, harness.Stats, error) {
 	if len(cells) == 0 {
 		return harness.Results{}, harness.Stats{}, nil
 	}
@@ -215,8 +196,8 @@ func keyedError(key string, err error) error {
 // permanent reports whether retrying err elsewhere is pointless: the
 // backend executed the cell and the simulation itself failed (determinism
 // means every backend fails it identically), or the request was rejected
-// as malformed. Transport errors, timeouts, 5xx and shutdown races are all
-// retryable.
+// as malformed. Transport errors, timeouts, 5xx, shutdown races and cut
+// job streams (server.ErrIncompleteStream) are all retryable.
 func permanent(err error) bool {
 	var ce *harness.CellError
 	if errors.As(err, &ce) {
@@ -292,10 +273,10 @@ func (c *Coordinator) backoff(attempt int) time.Duration {
 }
 
 // runOn executes g's representative cell on backend b as a single-cell
-// job and decodes the one result. The attempt is bounded by CellTimeout,
-// so a wedged backend fails it (and is marked unhealthy) rather than
-// stalling the sweep. runOn releases the inflight reservation pick took
-// on b when the attempt resolves.
+// job, reads the job's stream to its end and decodes the one result. The
+// attempt is bounded by CellTimeout, so a wedged backend fails it (and is
+// marked unhealthy) rather than stalling the sweep. runOn releases the
+// inflight reservation pick took on b when the attempt resolves.
 func (c *Coordinator) runOn(ctx context.Context, b *backend, g *group) (*core.Result, harness.CellStats, error) {
 	defer b.inflight.Add(-1)
 	ctx, cancel := context.WithTimeout(ctx, c.opt.CellTimeout)
@@ -322,19 +303,17 @@ func (c *Coordinator) runOn(ctx context.Context, b *backend, g *group) (*core.Re
 	if err != nil {
 		return fail(err)
 	}
-	st, err := b.cli.Wait(ctx, ack.ID)
+	// Wait fails a canceled job or a cut or short stream; only a stream
+	// that reached its end event with the one cell comes back here.
+	cells, err := b.cli.Wait(ctx, ack)
 	if err != nil {
 		return fail(err)
 	}
-	switch st.State {
-	case server.StateDone, server.StateFailed:
-	default: // canceled: the backend shut down under the job
-		return fail(fmt.Errorf("dispatch: backend %s canceled job %s: %s", b.url, ack.ID, st.Error))
+	cell := cells[0]
+	if cell.Hash != g.hash {
+		return fail(fmt.Errorf("dispatch: backend %s answered job %s with cell %.12s, want %.12s",
+			b.url, ack.ID, cell.Hash, g.hash))
 	}
-	if len(st.Cells) != 1 {
-		return fail(fmt.Errorf("dispatch: backend %s returned %d cells for a 1-cell job", b.url, len(st.Cells)))
-	}
-	cell := st.Cells[0]
 	if cell.Error != "" {
 		// The simulation itself failed — permanent, and keyed like a
 		// local harness failure so callers' errors.As handling works

@@ -28,31 +28,30 @@ type Params struct {
 	Budget uint64
 	// Workers bounds concurrent simulations (GOMAXPROCS when 0).
 	Workers int
-	// Runner, when non-nil, replaces harness.Run for every sweep. It must
-	// have harness.Run's semantics (keyed results, first error aborts).
-	// cmd/experiments -server points it at a server.Client so sweeps
-	// execute on — and populate the result cache of — a visasimd daemon.
-	Runner func(cells []harness.Cell, opt harness.Options) (harness.Results, error)
+	// Runner, when non-nil, replaces the local harness for every sweep.
+	// It must return keyed results and abort on the first failing cell,
+	// as harness.RunStats does. cmd/experiments -backends points it at a
+	// dispatch coordinator, so sweeps execute on — and populate the result
+	// caches of — visasimd daemons.
+	Runner func(cells []harness.Cell) (harness.Results, error)
 
 	// TraceLevel records a per-cell decision trace for every sweep cell
 	// (see core.RunOptions.TraceLevel). Traces are delivered to TraceSink
 	// as cells finish; tracing never changes results. Only the local
-	// harness path records — a custom Runner receives the level through
-	// harness.Options and may ignore it.
+	// harness path records; a Runner ignores it.
 	TraceLevel int
 	// TraceSink receives each recorded (cell key, trace) pair. Ignored
 	// when nil or TraceLevel is 0.
 	TraceSink func(key string, tr *decision.Trace)
 }
 
-// run executes one sweep through the configured runner (harness.Run when
-// none is set). Every experiment goes through this seam.
+// run executes one sweep through the configured runner (the local harness
+// when none is set). Every experiment goes through this seam.
 func (p Params) run(cells []harness.Cell) (harness.Results, error) {
-	opt := harness.Options{Workers: p.Workers, TraceLevel: p.TraceLevel}
 	if p.Runner != nil {
-		return p.Runner(cells, opt)
+		return p.Runner(cells)
 	}
-	res, _, traces, err := harness.RunTraced(cells, opt)
+	res, _, traces, err := harness.RunTraced(cells, harness.Options{Workers: p.Workers, TraceLevel: p.TraceLevel})
 	if err != nil {
 		return nil, err
 	}

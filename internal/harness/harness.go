@@ -94,7 +94,7 @@ type Options struct {
 }
 
 // CellError reports which cell of a batch failed and why. It is the
-// concrete type of the error Run and RunStats return when a simulation
+// concrete type of the error RunStats and RunTraced return when a simulation
 // fails, so callers sweeping many cells can recover the failing cell's key
 // with errors.As instead of parsing the message.
 type CellError struct {
@@ -124,16 +124,11 @@ func ValidateKeys(cells []Cell) error {
 	return nil
 }
 
-// Run executes every cell and returns the keyed results. The first error
-// aborts the batch (outstanding cells finish; queued ones are skipped) and
-// is returned as a *CellError naming the cell that failed.
-func Run(cells []Cell, opt Options) (Results, error) {
-	res, _, err := RunStats(cells, opt)
-	return res, err
-}
-
-// RunStats is Run plus per-cell wall-clock and throughput records, so
-// sweeps can report where the simulation budget went.
+// RunStats executes every cell and returns the keyed results plus per-cell
+// wall-clock and throughput records, so sweeps can report where the
+// simulation budget went. The first error aborts the batch (outstanding
+// cells finish; queued ones are skipped) and is returned as a *CellError
+// naming the cell that failed.
 func RunStats(cells []Cell, opt Options) (Results, Stats, error) {
 	res, stats, _, err := RunTraced(cells, opt)
 	return res, stats, err

@@ -23,11 +23,11 @@ func cell(key, bench string) Cell {
 
 func TestParallelMatchesSequential(t *testing.T) {
 	cells := []Cell{cell("a", "gcc"), cell("b", "mcf"), cell("c", "bzip2")}
-	seq, err := Run(cells, Options{Workers: 1})
+	seq, _, err := RunStats(cells, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(cells, Options{Workers: 3})
+	par, _, err := RunStats(cells, Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 func TestDuplicateKeysRejected(t *testing.T) {
-	if _, err := Run([]Cell{cell("x", "gcc"), cell("x", "mcf")}, Options{}); err == nil {
+	if _, _, err := RunStats([]Cell{cell("x", "gcc"), cell("x", "mcf")}, Options{}); err == nil {
 		t.Fatal("duplicate keys accepted")
 	}
 	if err := ValidateKeys([]Cell{cell("x", "gcc"), cell("x", "mcf")}); err == nil {
@@ -52,7 +52,7 @@ func TestDuplicateKeysRejected(t *testing.T) {
 
 func TestErrorPropagates(t *testing.T) {
 	bad := Cell{Key: "bad", Cfg: core.Config{Benchmarks: []string{"nonesuch"}, MaxInstructions: 1000}}
-	_, err := Run([]Cell{cell("ok", "gcc"), bad}, Options{Workers: 2})
+	_, _, err := RunStats([]Cell{cell("ok", "gcc"), bad}, Options{Workers: 2})
 	if err == nil {
 		t.Fatal("error swallowed")
 	}
@@ -92,8 +92,8 @@ func TestAbortErrorIsKeyed(t *testing.T) {
 }
 
 func TestEmptyBatch(t *testing.T) {
-	res, err := Run(nil, Options{})
-	if err != nil || len(res) != 0 {
-		t.Fatalf("empty batch: %v %v", res, err)
+	res, stats, err := RunStats(nil, Options{})
+	if err != nil || len(res) != 0 || len(stats) != 0 {
+		t.Fatalf("empty batch: %v %v %v", res, stats, err)
 	}
 }

@@ -30,14 +30,6 @@ const MaxRequestBytes = 16 << 20
 // SubmitRequest is the body of POST /v1/sweeps.
 type SubmitRequest struct {
 	Cells []SubmitCell `json:"cells"`
-	// TraceLevel, when > 0, records a decision trace for every cell (1 =
-	// decision edges, 2 adds per-sample observations), downloadable from
-	// /v1/jobs/{id}/trace?cell=KEY as NDJSON. Traced cells always simulate
-	// freshly — they bypass the result cache in both directions — because a
-	// cached result has no trace to serve; results are byte-identical
-	// either way (tracing is observation only and is not part of the
-	// cell's content address).
-	TraceLevel int `json:"trace_level,omitempty"`
 }
 
 // ValidCell is one cell of a submission that DecodeSubmit accepted.
@@ -54,54 +46,53 @@ type ValidCell struct {
 // POST /v1/sweeps, the one submission API. The body must fit in MaxRequestBytes, name no unknown
 // field and carry at least one cell; every cell must canonicalise, pass
 // Machine.Validate, name known benchmarks and have a unique key (defaulted
-// to its hash). It returns the cells in submission order and the trace
-// level clamped at 0. Any error is the caller's fault (HTTP 400); nothing
-// is simulated.
-func DecodeSubmit(body io.Reader) ([]ValidCell, int, error) {
+// to its hash). It returns the cells in submission order. Any error is the
+// caller's fault (HTTP 400); nothing is simulated.
+func DecodeSubmit(body io.Reader) ([]ValidCell, error) {
 	var req SubmitRequest
 	dec := json.NewDecoder(io.LimitReader(body, MaxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		return nil, 0, fmt.Errorf("bad request body: %w", err)
+		return nil, fmt.Errorf("bad request body: %w", err)
 	}
 	if len(req.Cells) == 0 {
-		return nil, 0, errors.New("submission has no cells")
+		return nil, errors.New("submission has no cells")
 	}
 	cells := make([]ValidCell, len(req.Cells))
 	seen := map[string]int{}
 	for i, sc := range req.Cells {
 		canon, err := sc.Config.Canonical()
 		if err != nil {
-			return nil, 0, fmt.Errorf("cell %d: %w", i, err)
+			return nil, fmt.Errorf("cell %d: %w", i, err)
 		}
 		if err := canon.Machine.Validate(); err != nil {
-			return nil, 0, fmt.Errorf("cell %d: %w", i, err)
+			return nil, fmt.Errorf("cell %d: %w", i, err)
 		}
 		for _, b := range canon.Benchmarks {
 			if _, err := workload.Get(b); err != nil {
-				return nil, 0, fmt.Errorf("cell %d: %w", i, err)
+				return nil, fmt.Errorf("cell %d: %w", i, err)
 			}
 		}
 		hash, err := canon.Hash()
 		if err != nil {
-			return nil, 0, fmt.Errorf("cell %d: %w", i, err)
+			return nil, fmt.Errorf("cell %d: %w", i, err)
 		}
 		key := sc.Key
 		if key == "" {
 			key = hash
 		}
 		if prev, dup := seen[key]; dup {
-			return nil, 0, fmt.Errorf("cells %d and %d share key %q", prev, i, key)
+			return nil, fmt.Errorf("cells %d and %d share key %q", prev, i, key)
 		}
 		seen[key] = i
 		cells[i] = ValidCell{Key: key, Hash: hash, Config: canon}
 	}
-	return cells, max(req.TraceLevel, 0), nil
+	return cells, nil
 }
 
 // SubmitResponse acknowledges an accepted sweep.
 type SubmitResponse struct {
-	// ID identifies the job for polling.
+	// ID identifies the job.
 	ID string `json:"id"`
 	// Sweep is the correlation ID the job runs under: the submission's
 	// obs.SweepHeader value when present and valid, otherwise minted at
@@ -109,9 +100,8 @@ type SubmitResponse struct {
 	Sweep string `json:"sweep,omitempty"`
 	// Cells echoes the number of accepted cells.
 	Cells int `json:"cells"`
-	// Job is the poll URL for the job ("/v1/jobs/{id}").
-	Job string `json:"job"`
-	// Stream is the NDJSON event-stream URL ("/v1/jobs/{id}/stream").
+	// Stream is the NDJSON event-stream URL ("/v1/jobs/{id}/stream"), the
+	// one way to wait for the job and collect its results.
 	Stream string `json:"stream"`
 }
 
@@ -142,26 +132,12 @@ type CellStatus struct {
 	// Stats is the simulator cost of the run that produced the result;
 	// for cache hits it echoes the original run's cost.
 	Stats harness.CellStats `json:"stats"`
-	// HasTrace reports that a decision trace was recorded for the cell
-	// (submissions with trace_level > 0); download it from
-	// /v1/jobs/{id}/trace?cell=KEY.
-	HasTrace bool `json:"has_trace,omitempty"`
-}
-
-// JobStatus is the body of GET /v1/jobs/{id}.
-type JobStatus struct {
-	ID    string       `json:"id"`
-	State string       `json:"state"`
-	Cells []CellStatus `json:"cells"`
-	// CacheHits counts resolved cells served without a fresh simulation.
-	CacheHits int `json:"cache_hits"`
-	// Error is set when the whole job failed or was canceled.
-	Error string `json:"error,omitempty"`
 }
 
 // StreamEvent is one NDJSON line of GET /v1/jobs/{id}/stream: a "cell"
 // event per resolved cell as it resolves, then a final "end" event carrying
-// the job's terminal state.
+// the job's terminal state. A stream that stops before its "end" event was
+// cut (the daemon died or the connection broke) and carries no result.
 type StreamEvent struct {
 	Type string `json:"type"` // "cell" or "end"
 	// Cell is set on "cell" events.

@@ -9,39 +9,25 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/url"
-	"time"
 
-	"visasim/internal/core"
 	"visasim/internal/harness"
 	"visasim/internal/obs"
 )
 
-// Client runs sweeps against a visasimd daemon. Its Run and RunStats
-// methods mirror harness.Run / harness.RunStats, so callers (notably
-// experiments.Params.Runner) can swap local execution for the service —
-// and its cache — without other changes.
+// Client submits sweeps to a visasimd daemon and waits for them by reading
+// each job's event stream — the one way any client talks to the daemon.
+// Its caller is the dispatch coordinator, which sends every cell through
+// Submit and Wait.
 type Client struct {
 	// BaseURL locates the daemon, e.g. "http://localhost:8080".
 	BaseURL string
 	// HTTP is the transport (http.DefaultClient when nil).
 	HTTP *http.Client
-	// PollInterval spaces job polls (50ms when 0).
-	PollInterval time.Duration
-	// Timeout bounds one Run/RunStats call end to end — submit plus the
-	// wait for the job to reach a terminal state. Zero means no deadline;
-	// set one so a wedged daemon fails the sweep instead of hanging it.
-	// Callers needing per-call control use Wait with their own context.
-	Timeout time.Duration
 	// Logger receives the client's structured log lines — every submit,
 	// wait and failure, each carrying the sweep correlation ID (minted at
 	// Submit when the context does not already carry one, and sent to the
 	// daemon in the obs.SweepHeader header). Nil discards.
 	Logger *slog.Logger
-	// TraceLevel, when > 0, asks the daemon to record decision traces for
-	// every submitted cell (see SubmitRequest.TraceLevel); download them
-	// with Trace after the job resolves.
-	TraceLevel int
 }
 
 func (c *Client) log() *slog.Logger { return obs.Logger(c.Logger) }
@@ -51,13 +37,6 @@ func (c *Client) http() *http.Client {
 		return c.HTTP
 	}
 	return http.DefaultClient
-}
-
-func (c *Client) poll() time.Duration {
-	if c.PollInterval > 0 {
-		return c.PollInterval
-	}
-	return 50 * time.Millisecond
 }
 
 // HTTPError is a non-2xx daemon response. Carrying the status code lets
@@ -101,7 +80,7 @@ func decodeError(resp *http.Response) error {
 // same sweep grep together.
 func (c *Client) Submit(ctx context.Context, cells []harness.Cell) (SubmitResponse, error) {
 	ctx, sweep := obs.EnsureSweep(ctx)
-	req := SubmitRequest{Cells: make([]SubmitCell, len(cells)), TraceLevel: c.TraceLevel}
+	req := SubmitRequest{Cells: make([]SubmitCell, len(cells))}
 	for i, cell := range cells {
 		req.Cells[i] = SubmitCell{Key: cell.Key, Config: cell.Cfg}
 	}
@@ -130,144 +109,97 @@ func (c *Client) Submit(ctx context.Context, cells []harness.Cell) (SubmitRespon
 	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
 		return SubmitResponse{}, fmt.Errorf("decoding submit response: %w", err)
 	}
+	// Wait holds the stream to ack.Cells cell events, so the echo must be
+	// the number submitted.
+	if ack.Cells != len(cells) {
+		return SubmitResponse{}, fmt.Errorf("server: job %s accepted %d cells, %d submitted", ack.ID, ack.Cells, len(cells))
+	}
 	c.log().Info("sweep submitted", "sweep", sweep, "server", c.BaseURL,
 		"job", ack.ID, "cells", len(cells))
 	return ack, nil
 }
 
-// Job fetches a job's current status. The request is canceled when ctx
-// expires.
-func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return JobStatus{}, decodeError(resp)
-	}
-	var st JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return JobStatus{}, fmt.Errorf("decoding job status: %w", err)
-	}
-	return st, nil
-}
+// ErrIncompleteStream marks a job stream that carried no result: it stopped
+// before its "end" event (EOF or a broken connection — a killed daemon), or
+// it ended done or failed with a different number of "cell" events than
+// cells were submitted. Retrying elsewhere can succeed; the dispatch
+// coordinator treats it as a backend failure and fails the cell over.
+var ErrIncompleteStream = errors.New("incomplete job stream")
 
-// Wait polls the job until it reaches a terminal state or ctx expires,
-// whichever comes first; an expired context is returned as an error (and
-// cancels any in-flight poll) rather than waiting forever on a job the
-// daemon never finishes.
-func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
-	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
-			return JobStatus{}, err
+// Wait reads the job's event stream (ack.Stream) to its "end" event and
+// returns the job's cells in the order they resolved. A job that ended
+// done or failed is a result — failed cells carry their Error; a canceled
+// job (the daemon shut down before running it) is an error, and so is a
+// stream that is cut or short (ErrIncompleteStream). Wait ends when ctx
+// does, with ctx's error.
+func (c *Client) Wait(ctx context.Context, ack SubmitResponse) ([]CellStatus, error) {
+	cells, end, err := c.readJob(ctx, ack)
+	if err == nil && end.State != StateDone && end.State != StateFailed {
+		err = fmt.Errorf("server: job %s ended %s: %s", ack.ID, end.State, end.Error)
+	}
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil && !errors.Is(err, cerr) {
+			err = fmt.Errorf("server: waiting for job %s: %w", ack.ID, cerr)
 		}
-		switch st.State {
-		case StateDone, StateFailed, StateCanceled:
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return JobStatus{}, fmt.Errorf("server: waiting for job %s: %w", id, ctx.Err())
-		case <-time.After(c.poll()):
-		}
-	}
-}
-
-// Trace downloads one cell's recorded decision trace from a resolved traced
-// job as NDJSON bytes (decision.Trace.WriteNDJSON's format: a header line,
-// one line per event, a summary line). The job must have been submitted by a
-// client with TraceLevel > 0.
-func (c *Client) Trace(ctx context.Context, jobID, cellKey string) ([]byte, error) {
-	u := c.BaseURL + "/v1/jobs/" + jobID + "/trace"
-	if cellKey != "" {
-		u += "?cell=" + url.QueryEscape(cellKey)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	return io.ReadAll(resp.Body)
-}
-
-// Run submits the cells, waits for the job, and returns keyed results with
-// harness.Run's semantics: the first failing cell aborts with a *CellError.
-// It ignores caller cancellation; interactive callers use RunContext.
-func (c *Client) Run(cells []harness.Cell, opt harness.Options) (harness.Results, error) {
-	res, _, err := c.RunStats(cells, opt)
-	return res, err
-}
-
-// RunContext is Run bounded by ctx: canceling ctx aborts the submit or the
-// poll loop immediately, so a coordinator or CLI abort actually stops the
-// sweep instead of letting it poll to completion in the background.
-func (c *Client) RunContext(ctx context.Context, cells []harness.Cell, opt harness.Options) (harness.Results, error) {
-	res, _, err := c.RunStatsContext(ctx, cells, opt)
-	return res, err
-}
-
-// RunStats is RunStatsContext with a background context — it returns only
-// when the job resolves or c.Timeout expires.
-func (c *Client) RunStats(cells []harness.Cell, opt harness.Options) (harness.Results, harness.Stats, error) {
-	return c.RunStatsContext(context.Background(), cells, opt)
-}
-
-// RunStatsContext is Run plus the per-cell cost records the daemon measured
-// (for cache hits these echo the original simulation, not the cached
-// serve). The opt.Workers bound is ignored — concurrency is the daemon's to
-// manage. The call ends at ctx's cancellation or after c.Timeout (when
-// set), whichever comes first; the c.Timeout deadline stays a bound even
-// for callers passing a never-canceled context.
-func (c *Client) RunStatsContext(ctx context.Context, cells []harness.Cell, _ harness.Options) (harness.Results, harness.Stats, error) {
-	if len(cells) == 0 {
-		return harness.Results{}, harness.Stats{}, nil
-	}
-	if c.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.Timeout)
-		defer cancel()
-	}
-	ctx, sweep := obs.EnsureSweep(ctx)
-	ack, err := c.Submit(ctx, cells)
-	if err != nil {
-		return nil, nil, err
-	}
-	st, err := c.Wait(ctx, ack.ID)
-	if err != nil {
-		c.log().Error("sweep wait failed", "sweep", sweep, "server", c.BaseURL,
+		c.log().Error("sweep wait failed", "sweep", ack.Sweep, "server", c.BaseURL,
 			"job", ack.ID, "err", err)
-		return nil, nil, err
+		return nil, err
 	}
-	c.log().Info("sweep finished", "sweep", sweep, "server", c.BaseURL,
-		"job", ack.ID, "state", st.State, "cache_hits", st.CacheHits)
-	if st.State == StateCanceled {
-		return nil, nil, errors.New("server: job canceled: " + st.Error)
+	c.log().Info("sweep finished", "sweep", ack.Sweep, "server", c.BaseURL,
+		"job", ack.ID, "state", end.State, "cells", len(cells))
+	return cells, nil
+}
+
+// readJob opens the job's stream and reads it through readStream.
+func (c *Client) readJob(ctx context.Context, ack SubmitResponse) ([]CellStatus, StreamEvent, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+ack.Stream, nil)
+	if err != nil {
+		return nil, StreamEvent{}, err
 	}
-	results := make(harness.Results, len(st.Cells))
-	stats := make(harness.Stats, len(st.Cells))
-	for _, cell := range st.Cells {
-		if cell.Error != "" {
-			return nil, nil, &harness.CellError{Key: cell.Key, Err: errors.New(cell.Error)}
+	resp, err := c.http().Do(req)
+	if err != nil {
+		return nil, StreamEvent{}, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, StreamEvent{}, decodeError(resp)
+	}
+	cells, end, err := readStream(resp.Body, ack.Cells)
+	if err != nil {
+		return nil, StreamEvent{}, fmt.Errorf("server: job %s: %w", ack.ID, err)
+	}
+	return cells, end, nil
+}
+
+// readStream decodes NDJSON StreamEvents up to the "end" event and returns
+// the cells of the "cell" events with the end event. Only a stream that
+// reaches its end event counts; when that event reports done or failed,
+// it must also have carried exactly want cell events. Anything else is an
+// error wrapping ErrIncompleteStream.
+func readStream(r io.Reader, want int) ([]CellStatus, StreamEvent, error) {
+	dec := json.NewDecoder(r)
+	var cells []CellStatus
+	for {
+		var ev StreamEvent
+		if err := dec.Decode(&ev); err != nil {
+			if err == io.EOF {
+				return nil, StreamEvent{}, fmt.Errorf("%w: ended after %d cell events without an end event",
+					ErrIncompleteStream, len(cells))
+			}
+			return nil, StreamEvent{}, fmt.Errorf("%w after %d cell events: %w", ErrIncompleteStream, len(cells), err)
 		}
-		var res core.Result
-		if err := json.Unmarshal(cell.Result, &res); err != nil {
-			return nil, nil, fmt.Errorf("decoding result for cell %s: %w", cell.Key, err)
+		switch ev.Type {
+		case "cell":
+			if ev.Cell == nil {
+				return nil, StreamEvent{}, fmt.Errorf("%w: cell event without a cell", ErrIncompleteStream)
+			}
+			cells = append(cells, *ev.Cell)
+		case "end":
+			if (ev.State == StateDone || ev.State == StateFailed) && len(cells) != want {
+				return nil, StreamEvent{}, fmt.Errorf("%w: job %s with %d cell events for %d cells",
+					ErrIncompleteStream, ev.State, len(cells), want)
+			}
+			return cells, ev, nil
 		}
-		results[cell.Key] = &res
-		stats[cell.Key] = cell.Stats
 	}
-	return results, stats, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -26,7 +25,7 @@ func TestPromMetricsEndpoint(t *testing.T) {
 	if ack.Sweep == "" {
 		t.Fatal("submit ack carries no sweep correlation ID")
 	}
-	waitJob(t, ts, ack.ID)
+	waitJob(t, ts, ack)
 
 	resp, err := http.Get(ts.URL + "/metrics/prom")
 	if err != nil {
@@ -83,7 +82,7 @@ func TestPromFamilySet(t *testing.T) {
 	ack := submit(t, ts, SubmitRequest{Cells: []SubmitCell{
 		{Key: "a", Config: testCfg("gcc", core.SchemeBase)},
 	}})
-	if st := waitJob(t, ts, ack.ID); st.State != StateDone {
+	if st := waitJob(t, ts, ack); st.State != StateDone {
 		t.Fatalf("job state %s (error %q)", st.State, st.Error)
 	}
 
@@ -140,22 +139,15 @@ func typeLines(t *testing.T, url string) []string {
 	return out
 }
 
-// TestClientHonorsCancellation pins the satellite fix: a canceled caller
-// context aborts RunContext/RunStatsContext promptly even while the daemon
-// reports the job forever-running, instead of polling to completion.
+// TestClientHonorsCancellation pins that a canceled caller context aborts
+// Wait promptly even while the daemon's stream never ends.
 func TestClientHonorsCancellation(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusAccepted, SubmitResponse{ID: "job-1", Cells: 1})
-	})
-	mux.HandleFunc("GET /v1/jobs/job-1", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, JobStatus{ID: "job-1", State: StateRunning})
-	})
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-
-	cli := &Client{BaseURL: ts.URL, PollInterval: 5 * time.Millisecond}
+	cli := &Client{BaseURL: stubDaemon(t, 1, endlessStream).URL}
 	ctx, cancel := context.WithCancel(context.Background())
+	ack, err := cli.Submit(ctx, []harness.Cell{{Key: "x", Cfg: testCfg("gcc", core.SchemeBase)}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
@@ -163,9 +155,7 @@ func TestClientHonorsCancellation(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := cli.RunStatsContext(ctx, []harness.Cell{
-			{Key: "x", Cfg: testCfg("gcc", core.SchemeBase)},
-		}, harness.Options{})
+		_, err := cli.Wait(ctx, ack)
 		done <- err
 	}()
 	select {
@@ -174,38 +164,6 @@ func TestClientHonorsCancellation(t *testing.T) {
 			t.Fatalf("got %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("RunStatsContext ignored cancellation (the pre-fix behaviour)")
-	}
-}
-
-// TestClientTimeoutStillBounds checks the c.Timeout contract survived the
-// context plumbing: even with a never-canceled context, Timeout ends the
-// wait.
-func TestClientTimeoutStillBounds(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusAccepted, SubmitResponse{ID: "job-1", Cells: 1})
-	})
-	mux.HandleFunc("GET /v1/jobs/job-1", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, JobStatus{ID: "job-1", State: StateRunning})
-	})
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-
-	cli := &Client{BaseURL: ts.URL, PollInterval: 5 * time.Millisecond, Timeout: 50 * time.Millisecond}
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := cli.RunStats([]harness.Cell{
-			{Key: "x", Cfg: testCfg("gcc", core.SchemeBase)},
-		}, harness.Options{})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("got %v, want context.DeadlineExceeded", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Timeout no longer bounds RunStats")
+		t.Fatal("Wait ignored cancellation")
 	}
 }

@@ -33,7 +33,7 @@ func TestStoreWarmRestart(t *testing.T) {
 	// First life: simulate fresh, write through to disk.
 	s1 := New(Options{Store: openStore(t, dir)})
 	ts1 := newHTTPServer(t, s1)
-	first := waitJob(t, ts1, submit(t, ts1, req).ID)
+	first := waitJob(t, ts1, submit(t, ts1, req))
 	if first.State != StateDone {
 		t.Fatalf("first run state %s (%s)", first.State, first.Error)
 	}
@@ -52,17 +52,16 @@ func TestStoreWarmRestart(t *testing.T) {
 		defer cancel()
 		s2.Shutdown(ctx) //nolint:errcheck
 	}()
-	second := waitJob(t, ts2, submit(t, ts2, req).ID)
+	second := waitJob(t, ts2, submit(t, ts2, req))
 	if second.State != StateDone {
 		t.Fatalf("second run state %s (%s)", second.State, second.Error)
 	}
 
-	for i := range second.Cells {
-		c := second.Cells[i]
+	for key, c := range second.Cells {
 		if !c.CacheHit {
-			t.Fatalf("cell %s re-simulated after restart", c.Key)
+			t.Fatalf("cell %s re-simulated after restart", key)
 		}
-		if !bytes.Equal(c.Result, first.Cells[i].Result) {
+		if !bytes.Equal(c.Result, first.Cells[key].Result) {
 			t.Fatalf("cell %s Result differs across restart", c.Key)
 		}
 	}
@@ -84,11 +83,11 @@ func TestCacheEvictionBound(t *testing.T) {
 	cfgB := testCfg("gcc", core.SchemeVISA)
 
 	runOne := func(key string, cfg core.Config) CellStatus {
-		st := waitJob(t, ts, submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: key, Config: cfg}}}).ID)
+		st := waitJob(t, ts, submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: key, Config: cfg}}}))
 		if st.State != StateDone {
 			t.Fatalf("job for %s ended %s (%s)", key, st.State, st.Error)
 		}
-		return st.Cells[0]
+		return st.Cells[key]
 	}
 
 	firstA := runOne("a", cfgA)
@@ -125,11 +124,11 @@ func TestCacheEvictionFallsBackToStore(t *testing.T) {
 	})
 
 	runOne := func(key string, cfg core.Config) CellStatus {
-		st := waitJob(t, ts, submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: key, Config: cfg}}}).ID)
+		st := waitJob(t, ts, submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: key, Config: cfg}}}))
 		if st.State != StateDone {
 			t.Fatalf("job for %s ended %s (%s)", key, st.State, st.Error)
 		}
-		return st.Cells[0]
+		return st.Cells[key]
 	}
 	first := runOne("a", testCfg("gcc", core.SchemeBase))
 	runOne("b", testCfg("gcc", core.SchemeVISA)) // evicts A from memory

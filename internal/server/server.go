@@ -3,13 +3,13 @@
 // result cache, and Prometheus text-format metrics.
 //
 // Clients POST sweep cells (core.Config values, the same shape the harness
-// runs) to /v1/sweeps, receive a job ID, and poll /v1/jobs/{id} or stream
-// /v1/jobs/{id}/stream for results. Each cell is content-addressed by
-// core.Config.Hash — the SHA-256 of its canonical configuration — and the
-// simulator is deterministic, so a cached core.Result is byte-identical to
-// a fresh run and can be served without re-simulating. Concurrent identical
-// cells share a single simulation (single-flight); see DESIGN.md §7 for the
-// soundness argument.
+// runs) to /v1/sweeps, receive a job ID, and read the NDJSON event stream
+// at /v1/jobs/{id}/stream for results — the one way to wait for a job.
+// Each cell is content-addressed by core.Config.Hash — the SHA-256 of its
+// canonical configuration — and the simulator is deterministic, so a cached
+// core.Result is byte-identical to a fresh run and can be served without
+// re-simulating. Concurrent identical cells share a single simulation
+// (single-flight); see DESIGN.md §7 for the soundness argument.
 //
 // Execution is a two-level bounded pool: Options.JobWorkers jobs run
 // concurrently, and across all of them Options.SimWorkers simulations may be
@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"visasim/internal/core"
-	"visasim/internal/decision"
 	"visasim/internal/harness"
 	"visasim/internal/obs"
 	"visasim/internal/store"
@@ -45,10 +44,10 @@ type Options struct {
 	// with 503 (64 when 0).
 	QueueDepth int
 	// JobHistory bounds how many terminal (done/failed/canceled) jobs the
-	// server keeps for polling (256 when 0). Older terminal jobs are
-	// evicted oldest-first and their IDs 404; their results stay reachable
-	// through the content-addressed cache, so a long-running daemon does
-	// not grow with every submission.
+	// server keeps streamable (256 when 0). Older terminal jobs are
+	// evicted oldest-first and their streams 404; their results stay
+	// reachable through the content-addressed cache, so a long-running
+	// daemon does not grow with every submission.
 	JobHistory int
 	// CacheEntries bounds resolved results resident in memory (4096 when
 	// 0; negative means unbounded). Past it the least-recently-used
@@ -98,7 +97,6 @@ type jobCell struct {
 	res   *core.Result
 	err   error
 	stats harness.CellStats
-	trace *decision.Trace // recorded when the job's traceLevel > 0
 }
 
 // job is one accepted sweep submission.
@@ -110,9 +108,6 @@ type job struct {
 	// queuedAt is when the submission was accepted, for the queue-wait
 	// histogram.
 	queuedAt time.Time
-	// traceLevel is the submission's decision-trace level; traced jobs
-	// bypass the result cache (see SubmitRequest.TraceLevel).
-	traceLevel int
 
 	mu      sync.Mutex
 	state   string
@@ -173,9 +168,7 @@ func New(opt Options) *Server {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics/prom", s.handleMetricsProm)
 	return mux
@@ -225,8 +218,8 @@ func (s *Server) worker() {
 }
 
 func (s *Server) cancelJob(j *job) {
-	// Log before publishing the terminal state: a client that polls the job
-	// to completion may tear down its log sink the moment the state flips,
+	// Log before publishing the terminal state: a client that streams the
+	// job to its end may tear down its log sink the moment the state flips,
 	// so the write has to land first.
 	s.met.jobsCanceled.Add(1)
 	s.log.Warn("job canceled", "sweep", j.sweep, "job", j.id,
@@ -270,19 +263,6 @@ func (s *Server) runJob(j *job) {
 	var wg sync.WaitGroup
 	for i := range j.cells {
 		c := &j.cells[i]
-		if j.traceLevel > 0 {
-			// Traced cells bypass the cache in both directions: a cached
-			// result has no trace to serve, and filling the cache from here
-			// would gain nothing (the result is byte-identical to an
-			// untraced run's, but the single-flight entry has nowhere to
-			// carry the trace).
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s.runTracedCell(j, c)
-			}()
-			continue
-		}
 		e, leader := s.cache.claim(c.hash)
 		if !leader {
 			if e.resolved() {
@@ -380,8 +360,8 @@ func (s *Server) runJob(j *job) {
 	} else {
 		s.met.jobsDone.Add(1)
 	}
-	// Log before publishing the terminal state: a client that polls the job
-	// to completion may tear down its log sink the moment the state flips,
+	// Log before publishing the terminal state: a client that streams the
+	// job to its end may tear down its log sink the moment the state flips,
 	// so the write has to land first.
 	s.log.Info("job finished", "sweep", j.sweep, "job", j.id,
 		"state", state, "cells", len(j.cells), "cache_hits", hits)
@@ -391,44 +371,6 @@ func (s *Server) runJob(j *job) {
 	j.bump()
 	j.mu.Unlock()
 	s.retireJob(j)
-}
-
-// runTracedCell simulates one cell of a traced job with decision recording,
-// outside the single-flight cache.
-func (s *Server) runTracedCell(j *job, c *jobCell) {
-	s.sem <- struct{}{}
-	t0 := time.Now()
-	res, stats, traces, err := harness.RunTraced(
-		[]harness.Cell{{Key: c.key, Cfg: c.cfg}},
-		harness.Options{Workers: 1, TraceLevel: j.traceLevel,
-			Labels: map[string]string{"sweep": j.sweep}})
-	s.met.histSimulate.Observe(time.Since(t0).Seconds())
-	<-s.sem
-
-	j.mu.Lock()
-	c.done = true
-	if err != nil {
-		var ce *harness.CellError
-		if errors.As(err, &ce) {
-			err = ce.Err
-		}
-		c.err = err
-	} else {
-		c.res = res[c.key]
-		c.stats = stats[c.key]
-		c.trace = traces[c.key]
-	}
-	j.bump()
-	j.mu.Unlock()
-	s.met.recordCell(false)
-	if err != nil {
-		s.log.Error("traced cell simulation failed", "sweep", j.sweep,
-			"job", j.id, "cell", c.key, "hash", c.hash[:12], "err", err)
-		return
-	}
-	s.met.recordSim(c.stats)
-	s.log.Debug("traced cell simulated", "sweep", j.sweep, "job", j.id,
-		"cell", c.key, "hash", c.hash[:12], "trace_level", j.traceLevel)
 }
 
 // finishCell records a resolved cache entry into the job's cell.
@@ -471,7 +413,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	valid, traceLevel, err := DecodeSubmit(r.Body)
+	valid, err := DecodeSubmit(r.Body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -500,13 +442,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.seq++
 	j := &job{
-		id:         fmt.Sprintf("job-%d", s.seq),
-		sweep:      sweep,
-		queuedAt:   time.Now(),
-		traceLevel: traceLevel,
-		state:      StateQueued,
-		cells:      cells,
-		changed:    make(chan struct{}),
+		id:       fmt.Sprintf("job-%d", s.seq),
+		sweep:    sweep,
+		queuedAt: time.Now(),
+		state:    StateQueued,
+		cells:    cells,
+		changed:  make(chan struct{}),
 	}
 	select {
 	case s.queue <- j:
@@ -528,28 +469,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		ID:     j.id,
 		Sweep:  sweep,
 		Cells:  len(cells),
-		Job:    "/v1/jobs/" + j.id,
 		Stream: "/v1/jobs/" + j.id + "/stream",
 	})
-}
-
-// snapshot renders the job's current state. It marshals results outside the
-// critical section; a resolved cell's Result is immutable.
-func (s *Server) snapshot(j *job) JobStatus {
-	j.mu.Lock()
-	st := JobStatus{ID: j.id, State: j.state, Error: j.err}
-	cells := make([]jobCell, len(j.cells))
-	copy(cells, j.cells)
-	j.mu.Unlock()
-
-	st.Cells = make([]CellStatus, len(cells))
-	for i := range cells {
-		st.Cells[i] = cellStatus(&cells[i])
-		if cells[i].done && cells[i].hit {
-			st.CacheHits++
-		}
-	}
-	return st
 }
 
 func cellStatus(c *jobCell) CellStatus {
@@ -559,7 +480,6 @@ func cellStatus(c *jobCell) CellStatus {
 		Done:     c.done,
 		CacheHit: c.hit,
 		Stats:    c.stats,
-		HasTrace: c.trace != nil,
 	}
 	if c.err != nil {
 		cs.Error = c.err.Error()
@@ -581,15 +501,6 @@ func (s *Server) lookup(id string) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.jobs[id]
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, s.snapshot(j))
 }
 
 // handleStream writes NDJSON StreamEvents: one "cell" event as each cell
@@ -640,58 +551,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		}
-	}
-}
-
-// handleTrace serves one cell's recorded decision trace as NDJSON (header
-// line, one line per event, summary line — decision.Trace.WriteNDJSON's
-// format). The cell is selected with ?cell=KEY; a single-cell job needs no
-// parameter.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
-		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
-		return
-	}
-	key := r.URL.Query().Get("cell")
-
-	j.mu.Lock()
-	traceLevel := j.traceLevel
-	var c *jobCell
-	switch {
-	case key != "":
-		for i := range j.cells {
-			if j.cells[i].key == key {
-				c = &j.cells[i]
-				break
-			}
-		}
-	case len(j.cells) == 1:
-		c = &j.cells[0]
-	}
-	var (
-		done bool
-		tr   *decision.Trace
-	)
-	if c != nil {
-		done, tr = c.done, c.trace
-	}
-	j.mu.Unlock()
-
-	switch {
-	case traceLevel <= 0:
-		writeError(w, http.StatusNotFound, "job %s was not submitted with trace_level > 0", j.id)
-	case c == nil && key == "":
-		writeError(w, http.StatusBadRequest, "job %s has several cells; select one with ?cell=KEY", j.id)
-	case c == nil:
-		writeError(w, http.StatusNotFound, "job %s has no cell %q", j.id, key)
-	case !done:
-		writeError(w, http.StatusConflict, "cell %q has not resolved yet", key)
-	case tr == nil:
-		writeError(w, http.StatusNotFound, "cell %q recorded no trace (simulation failed?)", key)
-	default:
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		tr.WriteNDJSON(w) //nolint:errcheck // client went away; nothing to do
 	}
 }
 

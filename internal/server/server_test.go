@@ -75,36 +75,52 @@ func submit(t *testing.T, ts *httptest.Server, req SubmitRequest) SubmitResponse
 	return ack
 }
 
-func waitJob(t *testing.T, ts *httptest.Server, id string) JobStatus {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Minute)
-	for time.Now().Before(deadline) {
-		st := getJob(t, ts, id)
-		switch st.State {
-		case StateDone, StateFailed, StateCanceled:
-			return st
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("job %s did not finish", id)
-	return JobStatus{}
+// jobEnd is a finished job as its event stream reported it.
+type jobEnd struct {
+	State, Error string
+	// Cells holds the job's resolved cells by key.
+	Cells map[string]CellStatus
 }
 
-func getJob(t *testing.T, ts *httptest.Server, id string) JobStatus {
+// waitJob reads the job's event stream to its end event through the
+// client's stream reader, so a cut or short stream fails the test.
+func waitJob(t *testing.T, ts *httptest.Server, ack SubmitResponse) jobEnd {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+ack.Stream, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("job %s: HTTP %d", id, resp.StatusCode)
+		t.Fatalf("job %s stream: HTTP %d", ack.ID, resp.StatusCode)
 	}
-	var st JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
+	cells, end, err := readStream(resp.Body, ack.Cells)
+	if err != nil {
+		t.Fatalf("job %s: %v", ack.ID, err)
 	}
-	return st
+	out := jobEnd{State: end.State, Error: end.Error, Cells: map[string]CellStatus{}}
+	for _, c := range cells {
+		out.Cells[c.Key] = c
+	}
+	return out
+}
+
+// jobState reads a job's current state straight from the server.
+func jobState(t *testing.T, s *Server, id string) string {
+	t.Helper()
+	j := s.lookup(id)
+	if j == nil {
+		t.Fatalf("no job %s", id)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state
 }
 
 // getMetrics scrapes GET /metrics/prom and returns its unlabeled samples
@@ -135,22 +151,22 @@ func getMetrics(t *testing.T, ts *httptest.Server) map[string]float64 {
 	return m
 }
 
-func TestSubmitAndPoll(t *testing.T) {
+func TestSubmitAndStream(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	ack := submit(t, ts, SubmitRequest{Cells: []SubmitCell{
 		{Key: "gcc-base", Config: testCfg("gcc", core.SchemeBase)},
 	}})
-	if ack.Cells != 1 || ack.ID == "" {
+	if ack.Cells != 1 || ack.ID == "" || ack.Stream != "/v1/jobs/"+ack.ID+"/stream" {
 		t.Fatalf("bad ack %+v", ack)
 	}
-	st := waitJob(t, ts, ack.ID)
+	st := waitJob(t, ts, ack)
 	if st.State != StateDone {
 		t.Fatalf("job state %s, want done (error %q)", st.State, st.Error)
 	}
-	if len(st.Cells) != 1 {
-		t.Fatalf("got %d cells", len(st.Cells))
+	c, ok := st.Cells["gcc-base"]
+	if len(st.Cells) != 1 || !ok {
+		t.Fatalf("got cells %+v", st.Cells)
 	}
-	c := st.Cells[0]
 	if c.Key != "gcc-base" || !c.Done || c.Error != "" || len(c.Result) == 0 {
 		t.Fatalf("bad cell %+v", c)
 	}
@@ -168,27 +184,27 @@ func TestSubmitAndPoll(t *testing.T) {
 
 // TestCachedResultByteIdentical is the acceptance check: the second
 // submission of an identical cell is a cache hit whose Result JSON is
-// byte-identical to both the first response and a fresh harness.Run.
+// byte-identical to both the first response and a fresh harness.RunStats.
 func TestCachedResultByteIdentical(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	cfg := testCfg("mcf", core.SchemeVISA)
 
-	first := waitJob(t, ts, submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: "c", Config: cfg}}}).ID)
-	second := waitJob(t, ts, submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: "c", Config: cfg}}}).ID)
+	first := waitJob(t, ts, submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: "c", Config: cfg}}}))
+	second := waitJob(t, ts, submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: "c", Config: cfg}}}))
 	if first.State != StateDone || second.State != StateDone {
 		t.Fatalf("states %s/%s", first.State, second.State)
 	}
-	if first.Cells[0].CacheHit {
+	if first.Cells["c"].CacheHit {
 		t.Fatal("first submission claims a cache hit")
 	}
-	if !second.Cells[0].CacheHit || second.CacheHits != 1 {
-		t.Fatalf("second submission not served from cache: %+v", second.Cells[0])
+	if !second.Cells["c"].CacheHit {
+		t.Fatalf("second submission not served from cache: %+v", second.Cells["c"])
 	}
-	if !bytes.Equal(first.Cells[0].Result, second.Cells[0].Result) {
+	if !bytes.Equal(first.Cells["c"].Result, second.Cells["c"].Result) {
 		t.Fatal("cached Result JSON differs from the original run")
 	}
 
-	fresh, err := harness.Run([]harness.Cell{{Key: "c", Cfg: cfg}}, harness.Options{Workers: 1})
+	fresh, _, err := harness.RunStats([]harness.Cell{{Key: "c", Cfg: cfg}}, harness.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +212,8 @@ func TestCachedResultByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(second.Cells[0].Result, freshJSON) {
-		t.Fatal("cached Result JSON differs from a fresh harness.Run of the same config")
+	if !bytes.Equal(second.Cells["c"].Result, freshJSON) {
+		t.Fatal("cached Result JSON differs from a fresh harness.RunStats of the same config")
 	}
 
 	m := getMetrics(t, ts)
@@ -209,19 +225,19 @@ func TestCachedResultByteIdentical(t *testing.T) {
 // TestNoWarmupParity guards the canonicalization fix for Warmup<0: a
 // submitted no-warmup cell must simulate without warmup (not silently pick
 // up the default when core.Run re-applies defaults to the canonical form),
-// so the daemon's Result is byte-identical to a local harness.Run of the
+// so the daemon's Result is byte-identical to a local harness.RunStats of the
 // same config.
 func TestNoWarmupParity(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	cfg := testCfg("gcc", core.SchemeBase)
 	cfg.Warmup = -1
 
-	st := waitJob(t, ts, submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: "nowarm", Config: cfg}}}).ID)
+	st := waitJob(t, ts, submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: "nowarm", Config: cfg}}}))
 	if st.State != StateDone {
 		t.Fatalf("job state %s (error %q)", st.State, st.Error)
 	}
 
-	local, err := harness.Run([]harness.Cell{{Key: "nowarm", Cfg: cfg}}, harness.Options{Workers: 1})
+	local, _, err := harness.RunStats([]harness.Cell{{Key: "nowarm", Cfg: cfg}}, harness.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,13 +245,13 @@ func TestNoWarmupParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(st.Cells[0].Result, localJSON) {
-		t.Fatal("daemon Result for a no-warmup cell differs from a local harness.Run")
+	if !bytes.Equal(st.Cells["nowarm"].Result, localJSON) {
+		t.Fatal("daemon Result for a no-warmup cell differs from a local harness.RunStats")
 	}
 
 	// Guard against the test passing vacuously: disabling warmup must
 	// actually change the simulation relative to the default-warmup config.
-	withWarmup, err := harness.Run([]harness.Cell{{Key: "warm", Cfg: testCfg("gcc", core.SchemeBase)}}, harness.Options{Workers: 1})
+	withWarmup, _, err := harness.RunStats([]harness.Cell{{Key: "warm", Cfg: testCfg("gcc", core.SchemeBase)}}, harness.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,13 +281,13 @@ func TestSingleFlight(t *testing.T) {
 
 	var want []byte
 	for i := 0; i < n; i++ {
-		st := waitJob(t, ts, acks[i].ID)
+		st := waitJob(t, ts, acks[i])
 		if st.State != StateDone {
 			t.Fatalf("job %s state %s (%s)", acks[i].ID, st.State, st.Error)
 		}
 		if want == nil {
-			want = st.Cells[0].Result
-		} else if !bytes.Equal(want, st.Cells[0].Result) {
+			want = st.Cells["same"].Result
+		} else if !bytes.Equal(want, st.Cells["same"].Result) {
 			t.Fatalf("job %s returned a different Result", acks[i].ID)
 		}
 	}
@@ -297,14 +313,17 @@ func TestBadRequests(t *testing.T) {
 	}
 	cases := []struct {
 		name, body string
+		want       string // substring of the error body; "" checks only that there is one
 	}{
-		{"malformed JSON", `{"cells": [`},
-		{"no cells", `{"cells": []}`},
-		{"unknown benchmark", `{"cells":[{"config":{"Benchmarks":["nonesuch"]}}]}`},
-		{"no benchmarks", `{"cells":[{"config":{}}]}`},
-		{"dvm without target", `{"cells":[{"config":{"Benchmarks":["gcc"],"Scheme":5}}]}`},
-		{"duplicate keys", `{"cells":[{"key":"x","config":{"Benchmarks":["gcc"]}},{"key":"x","config":{"Benchmarks":["mcf"]}}]}`},
-		{"bad machine", `{"cells":[{"config":{"Benchmarks":["gcc"],"Machine":{"IQSize":-1}}}]}`},
+		{"malformed JSON", `{"cells": [`, ""},
+		{"no cells", `{"cells": []}`, ""},
+		{"unknown benchmark", `{"cells":[{"config":{"Benchmarks":["nonesuch"]}}]}`, ""},
+		{"no benchmarks", `{"cells":[{"config":{}}]}`, ""},
+		{"dvm without target", `{"cells":[{"config":{"Benchmarks":["gcc"],"Scheme":5}}]}`, ""},
+		{"duplicate keys", `{"cells":[{"key":"x","config":{"Benchmarks":["gcc"]}},{"key":"x","config":{"Benchmarks":["mcf"]}}]}`, ""},
+		{"bad machine", `{"cells":[{"config":{"Benchmarks":["gcc"],"Machine":{"IQSize":-1}}}]}`, ""},
+		// Retired request fields are refused by name, never ignored.
+		{"retired trace_level", `{"cells":[{"config":{"Benchmarks":["gcc"]}}],"trace_level":1}`, `unknown field "trace_level"`},
 	}
 	for _, tc := range cases {
 		resp := post(tc.body)
@@ -313,21 +332,22 @@ func TestBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400 (error %q)", tc.name, resp.StatusCode, er.Error)
-		} else if er.Error == "" {
-			t.Errorf("%s: 400 without an error body", tc.name)
+		} else if er.Error == "" || !strings.Contains(er.Error, tc.want) {
+			t.Errorf("%s: 400 with error %q, want it to mention %q", tc.name, er.Error, tc.want)
 		}
 	}
 }
 
 // TestJobHistoryEviction checks the terminal-job cap: with JobHistory 1,
-// finishing a second job evicts the first (its ID 404s) while the newest
-// terminal job stays pollable and the result cache keeps both results.
+// finishing a second job evicts the first (its stream 404s) while the
+// newest terminal job stays streamable and the result cache keeps both
+// results.
 func TestJobHistoryEviction(t *testing.T) {
 	s, ts := newTestServer(t, Options{JobHistory: 1})
 	first := submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: "a", Config: testCfg("gcc", core.SchemeBase)}}})
-	waitJob(t, ts, first.ID)
+	waitJob(t, ts, first)
 	second := submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: "b", Config: testCfg("gcc", core.SchemeVISA)}}})
-	waitJob(t, ts, second.ID)
+	waitJob(t, ts, second)
 
 	// Retirement runs just after the terminal state becomes visible, so
 	// poll briefly for the eviction.
@@ -338,7 +358,7 @@ func TestJobHistoryEviction(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + first.ID)
+	resp, err := http.Get(ts.URL + first.Stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +366,7 @@ func TestJobHistoryEviction(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("evicted job: HTTP %d, want 404", resp.StatusCode)
 	}
-	if st := getJob(t, ts, second.ID); st.State != StateDone {
+	if st := waitJob(t, ts, second); st.State != StateDone {
 		t.Fatalf("newest job state %s, want done", st.State)
 	}
 	if n := s.cache.size(); n != 2 {
@@ -354,9 +374,14 @@ func TestJobHistoryEviction(t *testing.T) {
 	}
 }
 
+// TestJobNotFound: an unknown job's stream 404s, and so do the retired
+// poll and trace endpoints of a job that exists — the stream is the one way
+// to read a job.
 func TestJobNotFound(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/stream"} {
+	ack := submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: "a", Config: testCfg("gcc", core.SchemeBase)}}})
+	waitJob(t, ts, ack)
+	for _, path := range []string{"/v1/jobs/nope/stream", "/v1/jobs/" + ack.ID, "/v1/jobs/" + ack.ID + "/trace"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -439,7 +464,7 @@ func TestShutdown(t *testing.T) {
 	queued := submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: "queued", Config: testCfg("vpr", core.SchemeBase)}}})
 
 	deadline := time.Now().Add(time.Minute)
-	for getJob(t, ts, inflight.ID).State != StateRunning {
+	for jobState(t, s, inflight.ID) != StateRunning {
 		if time.Now().After(deadline) {
 			t.Fatal("first job never started running")
 		}
@@ -477,10 +502,10 @@ func TestShutdown(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 
-	if st := getJob(t, ts, inflight.ID); st.State != StateDone {
+	if st := waitJob(t, ts, inflight); st.State != StateDone {
 		t.Fatalf("in-flight job ended %s, want done (error %q)", st.State, st.Error)
 	}
-	if st := getJob(t, ts, queued.ID); st.State != StateCanceled {
+	if st := waitJob(t, ts, queued); st.State != StateCanceled {
 		t.Fatalf("queued job ended %s, want canceled", st.State)
 	}
 
@@ -508,7 +533,7 @@ func TestShutdown(t *testing.T) {
 // be provoked through the HTTP API; inject a job with an unknown benchmark
 // directly into the queue instead.
 func TestFailedCellFailsJob(t *testing.T) {
-	s, _ := newTestServer(t, Options{})
+	s, ts := newTestServer(t, Options{})
 	j := &job{
 		id:    "job-injected",
 		state: StateQueued,
@@ -525,20 +550,12 @@ func TestFailedCellFailsJob(t *testing.T) {
 	s.met.jobsQueued.Add(1)
 	s.queue <- j
 
-	deadline := time.Now().Add(time.Minute)
-	for {
-		st := s.snapshot(j)
-		if st.State == StateFailed {
-			c := st.Cells[0]
-			if c.Error == "" || !strings.Contains(c.Error, "nonesuch") || c.Result != nil {
-				t.Fatalf("failed cell %+v", c)
-			}
-			break
-		}
-		if st.State == StateDone || time.Now().After(deadline) {
-			t.Fatalf("job ended %s, want failed", st.State)
-		}
-		time.Sleep(5 * time.Millisecond)
+	st := waitJob(t, ts, SubmitResponse{ID: j.id, Cells: 1, Stream: "/v1/jobs/" + j.id + "/stream"})
+	if st.State != StateFailed {
+		t.Fatalf("job ended %s, want failed", st.State)
+	}
+	if c := st.Cells["doomed"]; c.Error == "" || !strings.Contains(c.Error, "nonesuch") || c.Result != nil {
+		t.Fatalf("failed cell %+v", c)
 	}
 	// Failed entries are evicted so the address can retry later.
 	if n := s.cache.size(); n != 0 {

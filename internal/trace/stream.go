@@ -41,16 +41,8 @@ func (b *BitSet) Get(i uint64) bool {
 	return b.words[i/64]&(1<<(i%64)) != 0
 }
 
-// Words exposes the backing words (for serialisation).
+// Words exposes the backing words.
 func (b *BitSet) Words() []uint64 { return b.words }
-
-// NewBitSetFromWords reconstructs a bit set from serialised words.
-func NewBitSetFromWords(words []uint64, n uint64) (*BitSet, error) {
-	if uint64(len(words)) != (n+63)/64 {
-		return nil, fmt.Errorf("trace: %d words cannot back %d bits", len(words), n)
-	}
-	return &BitSet{words: words, n: n}, nil
-}
 
 // Count returns the number of set bits in [0, upto).
 func (b *BitSet) Count(upto uint64) uint64 {

@@ -189,7 +189,7 @@ func TestPinnedResultParity(t *testing.T) {
 		t.Skip("110-cell parity matrix")
 	}
 	cells := parityCells()
-	res, err := harness.Run(cells, harness.Options{Workers: 2})
+	res, _, err := harness.RunStats(cells, harness.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

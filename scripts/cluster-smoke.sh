@@ -2,14 +2,15 @@
 # Cluster smoke test: every remote path figure regeneration and sweeps
 # use, on real processes. Two visasimd daemons come up; the script asserts
 # end to end —
-#   1. `experiments -server D2` prints the same Fig. 5 output and CSV as a
-#      local `experiments` run;
+#   1. `experiments -backends D2` (one daemon) prints the same Fig. 5
+#      output and CSV as a local `experiments` run;
 #   2. `visasimctl sweep -results-only` over a small cells file prints the
 #      same bytes with -local and with -backends D2;
 #   3. an `experiments -backends D1,D2 -store DIR -resume` run of Fig. 5,
 #      with D1 killed by SIGKILL once the coordinator's store holds some
 #      but not all cells, still finishes, its in-flight cells failing over
-#      to D2, and its output and CSV are byte-identical to a local run
+#      to D2 when their job streams break, and its output and CSV are
+#      byte-identical to a local run
 #      (which daemon ran a cell, and how often it was retried, never
 #      changes result bytes);
 #   4. with both daemons gone, a -resume re-run produces the same bytes
@@ -25,7 +26,7 @@ BUDGET=200000
 # The single-daemon check runs at its own budget, so D2's result cache holds
 # none of the failover sweep's cells: cached cells would answer at once and
 # leave nothing in flight when D1 is killed.
-SERVER_BUDGET=100000
+ONE_DAEMON_BUDGET=100000
 TARGET=fig5
 TMP="$(mktemp -d)"
 STORE="$TMP/store"
@@ -45,7 +46,7 @@ go build -o "$TMP/visasimctl" ./cmd/visasimctl
 
 # Ground truth: the same figure run in-process, at both budgets.
 "$TMP/experiments" -n "$BUDGET" -csv "$TMP/local" "$TARGET" >"$TMP/local.out" 2>/dev/null
-"$TMP/experiments" -n "$SERVER_BUDGET" -csv "$TMP/local-s" "$TARGET" >"$TMP/local-s.out" 2>/dev/null
+"$TMP/experiments" -n "$ONE_DAEMON_BUDGET" -csv "$TMP/local-s" "$TARGET" >"$TMP/local-s.out" 2>/dev/null
 
 "$TMP/visasimd" -addr "$D1" 2>"$TMP/d1.log" &
 D1PID=$!
@@ -59,14 +60,15 @@ for addr in "$D1" "$D2"; do
     done
 done
 
-# One daemon: `experiments -server` must match the in-process run.
-"$TMP/experiments" -n "$SERVER_BUDGET" -server "http://$D2" -csv "$TMP/server" \
+# One daemon: `experiments -backends` with a single URL must match the
+# in-process run.
+"$TMP/experiments" -n "$ONE_DAEMON_BUDGET" -backends "http://$D2" -csv "$TMP/server" \
     "$TARGET" >"$TMP/server.out" 2>"$TMP/server.log" || {
-    echo "cluster-smoke: experiments -server failed"; cat "$TMP/server.log"; exit 1; }
+    echo "cluster-smoke: experiments -backends (one daemon) failed"; cat "$TMP/server.log"; exit 1; }
 cmp "$TMP/local-s.out" "$TMP/server.out" || {
-    echo "cluster-smoke: -server output diverged from local run"; exit 1; }
+    echo "cluster-smoke: one-daemon output diverged from local run"; exit 1; }
 cmp "$TMP/local-s/$TARGET.csv" "$TMP/server/$TARGET.csv" || {
-    echo "cluster-smoke: -server CSV diverged from local run"; exit 1; }
+    echo "cluster-smoke: one-daemon CSV diverged from local run"; exit 1; }
 
 # visasimctl: the same cells swept in-process and through the coordinator
 # must print the same bytes.
@@ -136,4 +138,4 @@ cmp "$TMP/local/$TARGET.csv" "$TMP/resumed/$TARGET.csv" || {
     echo "cluster-smoke: store-only CSV diverged from local run"; exit 1; }
 [ "$(stored)" = "$TOTAL" ] || { echo "cluster-smoke: store changed during the store-only re-run"; exit 1; }
 
-echo "cluster-smoke: OK (-server and visasimctl sweep byte-identical to local; $TARGET at $BUDGET: daemon killed with $AT_KILL of $TOTAL cells stored, output byte-identical to local, store-only re-run identical)"
+echo "cluster-smoke: OK (one-daemon experiments -backends and visasimctl sweep byte-identical to local; $TARGET at $BUDGET: daemon killed with $AT_KILL of $TOTAL cells stored, output byte-identical to local, store-only re-run identical)"

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Observability smoke test: boot visasimd, run one cell with a known sweep
-# correlation ID, and assert the two promises end to end —
+# correlation ID, wait for it by reading the job's event stream (the one
+# way to wait for a job), and assert the two promises end to end —
 #   1. GET /metrics/prom serves valid Prometheus text including histograms,
 #   2. the submitted sweep ID appears in the daemon's structured logs.
 # Used by `make obs-smoke` and the CI obs-smoke job.
@@ -31,22 +32,27 @@ for i in $(seq 1 50); do
     sleep 0.2
 done
 
-JOB=$(curl -sf "http://$ADDR/v1/sweeps" \
+ACK=$(curl -sf "http://$ADDR/v1/sweeps" \
     -H "Content-Type: application/json" \
     -H "X-Visasim-Sweep: $SWEEP" \
-    -d '{"cells":[{"key":"smoke","config":{"Benchmarks":["gcc"],"Scheme":1,"MaxInstructions":20000}}]}' \
-    | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
-[ -n "$JOB" ] || { echo "obs-smoke: submit returned no job ID"; cat "$LOG"; exit 1; }
+    -d '{"cells":[{"key":"smoke","config":{"Benchmarks":["gcc"],"Scheme":1,"MaxInstructions":20000}}]}')
+JOB=$(printf '%s' "$ACK" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+STREAM=$(printf '%s' "$ACK" | sed -n 's/.*"stream":"\([^"]*\)".*/\1/p')
+[ -n "$JOB" ] && [ -n "$STREAM" ] || {
+    echo "obs-smoke: submit returned no job ID or stream: $ACK"; cat "$LOG"; exit 1; }
 
-for i in $(seq 1 150); do
-    STATE=$(curl -sf "http://$ADDR/v1/jobs/$JOB" | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')
-    case "$STATE" in
-        done) break ;;
-        failed|canceled) echo "obs-smoke: job ended $STATE"; cat "$LOG"; exit 1 ;;
-    esac
-    [ "$i" = 150 ] && { echo "obs-smoke: job never finished"; cat "$LOG"; exit 1; }
-    sleep 0.2
-done
+# One bounded read of the stream: it ends with the job, so its last line
+# must be the "end" event of a done job.
+EVENTS="$TMP/stream.ndjson"
+curl -sfN --max-time 60 "http://$ADDR$STREAM" >"$EVENTS" || {
+    echo "obs-smoke: stream read failed or timed out"; cat "$EVENTS"; cat "$LOG"; exit 1; }
+LAST=$(tail -n 1 "$EVENTS")
+case "$LAST" in
+    *'"type":"end"'*'"state":"done"'*) ;;
+    *) echo "obs-smoke: stream did not end with a done end event: $LAST"; cat "$LOG"; exit 1 ;;
+esac
+grep -q '"type":"cell"' "$EVENTS" || {
+    echo "obs-smoke: stream carried no cell event"; cat "$EVENTS"; exit 1; }
 
 PROM="$TMP/metrics.prom"
 curl -sf "http://$ADDR/metrics/prom" >"$PROM"

@@ -50,7 +50,7 @@ func cmdACE(args []string) {
 		}
 		// The per-PC tag comes from the profile; the image carries none.
 		tag, inst := "-", d.Static.String()
-		if prof.Tag[prog.IndexOf(d.Static.PC)] {
+		if prof.Tag.Get(uint64(prog.IndexOf(d.Static.PC))) {
 			tag, inst = "ACE", inst+" [ACE]"
 		}
 		addr := ""

@@ -32,13 +32,14 @@ func main() {
 			log.Fatal(err)
 		}
 
-		// Count per-kind tag composition. The profile's Tag is indexed
-		// like the program's instructions.
+		// Count per-kind tag composition. The profile's Tag holds one
+		// bit per static instruction, indexed like the program's
+		// instructions.
 		var taggedByKind, totalByKind [isa.NumKinds]int
 		for i := range prog.Instrs {
 			k := prog.Instrs[i].Kind
 			totalByKind[k]++
-			if prof.Tag[i] {
+			if prof.Tag.Get(uint64(i)) {
 				taggedByKind[k]++
 			}
 		}

@@ -26,9 +26,10 @@ func TestTopInconsistentPCs(t *testing.T) {
 	}
 	var rows []row
 	var totalMis uint64
+	instances, aceInstances := PCCounts(prog, b.Params.Seed, 0, p)
 	for i := range prog.Instrs {
-		if p.ACEInstances[i] > 0 && p.ACEInstances[i] < p.Instances[i] {
-			mis := uint64(p.Instances[i] - p.ACEInstances[i])
+		if aceInstances[i] > 0 && aceInstances[i] < instances[i] {
+			mis := uint64(instances[i] - aceInstances[i])
 			rows = append(rows, row{i, mis})
 			totalMis += mis
 		}
@@ -40,6 +41,6 @@ func TestTopInconsistentPCs(t *testing.T) {
 	}
 	for _, r := range rows {
 		in := prog.Instrs[r.idx]
-		t.Logf("idx=%d n=%d ace=%d pat=%d %v", r.idx, p.Instances[r.idx], p.ACEInstances[r.idx], in.MemPattern, in.String())
+		t.Logf("idx=%d n=%d ace=%d pat=%d %v", r.idx, instances[r.idx], aceInstances[r.idx], in.MemPattern, in.String())
 	}
 }

@@ -28,12 +28,13 @@ func TestProfileDiagnostics(t *testing.T) {
 		// Aggregate per kind: instances, ACE instances, and mixed PCs
 		// (PCs whose instances are neither all-ACE nor all-unACE).
 		var inst, aceInst, mixedInst [isa.NumKinds]uint64
+		instances, aceInstances := PCCounts(prog, b.Params.Seed, 0, p)
 		for i := range prog.Instrs {
 			k := prog.Instrs[i].Kind
-			inst[k] += uint64(p.Instances[i])
-			aceInst[k] += uint64(p.ACEInstances[i])
-			if p.ACEInstances[i] > 0 && p.ACEInstances[i] < p.Instances[i] {
-				mixedInst[k] += uint64(p.Instances[i] - p.ACEInstances[i])
+			inst[k] += uint64(instances[i])
+			aceInst[k] += uint64(aceInstances[i])
+			if aceInstances[i] > 0 && aceInstances[i] < instances[i] {
+				mixedInst[k] += uint64(instances[i] - aceInstances[i])
 			}
 		}
 		t.Logf("%s: aceFrac=%.3f acc=%.3f late=%d", name, p.ACEFraction(), p.Accuracy(), p.LateMarks)

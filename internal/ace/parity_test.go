@@ -16,17 +16,18 @@ import (
 
 // syncProfile profiles prog like Run, but drives both analysis stages
 // synchronously through the streaming API (New, one Retire per committed
-// instruction, Flush) and keeps its own ring of static indices.
-func syncProfile(prog *program.Program, seed uint64, thread int, dynInstrs uint64, window int) *Profile {
+// instruction, Flush) and keeps its own ring of static indices. It also
+// returns the per-PC instance and ACE-instance counts of the drive.
+func syncProfile(prog *program.Program, seed uint64, thread int, dynInstrs uint64, window int) (p *Profile, instances, aceInstances []uint32) {
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	p := &Profile{
-		Bits:         trace.NewBitSet(dynInstrs),
-		Tag:          make([]bool, prog.Len()),
-		Instances:    make([]uint32, prog.Len()),
-		ACEInstances: make([]uint32, prog.Len()),
+	p = &Profile{
+		Bits: trace.NewBitSet(dynInstrs),
+		Tag:  trace.NewBitSet(uint64(prog.Len())),
 	}
+	instances = make([]uint32, prog.Len())
+	aceInstances = make([]uint32, prog.Len())
 	staticIdx := make([]int, window)
 	an := New(window, func(seq uint64, isACE bool) {
 		if seq >= dynInstrs {
@@ -34,10 +35,10 @@ func syncProfile(prog *program.Program, seed uint64, thread int, dynInstrs uint6
 		}
 		p.Bits.Set(seq, isACE)
 		si := staticIdx[seq%uint64(window)]
-		p.Instances[si]++
+		instances[si]++
 		if isACE {
-			p.ACEInstances[si]++
-			p.Tag[si] = true
+			aceInstances[si]++
+			p.Tag.Set(uint64(si), true)
 			p.DynACE++
 		}
 		p.DynInstrs++
@@ -53,27 +54,35 @@ func syncProfile(prog *program.Program, seed uint64, thread int, dynInstrs uint6
 	}
 	an.Flush()
 	p.LateMarks = an.LateMarks()
-	return p
+	for si, n := range instances {
+		if aceInstances[si] > 0 { // a tagged PC
+			p.TagMismatches += uint64(n - aceInstances[si])
+		}
+	}
+	return p, instances, aceInstances
+}
+
+// bitsEqual reports whether two bit sets have the same length and bits.
+func bitsEqual(a, b *trace.BitSet) bool {
+	return a.Len() == b.Len() && slices.Equal(a.Words(), b.Words())
 }
 
 // profileDiff names the first field in which two profiles differ, or
 // returns "" if they are identical.
 func profileDiff(got, want *Profile) string {
 	switch {
-	case got.Bits.Len() != want.Bits.Len() || !slices.Equal(got.Bits.Words(), want.Bits.Words()):
+	case !bitsEqual(got.Bits, want.Bits):
 		return "Bits"
-	case !slices.Equal(got.Tag, want.Tag):
+	case !bitsEqual(got.Tag, want.Tag):
 		return "Tag"
-	case !slices.Equal(got.Instances, want.Instances):
-		return "Instances"
-	case !slices.Equal(got.ACEInstances, want.ACEInstances):
-		return "ACEInstances"
 	case got.DynInstrs != want.DynInstrs:
 		return fmt.Sprintf("DynInstrs %d vs %d", got.DynInstrs, want.DynInstrs)
 	case got.DynACE != want.DynACE:
 		return fmt.Sprintf("DynACE %d vs %d", got.DynACE, want.DynACE)
 	case got.LateMarks != want.LateMarks:
 		return fmt.Sprintf("LateMarks %d vs %d", got.LateMarks, want.LateMarks)
+	case got.TagMismatches != want.TagMismatches:
+		return fmt.Sprintf("TagMismatches %d vs %d", got.TagMismatches, want.TagMismatches)
 	}
 	return ""
 }
@@ -97,7 +106,7 @@ func TestRunMatchesSynchronousDrive(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						want := syncProfile(prog, b.Params.Seed, thread, n, window)
+						want, _, _ := syncProfile(prog, b.Params.Seed, thread, n, window)
 						if d := profileDiff(got, want); d != "" {
 							t.Fatalf("window %d, %d instrs, thread %d: %s differs", window, n, thread, d)
 						}
@@ -108,8 +117,51 @@ func TestRunMatchesSynchronousDrive(t *testing.T) {
 	}
 }
 
+// TestPCCountsMatchesSynchronousDrive checks the per-PC counts PCCounts
+// replays from a profile against the counts a synchronous drive keeps while
+// it profiles, and the per-PC invariants of the profile's tags and
+// TagMismatches against those counts, over every benchmark.
+func TestPCCountsMatchesSynchronousDrive(t *testing.T) {
+	for _, name := range workload.Names() {
+		t.Run(name, func(t *testing.T) {
+			b := workload.MustGet(name)
+			prog, err := b.Generate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, window := range []int{1, 1000, DefaultWindow} {
+				for _, n := range []uint64{1, 30_000, 204_096} {
+					p, err := Run(prog, b.Params.Seed, 0, n, window)
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, wantInst, wantACE := syncProfile(prog, b.Params.Seed, 0, n, window)
+					inst, aceInst := PCCounts(prog, b.Params.Seed, 0, p)
+					if !slices.Equal(inst, wantInst) || !slices.Equal(aceInst, wantACE) {
+						t.Fatalf("window %d, %d instrs: PCCounts differ from the synchronous drive", window, n)
+					}
+					var mismatches uint64
+					for i := range inst {
+						if p.Tag.Get(uint64(i)) != (aceInst[i] > 0) {
+							t.Fatalf("window %d, %d instrs: tag %d = %v with %d ACE instances",
+								window, n, i, p.Tag.Get(uint64(i)), aceInst[i])
+						}
+						if p.Tag.Get(uint64(i)) {
+							mismatches += uint64(inst[i] - aceInst[i])
+						}
+					}
+					if mismatches != p.TagMismatches {
+						t.Fatalf("window %d, %d instrs: TagMismatches %d, per-PC sum %d",
+							window, n, p.TagMismatches, mismatches)
+					}
+				}
+			}
+		})
+	}
+}
+
 // profileFile is the gob record TestProfileBytesPinned hashes: every field
-// of a Profile plus its provenance. It is the version-2 layout of the
+// of a profile plus its provenance. It is the version-2 layout of the
 // retired on-disk profile format, kept byte for byte (gob encodes the type
 // name and field names too) so the pinned digests still apply.
 type profileFile struct {
@@ -128,8 +180,15 @@ type profileFile struct {
 	LateMarks    uint64
 }
 
-// profileBytes gob-encodes p as a profileFile record.
-func profileBytes(p *Profile, benchmark string, seed uint64, window int) ([]byte, error) {
+// profileBytes gob-encodes p, profiled from prog on thread 0, as a
+// profileFile record. The record's byte-per-PC tags and per-PC counters
+// are rebuilt from the tag bits and by PCCounts.
+func profileBytes(p *Profile, prog *program.Program, benchmark string, seed uint64, window int) ([]byte, error) {
+	tag := make([]bool, p.Tag.Len())
+	for i := range tag {
+		tag[i] = p.Tag.Get(uint64(i))
+	}
+	instances, aceInstances := PCCounts(prog, seed, 0, p)
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(profileFile{
 		Version:      2,
@@ -138,9 +197,9 @@ func profileBytes(p *Profile, benchmark string, seed uint64, window int) ([]byte
 		Window:       window,
 		BitWords:     p.Bits.Words(),
 		BitLen:       p.Bits.Len(),
-		Tag:          p.Tag,
-		Instances:    p.Instances,
-		ACEInstances: p.ACEInstances,
+		Tag:          tag,
+		Instances:    instances,
+		ACEInstances: aceInstances,
 		DynInstrs:    p.DynInstrs,
 		DynACE:       p.DynACE,
 		LateMarks:    p.LateMarks,
@@ -154,7 +213,9 @@ func profileBytes(p *Profile, benchmark string, seed uint64, window int) ([]byte
 // recorded with the single-stage analyzer this package replaced, so they
 // hold the two-stage analysis to its output; they were re-recorded for
 // file version 2 (32-bit instance counters) after a format-independent
-// digest of every field showed the profiles themselves unchanged.
+// digest of every field showed the profiles themselves unchanged. The
+// profile no longer holds the counters or byte tags; profileBytes rebuilds
+// them, and the digests apply unchanged.
 func TestProfileBytesPinned(t *testing.T) {
 	const n = 1_254_096
 	want := map[string]string{
@@ -173,7 +234,7 @@ func TestProfileBytesPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := profileBytes(p, name, b.Params.Seed, DefaultWindow)
+		blob, err := profileBytes(p, prog, name, b.Params.Seed, DefaultWindow)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,24 +10,19 @@ import (
 // Profile is the result of an offline vulnerability-profiling run over one
 // program (§2.1 of the paper): ground-truth per-instance ACE-ness for the
 // profiled prefix of the dynamic stream, plus the per-PC 1-bit ACE tags the
-// proposed hardware reads from the extended ISA.
+// proposed hardware reads from the extended ISA. It holds two bit vectors
+// and four totals; PCCounts rebuilds per-PC instance counts on demand.
 type Profile struct {
 	// Bits holds ground-truth ACE-ness per dynamic instruction (by
 	// commit sequence number) for the profiled prefix.
 	Bits *trace.BitSet
 
-	// Tag holds the per-static-instruction (per-PC) ACE tag: true if
-	// any profiled dynamic instance of that PC was ACE. Indexed by
-	// static instruction index. It is the only copy of the tags: the
-	// timing simulation reads it through trace.NewStream, and the
-	// program image stays untouched.
-	Tag []bool
-
-	// Instances and ACEInstances count profiled dynamic instances per
-	// static instruction. Run caps a profile below 2^32 instructions, so
-	// 32 bits cannot overflow.
-	Instances    []uint32
-	ACEInstances []uint32
+	// Tag holds the per-static-instruction (per-PC) ACE tag, one bit per
+	// static instruction index: set if any profiled dynamic instance of
+	// that PC was ACE. It is the only copy of the tags: the timing
+	// simulation reads it through trace.NewStream, and the program image
+	// stays untouched.
+	Tag *trace.BitSet
 
 	// DynInstrs is the number of classified dynamic instructions.
 	DynInstrs uint64
@@ -35,6 +30,9 @@ type Profile struct {
 	DynACE uint64
 	// LateMarks is the analyzer's windowing-error count.
 	LateMarks uint64
+	// TagMismatches counts the profiled instances whose PC tag differs
+	// from their own ACE-ness: the un-ACE instances of tagged PCs.
+	TagMismatches uint64
 }
 
 // ACEFraction returns the fraction of profiled dynamic instructions that
@@ -56,16 +54,28 @@ func (p *Profile) Accuracy() float64 {
 	if p.DynInstrs == 0 {
 		return 1
 	}
-	var mismatches uint64
-	for i, n := range p.Instances {
-		if p.Tag[i] {
-			// ACE-tagged PC: un-ACE instances mismatch.
-			mismatches += uint64(n - p.ACEInstances[i])
+	return 1 - float64(p.TagMismatches)/float64(p.DynInstrs)
+}
+
+// PCCounts replays the executor over p's profiled prefix and returns, per
+// static instruction index, how many profiled dynamic instances it had and
+// how many of them were ACE (read from p.Bits). seed and thread must be the
+// ones p was profiled with; ACE-ness does not depend on thread, so any
+// thread gives the same counts.
+func PCCounts(prog *program.Program, seed uint64, thread int, p *Profile) (instances, aceInstances []uint32) {
+	instances = make([]uint32, prog.Len())
+	aceInstances = make([]uint32, prog.Len())
+	exec := trace.NewExecutor(prog, seed, thread)
+	var d trace.DynInst
+	for seq := uint64(0); seq < p.Bits.Len(); seq++ {
+		exec.Next(&d)
+		si := prog.IndexOf(d.Static.PC)
+		instances[si]++
+		if p.Bits.Get(seq) {
+			aceInstances[si]++
 		}
-		// un-ACE-tagged PC: by construction every instance was
-		// un-ACE; no mismatch possible.
 	}
-	return 1 - float64(mismatches)/float64(p.DynInstrs)
+	return instances, aceInstances
 }
 
 // Run profiles prog for dynInstrs dynamic instructions using the given
@@ -90,11 +100,12 @@ func Run(prog *program.Program, seed uint64, thread int, dynInstrs uint64, windo
 		window = DefaultWindow
 	}
 	p := &Profile{
-		Bits:         trace.NewBitSet(dynInstrs),
-		Tag:          make([]bool, prog.Len()),
-		Instances:    make([]uint32, prog.Len()),
-		ACEInstances: make([]uint32, prog.Len()),
+		Bits: trace.NewBitSet(dynInstrs),
+		Tag:  trace.NewBitSet(uint64(prog.Len())),
 	}
+	// Per-PC instance counts live for this pass only: with the tags they
+	// give TagMismatches.
+	instances := make([]uint32, prog.Len())
 	// Feed dynInstrs + window instructions so every profiled
 	// instruction gets a full analysis window behind it.
 	total := dynInstrs + uint64(window)
@@ -123,15 +134,17 @@ func Run(prog *program.Program, seed uint64, thread int, dynInstrs uint64, windo
 		}
 	}()
 
+	// Tag bits are set on the words: BitSet.Set does not inline, and this
+	// runs once per ACE instance.
+	tag := p.Tag.Words()
 	win := newWindow(uint64(window), func(seq uint64, si int32, isACE bool) {
 		if seq >= dynInstrs {
 			return // lookahead tail beyond the profiled prefix
 		}
-		p.Instances[si]++
+		instances[si]++
 		if isACE {
 			p.Bits.Set(seq, true) // bits start clear
-			p.ACEInstances[si]++
-			p.Tag[si] = true
+			tag[uint32(si)/64] |= 1 << (uint32(si) % 64)
 			p.DynACE++
 		}
 		p.DynInstrs++
@@ -144,11 +157,20 @@ func Run(prog *program.Program, seed uint64, thread int, dynInstrs uint64, windo
 	}
 	win.flush()
 	p.LateMarks = win.lateMarks
+	// Every ACE instance sits at a tagged PC, so the tagged PCs'
+	// instances are DynACE plus the mismatches.
+	var tagged uint64
+	for si, n := range instances {
+		if p.Tag.Get(uint64(si)) {
+			tagged += uint64(n)
+		}
+	}
+	p.TagMismatches = tagged - p.DynACE
 	return p, nil
 }
 
 // maxProfileInstrs bounds a profile's length (exclusive): the per-PC
-// instance counters are 32 bits wide.
+// instance counters of Run and PCCounts are 32 bits wide.
 const maxProfileInstrs = 1 << 32
 
 // Run's hand-over between the stages: batchBuffers recycled batches of

@@ -1,8 +1,10 @@
 package ace
 
 import (
+	"reflect"
 	"testing"
 
+	"visasim/internal/trace"
 	"visasim/internal/workload"
 )
 
@@ -56,11 +58,12 @@ func TestProfileTagIsAnyInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range p.Tag {
-		if p.Tag[i] != (p.ACEInstances[i] > 0) {
-			t.Fatalf("tag[%d]=%v but ACE instances=%d", i, p.Tag[i], p.ACEInstances[i])
+	instances, aceInstances := PCCounts(prog, b.Params.Seed, 0, p)
+	for i := range instances {
+		if p.Tag.Get(uint64(i)) != (aceInstances[i] > 0) {
+			t.Fatalf("tag[%d]=%v but ACE instances=%d", i, p.Tag.Get(uint64(i)), aceInstances[i])
 		}
-		if p.ACEInstances[i] > p.Instances[i] {
+		if aceInstances[i] > instances[i] {
 			t.Fatalf("instr %d: more ACE instances than instances", i)
 		}
 	}
@@ -74,8 +77,9 @@ func TestProfileNoFalseNegatives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range p.Tag {
-		if !p.Tag[i] && p.ACEInstances[i] > 0 {
+	_, aceInstances := PCCounts(prog, b.Params.Seed, 0, p)
+	for i := range aceInstances {
+		if !p.Tag.Get(uint64(i)) && aceInstances[i] > 0 {
 			t.Fatalf("instr %d has ACE instances but un-ACE tag", i)
 		}
 	}
@@ -88,11 +92,12 @@ func TestProfileAccuracyMatchesDefinition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	instances, aceInstances := PCCounts(prog, b.Params.Seed, 0, p)
 	var mismatch, total uint64
-	for i := range p.Tag {
-		total += uint64(p.Instances[i])
-		if p.Tag[i] {
-			mismatch += uint64(p.Instances[i] - p.ACEInstances[i])
+	for i := range instances {
+		total += uint64(instances[i])
+		if p.Tag.Get(uint64(i)) {
+			mismatch += uint64(instances[i] - aceInstances[i])
 		}
 	}
 	want := 1 - float64(mismatch)/float64(total)
@@ -104,6 +109,39 @@ func TestProfileAccuracyMatchesDefinition(t *testing.T) {
 	}
 }
 
+// TestProfileSize keeps a cached profile lean: every process keeps tens of
+// profiles live, so a profile holds its two bit vectors (one bit per
+// profiled instruction, one per static instruction) and scalar totals, and
+// no per-PC slice. The length is a figs cell's profile length (200k
+// committed plus the quarter warmup plus the in-flight slack).
+func TestProfileSize(t *testing.T) {
+	const n = 254_096
+	b := workload.MustGet("gcc")
+	prog, err := b.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Run(prog, b.Params.Seed, 0, n, DefaultWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitSet := reflect.TypeOf((*trace.BitSet)(nil))
+	var words int
+	v := reflect.ValueOf(p).Elem()
+	for i := range v.NumField() {
+		f := v.Type().Field(i)
+		switch {
+		case f.Type == bitSet:
+			words += len(v.Field(i).Interface().(*trace.BitSet).Words())
+		case f.Type.Kind() != reflect.Uint64:
+			t.Errorf("Profile.%s is a %v: want bit sets and uint64 totals only", f.Name, f.Type)
+		}
+	}
+	if want := (n+63)/64 + (prog.Len()+63)/64; words != want {
+		t.Errorf("profile of %d instructions over %d PCs holds %d words, want %d", n, prog.Len(), words, want)
+	}
+}
+
 func TestRunRejectsZeroLength(t *testing.T) {
 	b := workload.MustGet("gcc")
 	prog, _ := b.Generate()
@@ -112,7 +150,7 @@ func TestRunRejectsZeroLength(t *testing.T) {
 	}
 }
 
-// TestRunRejectsOverlongProfile checks the bound that keeps the per-PC
+// TestRunRejectsOverlongProfile checks the bound that keeps Run's per-PC
 // instance counters within 32 bits; Run refuses before allocating.
 func TestRunRejectsOverlongProfile(t *testing.T) {
 	b := workload.MustGet("gcc")

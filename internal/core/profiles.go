@@ -54,7 +54,10 @@ type profileKey struct {
 // set perfbench or experiments keeps live (one key per benchmark and
 // budget: 45 for perfbench's service workload, 75 for its figs setup), so
 // their cells never re-profile; a sweep over more keys re-profiles what it
-// evicted, to the same bytes.
+// evicted, to the same bytes. An entry costs L/8 + PCs/8 bytes for a
+// profile of L instructions over PCs static instructions (about 32 KB at a
+// figs cell's length), so a full cache of mem-long-length profiles stays
+// near 40 MB.
 const profileCacheEntries = 256
 
 // profileEntry is one slot of profileLRU.

@@ -171,9 +171,9 @@ func TestProgramSharedAcrossBudgets(t *testing.T) {
 			if profs[i] != want {
 				t.Fatalf("budget %d thread %d: not the cached profile", n, i)
 			}
-			for pc := range want.Tag {
-				if s.Tag(pc) != want.Tag[pc] {
-					t.Fatalf("budget %d thread %d: tag %d = %v, profile says %v", n, i, pc, s.Tag(pc), want.Tag[pc])
+			for pc := range prog.Len() {
+				if s.Tag(pc) != want.Tag.Get(uint64(pc)) {
+					t.Fatalf("budget %d thread %d: tag %d = %v, profile says %v", n, i, pc, s.Tag(pc), want.Tag.Get(uint64(pc)))
 				}
 			}
 		}
@@ -262,8 +262,7 @@ func TestProgramSharedRetainedHeap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		profBytes += 8*uint64(len(p.Bits.Words())) + uint64(len(p.Tag)) +
-			4*uint64(len(p.Instances)+len(p.ACEInstances))
+		profBytes += 8 * uint64(len(p.Bits.Words())+len(p.Tag.Words()))
 	}
 	grown := int64(heap()) - int64(before)
 

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (see DESIGN.md for the experiment index). Each experiment
 // returns structured results plus a rendered text report; cmd/experiments
-// prints them and bench_test.go wraps them as benchmarks.
+// prints them.
 //
 // Absolute numbers differ from the paper (the substrate is a synthetic
 // workload model, not SPEC2000 on M-Sim); the shapes — which scheme wins,

@@ -5,9 +5,9 @@ import (
 	"math/bits"
 )
 
-// BitSet is a compact per-dynamic-instruction boolean store, used to carry
-// ground-truth ACE-ness from the offline profiling pass into the timing
-// simulation.
+// BitSet is a compact boolean store, used to carry the offline profiling
+// pass's ground-truth ACE-ness (one bit per dynamic instruction) and its
+// per-PC tags (one bit per static instruction) into the timing simulation.
 type BitSet struct {
 	words []uint64
 	n     uint64
@@ -81,30 +81,31 @@ type Stream struct {
 	next uint64 // absolute index of the first ungenerated position
 	low  uint64 // lowest position still addressable
 
-	// tag holds the per-PC tags by static instruction index (all false
-	// when untagged); it sits after the ring so the ring's entries keep
-	// their cache-line placement.
-	tag []bool
+	// tag holds the words of the per-PC tag bits by static instruction
+	// index (all clear when untagged); it sits after the ring so the
+	// ring's entries keep their cache-line placement.
+	tag []uint64
 }
 
 // NewStream wraps exec. ace, if non-nil, supplies ground-truth ACE bits by
 // sequence number; positions beyond its length default to un-ACE. tag
-// holds the per-PC ACE tags indexed like exec.Prog.Instrs (an offline
-// profile's Tag); nil means every instruction is untagged. The stream
-// reads tag and never writes it, so one slice may back many streams.
-func NewStream(exec *Executor, ace *BitSet, tag []bool) *Stream {
+// holds the per-PC ACE tags, one bit per static instruction indexed like
+// exec.Prog.Instrs (an offline profile's Tag); nil means every instruction
+// is untagged. The stream reads tag and never writes it, so one bit set
+// may back many streams.
+func NewStream(exec *Executor, ace *BitSet, tag *BitSet) *Stream {
 	switch {
 	case tag == nil:
-		tag = make([]bool, exec.Prog.Len())
-	case len(tag) != exec.Prog.Len():
-		panic(fmt.Sprintf("trace: %d ACE tags for a %d-instruction program", len(tag), exec.Prog.Len()))
+		tag = NewBitSet(uint64(exec.Prog.Len()))
+	case tag.Len() != uint64(exec.Prog.Len()):
+		panic(fmt.Sprintf("trace: %d ACE tags for a %d-instruction program", tag.Len(), exec.Prog.Len()))
 	}
-	return &Stream{exec: exec, ace: ace, tag: tag}
+	return &Stream{exec: exec, ace: ace, tag: tag.words}
 }
 
 // Tag returns the per-PC ACE tag of the static instruction at index i of
 // the executor's program (see program.IndexOf).
-func (s *Stream) Tag(i int) bool { return s.tag[i] }
+func (s *Stream) Tag(i int) bool { return s.tag[uint(i)/64]&(1<<(uint(i)%64)) != 0 }
 
 // At returns the dynamic instruction at absolute position pos, generating
 // forward as needed. Positions below the released low-water mark panic:

@@ -131,25 +131,25 @@ func TestStreamCarriesACEBits(t *testing.T) {
 func TestStreamCarriesTags(t *testing.T) {
 	prog := testProgram(14)
 	untagged := NewStream(NewExecutor(prog, 1, 0), nil, nil)
-	tag := make([]bool, prog.Len())
-	for i := range tag {
-		tag[i] = i%3 == 0
+	tag := NewBitSet(uint64(prog.Len()))
+	for i := range prog.Len() {
+		tag.Set(uint64(i), i%3 == 0)
 	}
 	tagged := NewStream(NewExecutor(prog, 1, 0), nil, tag)
-	for i := range tag {
+	for i := range prog.Len() {
 		if untagged.Tag(i) {
 			t.Fatalf("untagged stream reports a tag at %d", i)
 		}
-		if tagged.Tag(i) != tag[i] {
-			t.Fatalf("tag %d = %v, want %v", i, tagged.Tag(i), tag[i])
+		if want := i%3 == 0; tagged.Tag(i) != want {
+			t.Fatalf("tag %d = %v, want %v", i, tagged.Tag(i), want)
 		}
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("a tag slice of the wrong length must panic")
+			t.Fatal("a tag bit set of the wrong length must panic")
 		}
 	}()
-	NewStream(NewExecutor(prog, 1, 0), nil, tag[1:])
+	NewStream(NewExecutor(prog, 1, 0), nil, NewBitSet(uint64(prog.Len()-1)))
 }
 
 func TestStreamMatchesExecutor(t *testing.T) {

@@ -65,7 +65,7 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "tagged PCs         %d of %d static instructions\n", prof.Tag.Count(prof.Tag.Len()), prof.Tag.Len())
 
 	if *top > 0 {
-		prog, err := b.Generate()
+		prog, err := core.ProgramFor(b)
 		if err != nil {
 			return err
 		}

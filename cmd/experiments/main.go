@@ -83,9 +83,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
-	// Ctrl-C aborts a remote sweep mid-flight (queued cells are skipped,
-	// in-flight dispatches canceled) instead of letting it run on; local
-	// in-process sweeps are unaffected.
+	// Ctrl-C aborts a remote sweep mid-flight (cells not yet dispatched
+	// are skipped, in-flight dispatches canceled) instead of letting it run
+	// on; local in-process sweeps are unaffected.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
@@ -138,7 +138,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}
-		defer coord.Close()
 		p.Runner = func(cells []harness.Cell) (harness.Results, error) {
 			res, _, err := coord.Run(ctx, cells)
 			return res, err

@@ -73,7 +73,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		prog, err := b.Generate()
+		prog, err := core.ProgramFor(b)
 		if err != nil {
 			fatal(err)
 		}

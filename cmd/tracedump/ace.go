@@ -30,7 +30,7 @@ func cmdACE(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	prog, err := b.Generate()
+	prog, err := core.ProgramFor(b)
 	if err != nil {
 		fatal(err)
 	}

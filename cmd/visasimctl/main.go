@@ -23,7 +23,9 @@
 // and writes keyed results as JSON on stdout. With -store the completed
 // cells are checkpointed to disk as they finish; re-running with -resume
 // re-dispatches only the cells not yet checkpointed, so a killed sweep
-// continues where it stopped. -local takes none of the coordinator's
+// continues where it stopped. -workers bounds the sweep's in-flight cells;
+// -v prints the elapsed time and one line per backend (health and dispatch
+// count) to stderr after the sweep. -local takes none of the coordinator's
 // flags (-backends, -store, -resume, -seed, -timeout, -v), and -resume
 // needs -store; such command lines are refused before any cell is read.
 // Exit status is 2 for a refused command line, and 1 when any backend is
@@ -121,7 +123,6 @@ func cmdHealth(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer c.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
@@ -209,9 +210,9 @@ func cmdSweep(args []string) error {
 		return err
 	}
 
-	// SIGINT/SIGTERM cancel the sweep: queued groups are skipped and every
-	// in-flight dispatch attempt is aborted, instead of waiting on the
-	// backends to completion after the operator gave up.
+	// SIGINT/SIGTERM cancel the sweep: groups not yet started are skipped
+	// and every in-flight dispatch attempt is aborted, instead of waiting on
+	// the backends to completion after the operator gave up.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -273,9 +274,9 @@ func parseSweepFlags(args []string) (*sweepFlags, error) {
 	fs.StringVar(&f.cells, "cells", "-", `cells JSON file ("-" = stdin; same shape as POST /v1/sweeps)`)
 	fs.StringVar(&f.store, "store", "", "checkpoint completed cells to this directory")
 	fs.BoolVar(&f.resume, "resume", false, "skip cells already checkpointed in -store")
-	fs.IntVar(&f.workers, "workers", 0, "concurrently in-flight cells (0 = 4 per backend; with -local, parallel simulations)")
+	fs.IntVar(&f.workers, "workers", 0, "concurrently in-flight cells of the sweep (0 = 4 per backend, at least 8; with -local, parallel simulations)")
 	fs.DurationVar(&f.timeout, "timeout", 10*time.Minute, "per-cell dispatch attempt deadline")
-	fs.BoolVar(&f.verbose, "v", false, "print coordinator metrics (Prometheus text) to stderr after the sweep")
+	fs.BoolVar(&f.verbose, "v", false, "print the elapsed time and each backend's health and dispatch count to stderr after the sweep")
 	fs.StringVar(&f.logLevel, "log-level", "warn", "minimum log level: debug, info, warn, error")
 	fs.StringVar(&f.logFormat, "log-format", "text", "log line format: text or json")
 	fs.Int64Var(&f.seed, "seed", 0, "backoff-jitter RNG seed (0 = from the clock)")
@@ -346,14 +347,19 @@ func sweepViaBackends(ctx context.Context, cells []harness.Cell, f *sweepFlags, 
 	if err != nil {
 		return nil, nil, err
 	}
-	defer coord.Close()
 
 	start := time.Now()
 	results, stats, err := coord.Run(ctx, cells)
 	if f.verbose {
 		fmt.Fprintf(os.Stderr, "visasimctl: %d cells in %v\n",
 			len(cells), time.Since(start).Round(time.Millisecond))
-		coord.WritePrometheus(os.Stderr)
+		for _, m := range coord.Members() {
+			state := "healthy"
+			if !m.Healthy {
+				state = "demoted"
+			}
+			fmt.Fprintf(os.Stderr, "visasimctl: backend %s %s, %d dispatched\n", m.URL, state, m.Dispatched)
+		}
 	}
 	if err != nil {
 		return nil, nil, err

@@ -27,7 +27,7 @@ func main() {
 			log.Fatal(err)
 		}
 
-		prog, err := b.Generate()
+		prog, err := core.ProgramFor(b)
 		if err != nil {
 			log.Fatal(err)
 		}

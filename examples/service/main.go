@@ -41,7 +41,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer coord.Close()
 	ctx := context.Background()
 	workload := []string{"bzip2", "eon", "gcc", "perlbmk"}
 	cells := []harness.Cell{

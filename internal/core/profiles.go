@@ -23,14 +23,16 @@ var (
 	programCache = map[string]*programEntry{}
 )
 
-// programFor returns bench's program image, generated once per benchmark
+// ProgramFor returns bench's program image, generated once per benchmark
 // name. Generation is deterministic and nothing writes the image
 // afterwards — executors keep their state beside it, the address-space
 // tag is applied per thread and the ACE tags live in the profile — so one
 // image serves every profiling pass and every thread slot of every cell.
 // The cache holds one entry per benchmark of the registry. Concurrent
-// callers for the same benchmark share one generation pass.
-func programFor(bench workload.Benchmark) (*program.Program, error) {
+// callers for the same benchmark share one generation pass. Tools that
+// walk a profile beside its program take the image from here, so they
+// reuse the one ProfileFor generated instead of building a second.
+func ProgramFor(bench workload.Benchmark) (*program.Program, error) {
 	programMu.Lock()
 	e, ok := programCache[bench.Name]
 	if !ok {
@@ -121,7 +123,7 @@ func ProfileFor(bench workload.Benchmark, n uint64, window int) (*ace.Profile, e
 		window = ace.DefaultWindow
 	}
 	return profiles.get(profileKey{bench.Name, n, window}, func() (*ace.Profile, error) {
-		prog, err := programFor(bench)
+		prog, err := ProgramFor(bench)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +147,7 @@ func threadStreams(benchmarks []string, profLen uint64, window int) ([]*trace.St
 		if err != nil {
 			return nil, nil, err
 		}
-		prog, err := programFor(b)
+		prog, err := ProgramFor(b)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: generating %s: %w", name, err)
 		}

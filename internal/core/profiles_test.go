@@ -79,7 +79,7 @@ func TestProfileCacheLRUEviction(t *testing.T) {
 
 func TestProfileCacheEvictedKeyRecomputes(t *testing.T) {
 	b := workload.MustGet("gap")
-	prog, err := programFor(b)
+	prog, err := ProgramFor(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ var sharedBudgets = []uint64{21_011, 21_013, 21_017}
 
 func TestProgramSharedAcrossBudgets(t *testing.T) {
 	b := workload.MustGet("lucas")
-	prog, err := programFor(b)
+	prog, err := ProgramFor(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestProgramSharedConcurrentCells(t *testing.T) {
 // live: its profile, and no copy of the program image.
 func TestProgramSharedRetainedHeap(t *testing.T) {
 	b := workload.MustGet("crafty")
-	prog, err := programFor(b)
+	prog, err := ProgramFor(b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
 // Package dispatch fans experiment sweeps out across a static list of
 // visasimd backends: a coordinator that shards a sweep's cells over the
-// pool least-loaded first, with health probing, a per-attempt deadline,
-// per-cell retry with exponential backoff and jitter, and failover after
-// repeated failures. The backend list is fixed at New; every sweep's
-// dispatch groups wait in one first-come-first-served queue that a fixed
-// dispatcher pool drains.
+// pool least-loaded first, with a per-attempt deadline, per-cell retry
+// with exponential backoff and jitter, and failover after repeated
+// failures. The backend list is fixed at New. Each Run owns its
+// concurrency: it starts a bounded worker pool for its own dispatch
+// groups, and every goroutine it starts has exited when it returns, so
+// nothing runs between sweeps.
 //
 // The coordinator's Run mirrors harness.RunStats (keyed results and cost
 // records, first failing cell aborts with a *harness.CellError), so it
@@ -47,10 +48,6 @@ type Options struct {
 	// HTTP is the transport shared by all backend clients and health
 	// probes (http.DefaultClient when nil).
 	HTTP *http.Client
-	// ProbeInterval spaces /healthz probes of every backend (2s when 0).
-	// A backend that fails a probe — or a dispatch — is deprioritized
-	// until a probe succeeds again; it is never removed.
-	ProbeInterval time.Duration
 	// MaxAttempts bounds how many times one cell is dispatched before the
 	// sweep fails (3 when 0). Attempts after the first prefer a different
 	// backend (failover) and are spaced by exponential backoff.
@@ -65,9 +62,9 @@ type Options struct {
 	// backend costs one timeout, not the sweep: the attempt fails, the
 	// backend is marked unhealthy and the cell fails over.
 	CellTimeout time.Duration
-	// Workers is the size of the dispatcher pool draining the queue — the
-	// bound on concurrently in-flight cells across all backends and all
-	// concurrent sweeps (4×len(Backends) when 0, with a floor of 8).
+	// Workers bounds one sweep's concurrently in-flight cells across all
+	// backends: Run starts at most this many goroutines, all gone when it
+	// returns (4×len(Backends) when 0, with a floor of 8).
 	Workers int
 	// Store, when non-nil, is the durable checkpoint tier: every
 	// completed cell is written through to it keyed by content hash.
@@ -90,9 +87,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = 2 * time.Second
-	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3
 	}
@@ -114,6 +108,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// reprobeTimeout bounds the /healthz probes Run sends demoted backends
+// before a sweep's first dispatch.
+const reprobeTimeout = 2 * time.Second
+
 // backend is one visasimd instance the coordinator dispatches to.
 type backend struct {
 	url string
@@ -123,38 +121,29 @@ type backend struct {
 	inflight atomic.Int64 // cells currently dispatched here
 
 	dispatched atomic.Int64 // attempts sent here
-	failures   atomic.Int64 // attempts that came back retryable-failed
 }
 
-// Coordinator shards sweeps across backends. Create with New, release the
-// dispatcher pool and health prober with Close. Safe for concurrent
-// Run/RunStats calls — the queue, worker bound and metrics are shared
-// across them.
+// Coordinator shards sweeps across backends. Create with New; it runs no
+// goroutine between sweeps, so there is nothing to close (idle keep-alive
+// connections belong to Options.HTTP). Run is safe to call concurrently,
+// though each call bounds only its own sweep by Workers.
 type Coordinator struct {
 	opt Options
-	met *metrics
 	log *slog.Logger
 
 	// backends is the pool, fixed at New.
 	backends []*backend
-
-	// queue is the FIFO every Run feeds and the dispatcher pool drains.
-	queue *queue
 
 	// rng jitters retry backoff. Per-instance and mutex-guarded rather
 	// than the global math/rand: seedable for reproducible tests, and no
 	// cross-talk with anything else in the process drawing randomness.
 	rngMu sync.Mutex
 	rng   *rand.Rand
-
-	quit      chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
 }
 
-// New validates the backend list, starts the dispatcher pool and the
-// health prober. Backends start out presumed healthy; the first probe (or
-// failed dispatch) corrects that, so a coordinator is usable immediately.
+// New validates the backend list. Backends start out presumed healthy; a
+// failed dispatch demotes one, and the next Run re-probes it, so a
+// coordinator is usable immediately and starts no goroutine.
 func New(opt Options) (*Coordinator, error) {
 	if len(opt.Backends) == 0 {
 		return nil, errors.New("dispatch: no backends")
@@ -165,11 +154,9 @@ func New(opt Options) (*Coordinator, error) {
 		seed = time.Now().UnixNano()
 	}
 	c := &Coordinator{
-		opt:   opt,
-		log:   obs.Logger(opt.Logger),
-		queue: newQueue(),
-		rng:   rand.New(rand.NewSource(seed)), //nolint:gosec // jitter, not crypto
-		quit:  make(chan struct{}),
+		opt: opt,
+		log: obs.Logger(opt.Logger),
+		rng: rand.New(rand.NewSource(seed)), //nolint:gosec // jitter, not crypto
 	}
 	seen := map[string]bool{}
 	for _, raw := range opt.Backends {
@@ -188,24 +175,7 @@ func New(opt Options) (*Coordinator, error) {
 		b.healthy.Store(true)
 		c.backends = append(c.backends, b)
 	}
-	c.met = newMetrics(c)
-	c.wg.Add(1)
-	go c.probeLoop()
-	for i := 0; i < opt.Workers; i++ {
-		c.wg.Add(1)
-		go c.dispatcher()
-	}
 	return c, nil
-}
-
-// Close stops accepting new sweeps, lets queued and in-flight work drain,
-// and releases the dispatcher pool and health prober.
-func (c *Coordinator) Close() {
-	c.closeOnce.Do(func() {
-		close(c.quit)
-		c.queue.close()
-	})
-	c.wg.Wait()
 }
 
 // BackendStatus is one backend's state as seen by Probe/Members.
@@ -264,20 +234,27 @@ func (c *Coordinator) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-func (c *Coordinator) probeLoop() {
-	defer c.wg.Done()
-	t := time.NewTicker(c.opt.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.quit:
-			return
-		case <-t.C:
-			ctx, cancel := context.WithTimeout(context.Background(), c.opt.ProbeInterval)
-			c.Probe(ctx)
-			cancel()
+// reprobe sends one /healthz probe, bounded by reprobeTimeout, to every
+// backend currently demoted, and waits for them all. Run calls it before a
+// sweep's first dispatch, so a backend demoted in one sweep rejoins the
+// next once it answers again; healthy backends are not probed.
+func (c *Coordinator) reprobe(ctx context.Context) {
+	ctx, cancel := context.WithTimeout(ctx, reprobeTimeout)
+	defer cancel()
+	var wg sync.WaitGroup
+	for _, b := range c.backends {
+		if b.healthy.Load() {
+			continue
 		}
+		wg.Add(1)
+		go func(b *backend) {
+			defer wg.Done()
+			if err := b.probe(ctx, c.httpClient()); err == nil {
+				c.log.Info("backend rejoined", "sweep", obs.SweepID(ctx), "backend", b.url)
+			}
+		}(b)
 	}
+	wg.Wait()
 }
 
 // probe hits the backend's /healthz and records the outcome.
@@ -306,7 +283,7 @@ func (b *backend) probe(ctx context.Context, hc *http.Client) error {
 // avoiding `avoid` (the backend a previous attempt of the same cell just
 // failed on) when any alternative exists. With no healthy candidate it
 // falls back to unhealthy ones — a sweep should limp through a window where
-// every probe failed rather than spin, and the per-attempt timeout bounds
+// every backend was demoted rather than spin, and the per-attempt timeout bounds
 // the cost of being wrong. The pool is never empty, so pick always returns
 // a backend.
 //

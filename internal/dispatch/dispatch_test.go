@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -58,7 +59,6 @@ func newCoordinator(t *testing.T, opt Options) *Coordinator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
 	return c
 }
 
@@ -69,6 +69,39 @@ func backendDispatchCounts(c *Coordinator) map[string]int64 {
 		out[m.URL] = m.Dispatched
 	}
 	return out
+}
+
+// totalDispatched sums the dispatch attempts sent to every backend.
+func totalDispatched(c *Coordinator) int64 {
+	var n int64
+	for _, m := range c.Members() {
+		n += m.Dispatched
+	}
+	return n
+}
+
+// logBuffer collects a coordinator's log records as JSON lines; safe for
+// the concurrent writes of a sweep's workers.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *logBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *logBuffer) logger() *slog.Logger {
+	return slog.New(slog.NewJSONHandler(l, nil))
+}
+
+// count returns how many records carry the message msg.
+func (l *logBuffer) count(msg string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return strings.Count(l.buf.String(), `"msg":"`+msg+`"`)
 }
 
 // TestClusterParity is the acceptance check: a sweep dispatched across two
@@ -117,11 +150,10 @@ func TestClusterParity(t *testing.T) {
 			t.Errorf("backend %s received no dispatches: %v", url, counts)
 		}
 	}
-	if got := c.met.dedupShares.Value(); got != 1 {
-		t.Errorf("dedup_shares = %v, want 1 (gcc-base-dup folds into gcc-base)", got)
-	}
-	if got := c.met.cellsTotal.Value(); got != int64(len(cells)) {
-		t.Errorf("cells_total = %v, want %d", got, len(cells))
+	// Five cells, four distinct hashes: gcc-base-dup folds into gcc-base,
+	// and healthy backends need no retries.
+	if got := totalDispatched(c); got != 4 {
+		t.Errorf("dispatched %d attempts for 4 groups, want 4", got)
 	}
 }
 
@@ -185,9 +217,11 @@ func TestFlakyBackendDoesNotFailSweep(t *testing.T) {
 
 	// The flaky backend first so least-loaded tie-breaking sends the first
 	// cell straight into the fault.
+	var logs logBuffer
 	c := newCoordinator(t, Options{
 		Backends:    []string{flakyTS.URL, healthySrv.URL},
 		MaxAttempts: 4,
+		Logger:      logs.logger(),
 	})
 	cells := []harness.Cell{
 		{Key: "a", Cfg: testCfg("gcc", core.SchemeBase)},
@@ -212,11 +246,11 @@ func TestFlakyBackendDoesNotFailSweep(t *testing.T) {
 	if flaky.tripped == 0 {
 		t.Fatal("fault was never exercised")
 	}
-	if got := c.met.retries.Value(); got < 1 {
-		t.Fatalf("retries = %v, want >= 1", got)
+	if got := logs.count("cell retrying"); got < 1 {
+		t.Fatalf("%d cell retrying records, want >= 1", got)
 	}
-	if got := c.met.failovers.Value(); got < 1 {
-		t.Fatalf("failovers = %v, want >= 1", got)
+	if got := logs.count("cell failing over"); got < 1 {
+		t.Fatalf("%d cell failing over records, want >= 1", got)
 	}
 }
 
@@ -225,7 +259,8 @@ func TestFlakyBackendDoesNotFailSweep(t *testing.T) {
 // Key is the submitted cell's key, exactly as local harness.RunStats would.
 func TestCellErrorKeySurvivesDispatch(t *testing.T) {
 	b := newBackend(t)
-	c := newCoordinator(t, Options{Backends: []string{b.URL}})
+	var logs logBuffer
+	c := newCoordinator(t, Options{Backends: []string{b.URL}, Logger: logs.logger()})
 
 	cells := []harness.Cell{
 		{Key: "fine", Cfg: testCfg("gcc", core.SchemeBase)},
@@ -242,9 +277,13 @@ func TestCellErrorKeySurvivesDispatch(t *testing.T) {
 	if ce.Key != "doomed" {
 		t.Fatalf("CellError key %q, want %q", ce.Key, "doomed")
 	}
-	// Rejected requests are permanent: no retry storm against the backend.
-	if got := c.met.retries.Value(); got != 0 {
-		t.Fatalf("retries = %v for a permanent failure, want 0", got)
+	// Rejected requests are permanent: no retry storm against the backend,
+	// so each of the two groups is sent at most once.
+	if got := logs.count("cell retrying"); got != 0 {
+		t.Fatalf("%d cell retrying records for a permanent failure, want 0", got)
+	}
+	if got := totalDispatched(c); got > int64(len(cells)) {
+		t.Fatalf("dispatched %d attempts for %d groups, want at most one each", got, len(cells))
 	}
 }
 
@@ -298,14 +337,7 @@ func TestResumeSkipsCompletedCells(t *testing.T) {
 			t.Fatalf("cell %s differs after resume", key)
 		}
 	}
-	if got := second.met.resumeSkips.Value(); got != 2 {
-		t.Fatalf("resume_skips = %v, want 2", got)
-	}
-	var total int64
-	for _, n := range backendDispatchCounts(second) {
-		total += n
-	}
-	if total != 2 {
+	if total := totalDispatched(second); total != 2 {
 		t.Fatalf("resumed sweep dispatched %v cells, want only the 2 missing ones", total)
 	}
 	if st2.Len() != 4 {
@@ -324,16 +356,15 @@ func TestWedgedBackendTimesOutAndFailsOver(t *testing.T) {
 	wedged := &flakyBackend{real: wedgedSim.Handler(), left: 1, hang: true, release: make(chan struct{})}
 	wedgedTS := httptest.NewServer(wedged)
 
-	// Wedged backend first in the list so the single cell lands on it. No
-	// probe runs during the test, so only the timed-out attempt can mark it
-	// unhealthy.
+	// Wedged backend first in the list so the single cell lands on it. Run
+	// probes only demoted backends, so only the timed-out attempt can mark
+	// it unhealthy.
+	var logs logBuffer
 	c := newCoordinator(t, Options{
-		Backends:      []string{wedgedTS.URL, goodSrv.URL},
-		CellTimeout:   300 * time.Millisecond,
-		ProbeInterval: time.Hour,
+		Backends:    []string{wedgedTS.URL, goodSrv.URL},
+		CellTimeout: 300 * time.Millisecond,
+		Logger:      logs.logger(),
 	})
-	// Registered after the coordinator so it runs first: a still-hung
-	// attempt is released before c.Close waits for it.
 	t.Cleanup(func() {
 		close(wedged.release) // runs before wedgedTS.Close would wait on the conn
 		wedgedTS.Close()
@@ -357,8 +388,8 @@ func TestWedgedBackendTimesOutAndFailsOver(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("sweep did not finish while a backend hung")
 	}
-	if got := c.met.failovers.Value(); got < 1 {
-		t.Fatalf("failovers = %v, want >= 1", got)
+	if got := logs.count("cell failing over"); got < 1 {
+		t.Fatalf("%d cell failing over records, want >= 1", got)
 	}
 	for _, m := range c.Members() {
 		if m.URL == wedgedTS.URL && m.Healthy {
@@ -458,10 +489,12 @@ func TestCutStreamFailsOver(t *testing.T) {
 			t.Cleanup(stubTS.Close)
 
 			// The stub first, so least-loaded tie-breaking sends it a cell;
-			// no probe runs, so only the cut stream can mark it unhealthy.
+			// it starts healthy and is not probed, so only the cut stream
+			// can mark it unhealthy.
+			var logs logBuffer
 			c := newCoordinator(t, Options{
-				Backends:      []string{stubTS.URL, healthy.URL},
-				ProbeInterval: time.Hour,
+				Backends: []string{stubTS.URL, healthy.URL},
+				Logger:   logs.logger(),
 			})
 			cells := []harness.Cell{
 				{Key: "a", Cfg: testCfg("gcc", core.SchemeBase)},
@@ -488,8 +521,8 @@ func TestCutStreamFailsOver(t *testing.T) {
 			if streams == 0 {
 				t.Fatal("no stream was ever read from the stub")
 			}
-			if got := c.met.failovers.Value(); got < 1 {
-				t.Fatalf("failovers = %v, want >= 1", got)
+			if got := logs.count("cell failing over"); got < 1 {
+				t.Fatalf("%d cell failing over records, want >= 1", got)
 			}
 		})
 	}
@@ -550,8 +583,7 @@ func TestEmptyAndInvalidSweeps(t *testing.T) {
 // TestNewRejectsBadBackendLists pins constructor validation.
 func TestNewRejectsBadBackendLists(t *testing.T) {
 	for _, bad := range [][]string{nil, {}, {""}, {"http://a", "http://a/"}} {
-		if c, err := New(Options{Backends: bad}); err == nil {
-			c.Close()
+		if _, err := New(Options{Backends: bad}); err == nil {
 			t.Errorf("New(%q) succeeded", bad)
 		}
 	}

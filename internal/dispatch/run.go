@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"visasim/internal/core"
@@ -24,34 +25,17 @@ type group struct {
 	stats harness.CellStats
 }
 
-// schedJob is one group waiting in the queue, with the channel its Run
-// collects the outcome on.
-type schedJob struct {
-	ctx      context.Context
-	g        *group
-	ch       chan<- schedOutcome
-	enqueued time.Time // stamped by queue.push
-}
-
-// schedOutcome is a dispatcher's verdict on one group.
-type schedOutcome struct {
-	g   *group
-	res *core.Result
-	st  harness.CellStats
-	err error
-}
-
 // Run dispatches the cells across the backends, bounded by ctx, and
 // returns keyed results plus the per-cell cost records the winning backend
 // measured, with harness.RunStats's semantics: the first failing cell
-// aborts the sweep (in-flight cells finish, queued ones are skipped) and is
-// returned as a *harness.CellError naming the cell. Canceling ctx aborts
-// queued groups and every in-flight dispatch attempt. Concurrency is
-// Options.Workers across the whole pool, shared by all concurrent sweeps
-// through the FIFO queue. When ctx does not already carry a sweep
-// correlation ID one is minted here, so a sweep entering at the
-// coordinator is correlated end to end exactly like one entering at a
-// client.
+// aborts the sweep and is returned as a *harness.CellError naming the
+// cell. The abort, like canceling ctx, skips groups not yet started and
+// cancels every in-flight dispatch attempt. Run re-probes demoted backends
+// once before its first dispatch, then drains its groups with at most
+// Options.Workers goroutines, all of which have exited when it returns.
+// When ctx does not already carry a sweep correlation ID one is minted
+// here, so a sweep entering at the coordinator is correlated end to end
+// exactly like one entering at a client.
 func (c *Coordinator) Run(ctx context.Context, cells []harness.Cell) (harness.Results, harness.Stats, error) {
 	if len(cells) == 0 {
 		return harness.Results{}, harness.Stats{}, nil
@@ -82,10 +66,6 @@ func (c *Coordinator) Run(ctx context.Context, cells []harness.Cell) (harness.Re
 		}
 		g.keys = append(g.keys, cell.Key)
 	}
-	c.met.cellsTotal.Add(int64(len(cells)))
-	if shared := len(cells) - len(groups); shared > 0 {
-		c.met.dedupShares.Add(int64(shared))
-	}
 
 	// Resume: anything already checkpointed in the store is complete —
 	// its address fully determines its result — so serve it from disk and
@@ -95,11 +75,8 @@ func (c *Coordinator) Run(ctx context.Context, cells []harness.Cell) (harness.Re
 		if c.opt.Resume && c.opt.Store != nil {
 			if res, st, ok := c.opt.Store.Get(g.hash); ok {
 				g.res, g.stats = res, st
-				c.met.storeHits.Add(1)
-				c.met.resumeSkips.Add(int64(len(g.keys)))
 				continue
 			}
-			c.met.storeMisses.Add(1)
 		}
 		pending = append(pending, g)
 	}
@@ -108,33 +85,9 @@ func (c *Coordinator) Run(ctx context.Context, cells []harness.Cell) (harness.Re
 		"pending", len(pending), "resumed", len(groups)-len(pending),
 		"backends", len(c.backends))
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	outcomes := make(chan schedOutcome, len(pending))
-	queued := 0
-	var firstErr error
-	for _, g := range pending {
-		if !c.queue.push(&schedJob{ctx: ctx, g: g, ch: outcomes}) {
-			firstErr = keyedError(g.keys[0], errors.New("dispatch: coordinator closed"))
-			cancel()
-			break
-		}
-		queued++
-	}
-	for i := 0; i < queued; i++ {
-		out := <-outcomes
-		if out.err != nil {
-			if firstErr == nil {
-				firstErr = keyedError(out.g.keys[0], out.err)
-				cancel()
-			}
-			continue
-		}
-		out.g.res, out.g.stats = out.res, out.st
-	}
-	if firstErr != nil {
-		c.log.Error("sweep failed", "sweep", sweep, "err", firstErr)
-		return nil, nil, firstErr
+	if err := c.dispatchAll(ctx, pending); err != nil {
+		c.log.Error("sweep failed", "sweep", sweep, "err", err)
+		return nil, nil, err
 	}
 	c.log.Info("sweep dispatched", "sweep", sweep,
 		"cells", len(cells), "dispatched_groups", len(pending))
@@ -150,37 +103,69 @@ func (c *Coordinator) Run(ctx context.Context, cells []harness.Cell) (harness.Re
 	return results, stats, nil
 }
 
-// dispatcher is one worker of the shared pool: it drains the queue in
-// arrival order, runs each group to completion, checkpoints the result, and
-// reports back to the owning Run. The pool — not the number of concurrent
-// Runs — bounds pool-wide in-flight cells.
-func (c *Coordinator) dispatcher() {
-	defer c.wg.Done()
-	for {
-		j, ok := c.queue.pop()
-		if !ok {
-			return
-		}
-		c.met.queueWait.Observe(time.Since(j.enqueued).Seconds())
-		if err := j.ctx.Err(); err != nil {
-			// The owning Run already failed or was canceled; don't burn a
-			// backend on a result nobody collects.
-			j.ch <- schedOutcome{g: j.g, err: err}
-			continue
-		}
-		res, st, err := c.dispatchGroup(j.ctx, j.g)
-		if err == nil && c.opt.Store != nil {
-			// Checkpoint as cells complete: a killed coordinator resumes
-			// from exactly this set. Best-effort — a full disk costs
-			// durability, not the sweep.
-			if perr := c.opt.Store.Put(j.g.hash, res, st); perr != nil {
-				c.met.storePutErrors.Add(1)
-				c.log.Warn("checkpoint write failed", "sweep", obs.SweepID(j.ctx),
-					"hash", j.g.hash[:12], "err", perr)
-			}
-		}
-		j.ch <- schedOutcome{g: j.g, res: res, st: st, err: err}
+// dispatchAll runs every pending group to completion on a pool of at most
+// Options.Workers goroutines, checkpointing each result as it lands, and
+// returns the first failure keyed to its group's first cell. The first
+// failure cancels the rest; dispatchAll returns only after every worker
+// has exited.
+func (c *Coordinator) dispatchAll(ctx context.Context, pending []*group) error {
+	if len(pending) == 0 {
+		return nil
 	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	c.reprobe(ctx)
+
+	work := make(chan *group, len(pending))
+	for _, g := range pending {
+		work <- g
+	}
+	close(work)
+
+	var (
+		mu       sync.Mutex
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	fail := func(g *group, err error) {
+		mu.Lock()
+		if firstErr == nil {
+			firstErr = keyedError(g.keys[0], err)
+			cancel()
+		}
+		mu.Unlock()
+	}
+	for i := 0; i < min(c.opt.Workers, len(pending)); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for g := range work {
+				if err := ctx.Err(); err != nil {
+					// The sweep already failed or was canceled; don't
+					// burn a backend on a result nobody collects.
+					fail(g, err)
+					continue
+				}
+				res, st, err := c.dispatchGroup(ctx, g)
+				if err != nil {
+					fail(g, err)
+					continue
+				}
+				if c.opt.Store != nil {
+					// Checkpoint as cells complete: a killed coordinator
+					// resumes from exactly this set. Best-effort — a full
+					// disk costs durability, not the sweep.
+					if perr := c.opt.Store.Put(g.hash, res, st); perr != nil {
+						c.log.Warn("checkpoint write failed", "sweep", obs.SweepID(ctx),
+							"hash", g.hash[:12], "err", perr)
+					}
+				}
+				g.res, g.stats = res, st
+			}
+		}()
+	}
+	wg.Wait()
+	return firstErr
 }
 
 // keyedError guarantees the sweep's abort error is a *harness.CellError
@@ -220,7 +205,6 @@ func (c *Coordinator) dispatchGroup(ctx context.Context, g *group) (*core.Result
 	avoid := ""
 	for attempt := 0; attempt < c.opt.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			c.met.retries.Add(1)
 			delay := c.backoff(attempt)
 			c.log.Warn("cell retrying", "sweep", sweep, "cell", g.keys[0],
 				"attempt", attempt+1, "backoff", delay, "err", lastErr)
@@ -235,7 +219,6 @@ func (c *Coordinator) dispatchGroup(ctx context.Context, g *group) (*core.Result
 		}
 		b := c.pick(avoid)
 		if avoid != "" && b.url != avoid {
-			c.met.failovers.Add(1)
 			c.log.Warn("cell failing over", "sweep", sweep, "cell", g.keys[0],
 				"from", avoid, "to", b.url)
 		}
@@ -282,19 +265,13 @@ func (c *Coordinator) runOn(ctx context.Context, b *backend, g *group) (*core.Re
 	ctx, cancel := context.WithTimeout(ctx, c.opt.CellTimeout)
 	defer cancel()
 	b.dispatched.Add(1)
-	t0 := time.Now()
-	defer func() { c.met.histAttempt.Observe(time.Since(t0).Seconds()) }()
 
 	fail := func(err error) (*core.Result, harness.CellStats, error) {
-		if !errors.Is(err, context.Canceled) { // a canceled sweep is not the backend's fault
-			b.failures.Add(1)
-			if !permanent(err) {
-				// Don't wait for the next probe to stop routing here.
-				if b.healthy.Swap(false) {
-					c.log.Warn("backend marked unhealthy",
-						"sweep", obs.SweepID(ctx), "backend", b.url, "err", err)
-				}
-			}
+		// A canceled sweep is not the backend's fault; a retryable failure
+		// demotes it until the next sweep's re-probe.
+		if !errors.Is(err, context.Canceled) && !permanent(err) && b.healthy.Swap(false) {
+			c.log.Warn("backend marked unhealthy",
+				"sweep", obs.SweepID(ctx), "backend", b.url, "err", err)
 		}
 		return nil, harness.CellStats{}, err
 	}

@@ -1,7 +1,8 @@
 // Package obs is the cluster's shared observability kit: sweep correlation
 // IDs that tie one logical sweep's log lines together across the client,
 // the dispatch coordinator and every visasimd daemon it touches, plus a
-// dependency-free Prometheus text-format metric registry (prom.go).
+// dependency-free Prometheus text-format metric registry (prom.go) — the
+// daemon's, the one registry in the system.
 //
 // A correlation ID is minted once — at server.Client.Submit, or at the
 // coordinator's sweep entry point, whichever runs first — carried in a

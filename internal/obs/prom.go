@@ -175,24 +175,6 @@ func (g *GaugeFunc) write(w io.Writer) {
 	fmt.Fprintf(w, "%s %s\n", g.name, formatFloat(g.fn()))
 }
 
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(s string) string {
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			out = append(out, '\\', '\\')
-		case '"':
-			out = append(out, '\\', '"')
-		case '\n':
-			out = append(out, '\\', 'n')
-		default:
-			out = append(out, s[i])
-		}
-	}
-	return string(out)
-}
-
 // DefBuckets is the default histogram bucketing for service latencies in
 // seconds: sub-millisecond cache serves through multi-minute simulations.
 var DefBuckets = []float64{

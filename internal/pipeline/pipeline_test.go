@@ -1,7 +1,6 @@
 package pipeline_test
 
 import (
-	"strings"
 	"testing"
 
 	"visasim/internal/ace"
@@ -323,21 +322,6 @@ func TestParamValidation(t *testing.T) {
 	for i, p := range bad {
 		if _, err := pipeline.New(p); err == nil {
 			t.Errorf("params %d accepted", i)
-		}
-	}
-}
-
-func TestDumpState(t *testing.T) {
-	proc := newProc(t, cpuMix, func(p *pipeline.Params) { p.MaxInstructions = 2000 })
-	for proc.TotalCommits() < 500 {
-		proc.Step()
-	}
-	var sb strings.Builder
-	proc.DumpState(&sb)
-	out := sb.String()
-	for _, want := range []string{"cycle", "thread 0", "thread 3", "issue queue"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("dump missing %q:\n%s", want, out)
 		}
 	}
 }

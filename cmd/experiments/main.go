@@ -16,14 +16,14 @@
 // of in-process, sharded across the static list by the in-process dispatch
 // coordinator (least-loaded assignment, retry/failover), so repeated
 // regenerations (and overlapping figures) hit the daemons' content-addressed
-// result caches. One URL is enough for a single daemon. Add -store DIR to
-// checkpoint completed cells to disk and -resume to skip cells already
-// checkpointed by an earlier (possibly killed) run. -trace-level records
-// decision traces on local sweeps only: the simulator is deterministic, so
-// a local traced run yields the same results a daemon would. Flags that
-// would do nothing (-trace-level with -backends, -store or -resume without
-// -backends) and unknown targets are rejected before any target runs, with
-// exit status 2.
+// result caches. One URL is enough for a single daemon, and -workers bounds
+// the cells in flight across all of them. Add -store DIR to checkpoint
+// completed cells to disk and -resume to skip cells already checkpointed by
+// an earlier (possibly killed) run. -trace-level records decision traces on
+// local sweeps only: the simulator is deterministic, so a local traced run
+// yields the same results a daemon would. Flags that would do nothing
+// (-trace-level with -backends, -store or -resume without -backends) and
+// unknown targets are rejected before any target runs, with exit status 2.
 package main
 
 import (
@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -50,7 +51,7 @@ import (
 func main() {
 	var (
 		budget      = flag.Uint64("n", experiments.DefaultBudget, "instructions per simulation")
-		workers     = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "parallel simulations, or with -backends cells in flight (0 = GOMAXPROCS, or the coordinator's default)")
 		csvDir      = flag.String("csv", "", "also write machine-readable CSVs into this directory")
 		backendsCSV = flag.String("backends", "", "comma-separated visasimd base URLs (e.g. http://localhost:8080); sweeps shard across them via the dispatch coordinator")
 		storeDir    = flag.String("store", "", "with -backends: checkpoint completed cells to this directory")
@@ -128,19 +129,10 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		coord, err := dispatch.New(dispatch.Options{
-			Backends: strings.Split(*backendsCSV, ","),
-			Store:    st,
-			Resume:   *resume,
-			Logger:   logger,
-		})
+		p.Runner, err = remoteRunner(ctx, *backendsCSV, *workers, st, *resume, logger)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
-		}
-		p.Runner = func(cells []harness.Cell) (harness.Results, error) {
-			res, _, err := coord.Run(ctx, cells)
-			return res, err
 		}
 	}
 	for _, tgt := range targets {
@@ -159,6 +151,27 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n\n", tgt, time.Since(start).Round(time.Millisecond))
 	}
+}
+
+// remoteRunner returns the sweep runner behind -backends: a dispatch
+// coordinator over the comma-separated URLs with at most workers cells in
+// flight (0 keeps the coordinator's default), run under ctx so Ctrl-C
+// aborts a sweep.
+func remoteRunner(ctx context.Context, backends string, workers int, st *store.Store, resume bool, logger *slog.Logger) (func([]harness.Cell) (harness.Results, error), error) {
+	coord, err := dispatch.New(dispatch.Options{
+		Backends: strings.Split(backends, ","),
+		Workers:  workers,
+		Store:    st,
+		Resume:   resume,
+		Logger:   logger,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return func(cells []harness.Cell) (harness.Results, error) {
+		res, _, err := coord.Run(ctx, cells)
+		return res, err
+	}, nil
 }
 
 // csvWriter is satisfied by the figure results that have flat CSV forms.

@@ -32,9 +32,11 @@ type Results struct {
 	Intervals []stats.Interval
 	RQHist    *stats.RQHistogram
 
-	// SkippedCycles counts measured-region cycles advanced by dead-cycle
-	// skip-ahead rather than stepped (they are included in Cycles and in
-	// every per-cycle statistic; this is throughput telemetry only).
+	// SkippedCycles counts measured-region cycles jumped by dead-cycle
+	// skip-ahead while no uop was ready, parked loads counted as ready.
+	// Skipped spans whose only ready uops are parked loads are not
+	// counted. Every skipped cycle is included in Cycles and in every
+	// per-cycle statistic; this is throughput telemetry only.
 	SkippedCycles uint64
 
 	// Event counts.

@@ -6,11 +6,11 @@ import "math/bits"
 //
 // On memory-bound workloads the machine spends long spans with nothing to
 // do: every thread stalled on an L2 miss, the issue queue holding only
-// waiting uops, the front end gated. Stepping those cycles one at a time
-// costs the full stage walk per cycle for zero state change. skipAhead
-// proves a span dead — no stage could do work before some future event —
-// and jumps the clock there in O(1), folding the span's per-cycle
-// accounting into bulk updates.
+// waiting uops and loads parked behind unissued stores, the front end
+// gated. Stepping those cycles one at a time costs the full stage walk per
+// cycle for zero state change. skipAhead proves a span dead — no stage
+// could do work before some future event — and jumps the clock there in
+// O(1), folding the span's per-cycle accounting into bulk updates.
 //
 // Eligibility is decided once per run (Processor.skipOK): a controller or a
 // forced decision schedule observes (and can act on) every cycle, so such
@@ -30,7 +30,8 @@ const noWake = ^uint64(0)
 // end-of-cycle state.
 //
 // A cycle is dead when each stage provably idles:
-//   - issue: no ready uop (live census);
+//   - issue: the ready list is empty — no uop is ready, or every ready
+//     uop is a load parked behind an unissued store;
 //   - writeback: this cycle's completion-wheel slot is empty;
 //   - commit: no thread's ROB head has completed;
 //   - dispatch: every fetch-queue head is absent, not yet decode-ready
@@ -53,9 +54,12 @@ func (p *Processor) skipAhead(limit uint64) bool {
 	if now >= limit {
 		return false
 	}
-	// Live census, not the Step-time snapshot: dispatch may have inserted
-	// ready uops after the snapshot was taken.
-	if p.iq.Census().Ready != 0 {
+	// The live ready list, not the Step-time census: dispatch may have
+	// inserted ready uops after the census was taken, and a parked load
+	// counts as ready there but cannot issue before its blocking store
+	// does. That store is either on the ready list itself or waiting on a
+	// completion, which bounds the target.
+	if p.iq.Selectable() != 0 {
 		return false // issue has work
 	}
 	if len(p.wheel[now%wheelSize]) != 0 {
@@ -108,16 +112,22 @@ func (p *Processor) skipAhead(limit uint64) bool {
 		return false
 	}
 
-	// Bulk-account the skipped cycles [now, target). Each would have
-	// observed an empty ready queue and contributed nothing to ivReadySum;
-	// the AVF and occupancy integrals are lazily settled against absolute
-	// cycles, so they need no update here. The organization folds its
-	// elided EndCycle calls into one span update (occupancy is constant
-	// across a dead span and the span never crosses its boundary).
+	// Bulk-account the skipped cycles [now, target). No uop enters,
+	// leaves, wakes or unparks during a dead span, so each cycle would
+	// have observed this census; the AVF and occupancy integrals are
+	// lazily settled against absolute cycles, so they need no update
+	// here. The organization folds its elided EndCycle calls into one span
+	// update (occupancy is constant across a dead span and the span never
+	// crosses its boundary). SkippedCycles counts only spans with no ready
+	// uop at all.
 	d := target - now
-	p.rqHist.ObserveN(0, 0, d)
+	c := p.iq.Census()
+	p.rqHist.ObserveN(c.Ready, c.ReadyACE, d)
+	p.ivReadySum += uint64(c.Ready) * d
 	p.org.EndCycleSpan(now, target)
-	p.skippedCycles += d
+	if c.Ready == 0 {
+		p.skippedCycles += d
+	}
 	p.cycle = target
 	return true
 }

@@ -411,6 +411,10 @@ func (q *IQ) CheckReady() error {
 	return nil
 }
 
+// Selectable returns how many unparked ready uops the ready list holds: the
+// uops ReadyCandidates would offer. Census().Ready also counts parked loads.
+func (q *IQ) Selectable() int { return q.rLen }
+
 // ReadyCandidates fills the scheduler's per-cycle candidate list with the
 // slot indices of all unparked ready resident uops ordered per policy. The
 // returned slice is reused across calls; resolve an index with At only when

@@ -124,9 +124,13 @@ func buildBenchmarks() map[string]Benchmark {
 	}
 
 	// --- CPU-intensive integer programs -------------------------------
-	// Working sets sit comfortably inside the shared L1D (64KB across 4
-	// threads) with low access randomness: these programs are
-	// compute-bound, as their SPEC namesakes are at their SimPoints.
+	// Each static load walks its own 1-2 KB buffer, so a thread's load
+	// footprint is 0.4-1.6 MB and a four-thread CPU mix's 2.2-3.5 MB
+	// exceeds both the shared 64 KB L1D and the 2 MB L2: at 200k
+	// instructions their L1D miss rate is ~5% and about half of their L2
+	// accesses miss. Low access randomness still keeps them
+	// compute-bound, as their SPEC namesakes are at their SimPoints: at
+	// 1M instructions CPU-A commits ~5 instructions per cycle, MEM-A ~0.6.
 	add("bzip2", CPUIntensive, func(p *program.Params) {
 		p.Mix = intMix(0.24, 0.10, 0.06)
 		p.DepMean, p.TripMean = 8, 40

@@ -11,12 +11,12 @@
 # Lengths: long enough that one full round of the workload's batches
 # (6 MEM cells at 1M instructions; 9 mixes x 6 schemes at 200k) finishes
 # on a 2-vCPU host, so every cell's digest is checked. A round takes about
-# 5-6.5 s for mem-long and 9.5-11 s for figs there.
+# 4.7-5.5 s for mem-long and 8.9-9.8 s for figs there.
 #
 # Floors: one third of the median of six runs at these lengths on a
 # 2-vCPU Intel Xeon host, rounded down to a tenth. The runs read
-# 0.77-1.06 Minstr/s (median 0.95) for mem-long and 0.93-1.12 (median
-# 0.99) for figs, so only a real core-loop regression trips the gate, not
+# 1.10-1.26 Minstr/s (median 1.18) for mem-long and 1.10-1.22 (median
+# 1.13) for figs, so only a real core-loop regression trips the gate, not
 # runner jitter.
 #
 # Used by `make perf-smoke` and the CI perf job. Run from anywhere.

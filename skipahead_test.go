@@ -8,16 +8,18 @@ import (
 	"visasim/internal/config"
 	"visasim/internal/core"
 	"visasim/internal/pipeline"
+	"visasim/internal/workload"
 )
 
 // skipParityCells spans the controller-less configurations where dead-cycle
 // skip-ahead is live, across the stall patterns that matter: CPU-bound and
 // memory-bound mixes, miss-gating fetch policies (STALL parks threads on L2
-// misses, FLUSH squashes them — the longest dead spans), thread counts from
-// 1 to 4, both schedulers, and both issue-queue organizations with per-cycle
-// policy state (SWQUE's windowed mode machine) and without. Invariant
-// checking stays on for a subset so the sampled cross-checks run on both
-// sides of the comparison.
+// misses, FLUSH squashes them — the longest empty-queue spans), ICOUNT on
+// every memory-bound mix (the longest spans holding only parked loads),
+// thread counts from 1 to 4, both schedulers, and both issue-queue
+// organizations with per-cycle policy state (SWQUE's windowed mode machine)
+// and without. Invariant checking stays on for a subset so the sampled
+// cross-checks run on both sides of the comparison.
 func skipParityCells() []core.Config {
 	cpuA := []string{"bzip2", "eon", "gcc", "perlbmk"}
 	memA := []string{"mcf", "equake", "vpr", "swim"}
@@ -41,10 +43,21 @@ func skipParityCells() []core.Config {
 		{Benchmarks: memA, Scheme: core.SchemeVISA, Policy: pipeline.PolicyFLUSH, MaxInstructions: budget, Machine: &part},
 		{Benchmarks: memA, Scheme: core.SchemeBase, Policy: pipeline.PolicySTALL, MaxInstructions: budget, Machine: &ecc},
 	}
+	// perfbench's mem-long cells: ICOUNT memory-bound mixes, where most
+	// dead spans hold only loads parked behind unissued stores.
+	for _, m := range workload.MixesIn(workload.CatMEM) {
+		for _, sc := range []core.Scheme{core.SchemeBase, core.SchemeVISA} {
+			cells = append(cells, core.Config{Benchmarks: m.Benchmarks[:], Scheme: sc, Policy: pipeline.PolicyICOUNT, MaxInstructions: budget})
+		}
+	}
+	cells = append(cells,
+		core.Config{Benchmarks: memA, Scheme: core.SchemeVISA, Policy: pipeline.PolicyICOUNT, MaxInstructions: budget, Machine: &ecc, InvariantEvery: 1024},
+		core.Config{Benchmarks: memA, Scheme: core.SchemeBase, Policy: pipeline.PolicyICOUNT, MaxInstructions: budget, Machine: &part},
+	)
 	return cells
 }
 
-// TestSkipAheadParityMatrix is the tentpole's correctness pin: for every
+// TestSkipAheadParityMatrix is skip-ahead's correctness pin: for every
 // skip-eligible configuration, a skipping run and a cycle-by-cycle run must
 // agree on everything — the full Results (AVF accumulator sums, intervals,
 // ready-queue histogram, telemetry high-water marks) and the encoded

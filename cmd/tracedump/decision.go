@@ -10,19 +10,6 @@ import (
 	"visasim/internal/replay"
 )
 
-func readTrace(path string) (*decision.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	tr, err := decision.Decode(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return tr, nil
-}
-
 // inputPath resolves a subcommand's trace file: the -in flag or a single
 // positional argument.
 func inputPath(fs *flag.FlagSet, in, sub string) string {
@@ -37,39 +24,20 @@ func inputPath(fs *flag.FlagSet, in, sub string) string {
 	}
 }
 
-func writeTrace(path string, tr *decision.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.Encode(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// cmdShow decodes and pretty-prints a recorded decision trace.
+// cmdShow pretty-prints a recorded decision trace.
 func cmdShow(args []string) {
 	fs := flag.NewFlagSet("tracedump show", flag.ExitOnError)
 	var (
-		in       = fs.String("in", "", "decision trace file (.vdt)")
-		ndjson   = fs.Bool("ndjson", false, "emit NDJSON instead of the table")
+		in       = fs.String("in", "", "decision trace file (.ndjson.gz)")
 		measured = fs.Bool("measured", false, "only events in the measured region (after warmup)")
 	)
 	fs.Parse(args)
-	tr, err := readTrace(inputPath(fs, *in, "show"))
+	tr, err := decision.ReadFile(inputPath(fs, *in, "show"))
 	if err != nil {
 		fatal(err)
 	}
 	if *measured {
 		tr.Events = tr.EventsFrom(tr.MeasureStart)
-	}
-	if *ndjson {
-		if err := tr.WriteNDJSON(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
 	}
 	printTrace(tr)
 }
@@ -121,11 +89,11 @@ func cmdDiff(args []string) {
 	if fs.NArg() != 2 {
 		fatal(fmt.Errorf("diff: want exactly two trace files, got %d", fs.NArg()))
 	}
-	a, err := readTrace(fs.Arg(0))
+	a, err := decision.ReadFile(fs.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
-	b, err := readTrace(fs.Arg(1))
+	b, err := decision.ReadFile(fs.Arg(1))
 	if err != nil {
 		fatal(err)
 	}
@@ -177,13 +145,13 @@ func printDiff(d replay.Diff) {
 func cmdReplay(args []string) {
 	fs := flag.NewFlagSet("tracedump replay", flag.ExitOnError)
 	var (
-		in      = fs.String("in", "", "decision trace file (.vdt)")
+		in      = fs.String("in", "", "decision trace file (.ndjson.gz)")
 		k       = fs.Int("counterfactual-k", 0, "flip the first K recorded decisions (0 = untouched replay)")
-		out     = fs.String("out", "", "write the replay's trace here (.vdt)")
+		out     = fs.String("out", "", "write the replay's trace here (.ndjson.gz)")
 		jsonOut = fs.Bool("json", false, "emit the outcome as JSON")
 	)
 	fs.Parse(args)
-	tr, err := readTrace(inputPath(fs, *in, "replay"))
+	tr, err := decision.ReadFile(inputPath(fs, *in, "replay"))
 	if err != nil {
 		fatal(err)
 	}
@@ -202,7 +170,7 @@ func cmdReplay(args []string) {
 		fmt.Printf("untouched replay reproduced the recorded run (%d events, %d cycles)\n",
 			len(alt.Events), alt.Summary.Cycles)
 		if *out != "" {
-			if err := writeTrace(*out, alt); err != nil {
+			if err := decision.WriteFile(*out, alt); err != nil {
 				fatal(err)
 			}
 		}
@@ -214,7 +182,7 @@ func cmdReplay(args []string) {
 		fatal(err)
 	}
 	if *out != "" {
-		if err := writeTrace(*out, outc.Trace); err != nil {
+		if err := decision.WriteFile(*out, outc.Trace); err != nil {
 			fatal(err)
 		}
 	}

@@ -18,6 +18,7 @@ import (
 
 	"visasim/internal/config"
 	"visasim/internal/core"
+	"visasim/internal/decision"
 	"visasim/internal/pipeline"
 	"visasim/internal/workload"
 )
@@ -39,7 +40,7 @@ func main() {
 		iqWM       = flag.Int("iq-watermark", 0, "per-thread entry cap for -iq-org partitioned (0 = default 17)")
 		iqProt     = flag.String("iq-protection", "", "issue-queue protection: none, parity, ecc, partial-replication (default: none)")
 		traceLvl   = flag.Int("trace-level", 0, "record a decision trace: 0 off, 1 decision edges, 2 adds per-sample observations")
-		traceOut   = flag.String("trace-out", "", "decision trace output file (default decisions.vdt when -trace-level > 0)")
+		traceOut   = flag.String("trace-out", "", "decision trace output file (gzip'd NDJSON; default decisions.ndjson.gz when -trace-level > 0)")
 	)
 	flag.Parse()
 
@@ -116,17 +117,9 @@ func main() {
 	if tr != nil {
 		path := *traceOut
 		if path == "" {
-			path = "decisions.vdt"
+			path = "decisions.ndjson.gz"
 		}
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		if err := tr.Encode(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := decision.WriteFile(path, tr); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "decision trace: %d events → %s (inspect with `tracedump show -in %s`)\n",

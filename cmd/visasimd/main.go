@@ -20,8 +20,8 @@
 // every line about a job carries the submission's sweep correlation ID
 // (the X-Visasim-Sweep header, minted server-side when absent), so client,
 // coordinator and daemon logs of one sweep grep together. Several daemons
-// form a pool only from the client side: `experiments -backends` and
-// `visasimctl sweep -backends` shard a sweep over a static URL list through
+// form a pool only from the client side: `experiments -backends` shards
+// a figure's sweeps, or a batch of cells, over a static URL list through
 // the in-process dispatch coordinator.
 //
 // Quickstart:

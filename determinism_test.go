@@ -90,7 +90,7 @@ func encodeTraces(t *testing.T, traces harness.Traces) map[string]string {
 	out := make(map[string]string, len(traces))
 	for key, tr := range traces {
 		var buf bytes.Buffer
-		if err := tr.Encode(&buf); err != nil {
+		if err := tr.WriteNDJSON(&buf); err != nil {
 			t.Fatalf("encoding trace %s: %v", key, err)
 		}
 		out[key] = buf.String()
@@ -169,7 +169,7 @@ func TestReplayDeterminismMatrix(t *testing.T) {
 			t.Errorf("cell %s: untouched replay changed the result", key)
 		}
 		var buf bytes.Buffer
-		if err := replayTr.Encode(&buf); err != nil {
+		if err := replayTr.WriteNDJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if buf.String() != enc1[key] {

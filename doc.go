@@ -50,12 +50,11 @@
 //
 // Commands: cmd/visasim (one simulation), cmd/avfprof (offline profiling),
 // cmd/faultsim (injection campaigns), cmd/tracedump (stream inspection),
-// cmd/experiments (regenerate every table/figure, optionally through a
-// static list of one or more daemons via -backends), cmd/visasimd (the
-// simulation service, optionally store-backed via -store; a client submits
-// to POST /v1/sweeps, then reads the job's event stream), and cmd/visasimctl
-// (operations over a list of daemons: health, metrics, and distributed
-// sweeps with checkpointed resume, or the same sweep run locally).
+// cmd/experiments (regenerate every table/figure or run a batch of cells,
+// optionally through a static list of one or more daemons via -backends,
+// and probe those daemons' health), and cmd/visasimd (the simulation
+// service, optionally store-backed via -store; a client submits to POST
+// /v1/sweeps, then reads the job's event stream).
 // Runnable examples live under examples/; this root package holds the
 // golden, parity and determinism tests. Simulator throughput is measured
 // by the repository benchmark under perfbench/.

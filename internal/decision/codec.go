@@ -1,349 +1,28 @@
 package decision
 
 import (
-	"bufio"
-	"encoding/binary"
+	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
+	"os"
 )
 
-// The on-disk trace format, version 1: a magic tag, a varint-framed header
-// (provenance strings, canonical config JSON, level, measure start,
-// summary), then the event stream with delta-encoded cycles. Integers are
-// unsigned varints (signed caps use zigzag varints), floats are fixed
-// little-endian IEEE-754 bits — so encoding is byte-deterministic and the
-// round trip is exact, which the golden and fuzz tests pin.
-const (
-	traceMagic   = "VSDT"
-	traceVersion = 1
+// The trace format is newline-delimited JSON: one header line, one line
+// per event, one summary line. Field order is fixed by the struct
+// definitions and floats render in shortest round-trip form, so the output
+// is deterministic, byte equality is bit equality, and the golden tests
+// pin it. Trace files (*.ndjson.gz) are the same stream behind gzip.
 
-	// maxBlob bounds any single length-prefixed field, and maxEvents the
-	// event count, so a corrupt or adversarial header cannot drive huge
-	// allocations (the fuzzer exercises exactly that).
-	maxBlob   = 16 << 20
-	maxEvents = 1 << 28
-)
-
-// ErrCorrupt is wrapped by every decode failure caused by the input bytes
-// (as opposed to I/O errors from the underlying reader).
+// ErrCorrupt is wrapped by every ReadNDJSON and ReadFile failure past
+// opening the file.
 var ErrCorrupt = errors.New("corrupt decision trace")
 
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
 }
 
-type traceWriter struct {
-	w   *bufio.Writer
-	buf [binary.MaxVarintLen64]byte
-}
-
-func (tw *traceWriter) uvarint(v uint64) {
-	n := binary.PutUvarint(tw.buf[:], v)
-	tw.w.Write(tw.buf[:n]) //nolint:errcheck // sticky error read at Flush
-}
-
-func (tw *traceWriter) varint(v int64) {
-	n := binary.PutVarint(tw.buf[:], v)
-	tw.w.Write(tw.buf[:n]) //nolint:errcheck
-}
-
-func (tw *traceWriter) float(v float64) {
-	binary.LittleEndian.PutUint64(tw.buf[:8], math.Float64bits(v))
-	tw.w.Write(tw.buf[:8]) //nolint:errcheck
-}
-
-func (tw *traceWriter) bytes(b []byte) {
-	tw.uvarint(uint64(len(b)))
-	tw.w.Write(b) //nolint:errcheck
-}
-
-func (tw *traceWriter) string(s string) { tw.bytes([]byte(s)) }
-
-// Encode writes the trace in the versioned binary format. Encoding the same
-// trace twice produces identical bytes.
-func (t *Trace) Encode(w io.Writer) error {
-	tw := &traceWriter{w: bufio.NewWriter(w)}
-	tw.w.WriteString(traceMagic) //nolint:errcheck
-	tw.uvarint(traceVersion)
-	tw.string(t.Controller)
-	tw.string(t.Scheme)
-	tw.string(t.Policy)
-	tw.string(t.CellKey)
-	tw.string(t.ConfigHash)
-	tw.bytes(t.ConfigJSON)
-	tw.uvarint(uint64(t.Level))
-	tw.uvarint(t.MeasureStart)
-
-	tw.uvarint(t.Summary.Cycles)
-	tw.uvarint(t.Summary.Commits)
-	tw.float(t.Summary.ThroughputIPC)
-	tw.float(t.Summary.IQAVF)
-	tw.float(t.Summary.ROBAVF)
-	tw.float(t.Summary.MaxIQAVF)
-	tw.uvarint(t.Summary.PolicySwitches)
-	tw.uvarint(t.Summary.DVMTriggers)
-
-	tw.uvarint(uint64(len(t.Events)))
-	prev := uint64(0)
-	for i := range t.Events {
-		ev := &t.Events[i]
-		if ev.Cycle < prev {
-			return fmt.Errorf("decision: event %d cycle %d before predecessor %d", i, ev.Cycle, prev)
-		}
-		tw.uvarint(ev.Cycle - prev)
-		prev = ev.Cycle
-		flags := byte(0)
-		if ev.Action.UseFlush {
-			flags |= 1
-		}
-		if ev.Forced {
-			flags |= 2
-		}
-		tw.w.WriteByte(byte(ev.Kind)) //nolint:errcheck
-		tw.w.WriteByte(flags)         //nolint:errcheck
-		tw.varint(int64(ev.Inputs.IntervalIndex))
-		tw.varint(int64(ev.Inputs.SampleIndex))
-		tw.varint(int64(ev.Inputs.IQLen))
-		tw.varint(int64(ev.Inputs.ReadyLen))
-		tw.varint(int64(ev.Inputs.WaitingLen))
-		tw.uvarint(ev.Inputs.PrevL2Misses)
-		tw.float(ev.Inputs.PrevIPC)
-		tw.float(ev.Inputs.PrevMeanReadyLen)
-		tw.float(ev.Inputs.SampleAVF)
-		tw.float(ev.Inputs.IntervalAVF)
-		tw.varint(int64(ev.Action.IQLCap))
-		tw.varint(int64(ev.Action.WaitingCap))
-		tw.w.WriteByte(ev.Action.GateMask) //nolint:errcheck
-	}
-	return tw.w.Flush()
-}
-
-type traceReader struct {
-	r *bufio.Reader
-}
-
-func (tr *traceReader) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(tr.r)
-	if err != nil {
-		return 0, corruptf("uvarint: %v", err)
-	}
-	return v, nil
-}
-
-func (tr *traceReader) varint32(what string) (int32, error) {
-	v, err := binary.ReadVarint(tr.r)
-	if err != nil {
-		return 0, corruptf("%s: %v", what, err)
-	}
-	if v < math.MinInt32 || v > math.MaxInt32 {
-		return 0, corruptf("%s %d outside int32", what, v)
-	}
-	return int32(v), nil
-}
-
-func (tr *traceReader) float() (float64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(tr.r, b[:]); err != nil {
-		return 0, corruptf("float: %v", err)
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
-}
-
-func (tr *traceReader) bytes() ([]byte, error) {
-	n, err := tr.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxBlob {
-		return nil, corruptf("field length %d exceeds %d", n, maxBlob)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(tr.r, b); err != nil {
-		return nil, corruptf("field body: %v", err)
-	}
-	return b, nil
-}
-
-func (tr *traceReader) string() (string, error) {
-	b, err := tr.bytes()
-	return string(b), err
-}
-
-// Decode reads a trace written by Encode. Corrupt or truncated input yields
-// an error wrapping ErrCorrupt; Decode never panics (fuzzed).
-func Decode(r io.Reader) (*Trace, error) {
-	tr := &traceReader{r: bufio.NewReader(r)}
-	var magic [len(traceMagic)]byte
-	if _, err := io.ReadFull(tr.r, magic[:]); err != nil {
-		return nil, corruptf("magic: %v", err)
-	}
-	if string(magic[:]) != traceMagic {
-		return nil, corruptf("bad magic %q", magic)
-	}
-	version, err := tr.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if version != traceVersion {
-		return nil, corruptf("version %d, want %d", version, traceVersion)
-	}
-
-	t := &Trace{}
-	if t.Controller, err = tr.string(); err != nil {
-		return nil, err
-	}
-	if t.Scheme, err = tr.string(); err != nil {
-		return nil, err
-	}
-	if t.Policy, err = tr.string(); err != nil {
-		return nil, err
-	}
-	if t.CellKey, err = tr.string(); err != nil {
-		return nil, err
-	}
-	if t.ConfigHash, err = tr.string(); err != nil {
-		return nil, err
-	}
-	if t.ConfigJSON, err = tr.bytes(); err != nil {
-		return nil, err
-	}
-	level, err := tr.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if level > math.MaxInt32 {
-		return nil, corruptf("level %d out of range", level)
-	}
-	t.Level = int(level)
-	if t.MeasureStart, err = tr.uvarint(); err != nil {
-		return nil, err
-	}
-
-	if t.Summary.Cycles, err = tr.uvarint(); err != nil {
-		return nil, err
-	}
-	if t.Summary.Commits, err = tr.uvarint(); err != nil {
-		return nil, err
-	}
-	if t.Summary.ThroughputIPC, err = tr.float(); err != nil {
-		return nil, err
-	}
-	if t.Summary.IQAVF, err = tr.float(); err != nil {
-		return nil, err
-	}
-	if t.Summary.ROBAVF, err = tr.float(); err != nil {
-		return nil, err
-	}
-	if t.Summary.MaxIQAVF, err = tr.float(); err != nil {
-		return nil, err
-	}
-	if t.Summary.PolicySwitches, err = tr.uvarint(); err != nil {
-		return nil, err
-	}
-	if t.Summary.DVMTriggers, err = tr.uvarint(); err != nil {
-		return nil, err
-	}
-
-	count, err := tr.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if count > maxEvents {
-		return nil, corruptf("event count %d exceeds %d", count, maxEvents)
-	}
-	// Grow incrementally: a lying header must not allocate the claimed
-	// count up front.
-	cap0 := count
-	if cap0 > 4096 {
-		cap0 = 4096
-	}
-	t.Events = make([]Event, 0, cap0)
-	cycle := uint64(0)
-	for i := uint64(0); i < count; i++ {
-		var ev Event
-		delta, err := tr.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if delta > math.MaxUint64-cycle {
-			return nil, corruptf("event %d cycle overflow", i)
-		}
-		cycle += delta
-		ev.Cycle = cycle
-		kind, err := tr.r.ReadByte()
-		if err != nil {
-			return nil, corruptf("event kind: %v", err)
-		}
-		ev.Kind = Kind(kind)
-		if !ev.Kind.Valid() {
-			return nil, corruptf("event %d has unknown kind %d", i, kind)
-		}
-		flags, err := tr.r.ReadByte()
-		if err != nil {
-			return nil, corruptf("event flags: %v", err)
-		}
-		if flags&^byte(3) != 0 {
-			return nil, corruptf("event %d has unknown flags %#x", i, flags)
-		}
-		ev.Action.UseFlush = flags&1 != 0
-		ev.Forced = flags&2 != 0
-		if ev.Inputs.IntervalIndex, err = tr.varint32("interval index"); err != nil {
-			return nil, err
-		}
-		if ev.Inputs.SampleIndex, err = tr.varint32("sample index"); err != nil {
-			return nil, err
-		}
-		if ev.Inputs.IQLen, err = tr.varint32("iq len"); err != nil {
-			return nil, err
-		}
-		if ev.Inputs.ReadyLen, err = tr.varint32("ready len"); err != nil {
-			return nil, err
-		}
-		if ev.Inputs.WaitingLen, err = tr.varint32("waiting len"); err != nil {
-			return nil, err
-		}
-		if ev.Inputs.PrevL2Misses, err = tr.uvarint(); err != nil {
-			return nil, err
-		}
-		if ev.Inputs.PrevIPC, err = tr.float(); err != nil {
-			return nil, err
-		}
-		if ev.Inputs.PrevMeanReadyLen, err = tr.float(); err != nil {
-			return nil, err
-		}
-		if ev.Inputs.SampleAVF, err = tr.float(); err != nil {
-			return nil, err
-		}
-		if ev.Inputs.IntervalAVF, err = tr.float(); err != nil {
-			return nil, err
-		}
-		if ev.Action.IQLCap, err = tr.varint32("iql cap"); err != nil {
-			return nil, err
-		}
-		if ev.Action.WaitingCap, err = tr.varint32("waiting cap"); err != nil {
-			return nil, err
-		}
-		if ev.Action.GateMask, err = tr.r.ReadByte(); err != nil {
-			return nil, corruptf("gate mask: %v", err)
-		}
-		t.Events = append(t.Events, ev)
-	}
-	// Trailing garbage means the stream is not a single encoded trace.
-	if _, err := tr.r.ReadByte(); err != io.EOF {
-		return nil, corruptf("trailing bytes after event stream")
-	}
-	return t, nil
-}
-
-// ndjsonHeader and ndjsonLine shape the NDJSON exposition: one header line,
-// one line per event, one summary line. Field order is fixed by the struct
-// definitions, so the output is deterministic and golden-testable.
 type ndjsonHeader struct {
 	Type         string `json:"type"` // "header"
 	Controller   string `json:"controller,omitempty"`
@@ -354,6 +33,8 @@ type ndjsonHeader struct {
 	Level        int    `json:"trace_level"`
 	MeasureStart uint64 `json:"measure_start"`
 	Events       int    `json:"events"`
+	// Config is ConfigJSON, so a replayer can rebuild the cell.
+	Config json.RawMessage `json:"config,omitempty"`
 }
 
 type ndjsonEvent struct {
@@ -368,8 +49,8 @@ type ndjsonSummary struct {
 }
 
 // WriteNDJSON renders the trace as newline-delimited JSON: a header line,
-// one event line per event, and a summary line. This is the daemon's trace
-// download format and the golden-trace fixture format.
+// one event line per event, and a summary line. Events must be in
+// nondecreasing cycle order, as a Sink receives them.
 func (t *Trace) WriteNDJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	hdr := ndjsonHeader{
@@ -381,14 +62,142 @@ func (t *Trace) WriteNDJSON(w io.Writer) error {
 		ConfigHash: t.ConfigHash,
 		Level:      t.Level, MeasureStart: t.MeasureStart,
 		Events: len(t.Events),
+		Config: t.ConfigJSON,
 	}
 	if err := enc.Encode(hdr); err != nil {
 		return err
 	}
-	for _, ev := range t.Events {
+	for i, ev := range t.Events {
+		if i > 0 && ev.Cycle < t.Events[i-1].Cycle {
+			return fmt.Errorf("decision: event %d cycle %d before predecessor %d", i, ev.Cycle, t.Events[i-1].Cycle)
+		}
 		if err := enc.Encode(ndjsonEvent{Type: "event", Kind: ev.Kind.String(), Event: ev}); err != nil {
 			return err
 		}
 	}
 	return enc.Encode(ndjsonSummary{Type: "summary", Summary: t.Summary})
+}
+
+// ReadNDJSON reads a trace written by WriteNDJSON. It never panics, and
+// every failure wraps ErrCorrupt: a line of the wrong type, an unknown
+// field or event kind, an event count that disagrees with the header,
+// events out of cycle order, and anything after the summary line. JSON
+// has no NaN or ±Inf, so those are syntax errors here.
+func ReadNDJSON(r io.Reader) (*Trace, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+
+	var h ndjsonHeader
+	if err := dec.Decode(&h); err != nil {
+		return nil, corruptf("header: %v", err)
+	}
+	if h.Type != "header" {
+		return nil, corruptf("first line has type %q, want header", h.Type)
+	}
+	if h.Events < 0 {
+		return nil, corruptf("header claims %d events", h.Events)
+	}
+	t := &Trace{
+		Controller:   h.Controller,
+		Scheme:       h.Scheme,
+		Policy:       h.Policy,
+		CellKey:      h.CellKey,
+		ConfigHash:   h.ConfigHash,
+		Level:        h.Level,
+		MeasureStart: h.MeasureStart,
+	}
+	if len(h.Config) > 0 {
+		// Hold the config as WriteNDJSON renders it (compact, HTML
+		// escaped), so a read trace writes back byte-identically.
+		blob, err := json.Marshal(h.Config)
+		if err != nil {
+			return nil, corruptf("config: %v", err)
+		}
+		t.ConfigJSON = blob
+	}
+
+	// Events grow one line at a time: a header that lies about its count
+	// must not allocate what it claims.
+	for i := 0; i < h.Events; i++ {
+		var line ndjsonEvent
+		if err := dec.Decode(&line); err != nil {
+			return nil, corruptf("event %d of %d: %v", i+1, h.Events, err)
+		}
+		if line.Type != "event" {
+			return nil, corruptf("event %d of %d has type %q", i+1, h.Events, line.Type)
+		}
+		kind, ok := kindNamed(line.Kind)
+		if !ok {
+			return nil, corruptf("event %d has unknown kind %q", i+1, line.Kind)
+		}
+		ev := line.Event
+		ev.Kind = kind
+		if n := len(t.Events); n > 0 && ev.Cycle < t.Events[n-1].Cycle {
+			return nil, corruptf("event %d cycle %d before predecessor %d", i+1, ev.Cycle, t.Events[n-1].Cycle)
+		}
+		t.Events = append(t.Events, ev)
+	}
+
+	var s ndjsonSummary
+	if err := dec.Decode(&s); err != nil {
+		return nil, corruptf("summary after %d events: %v", h.Events, err)
+	}
+	if s.Type != "summary" {
+		return nil, corruptf("line after %d events has type %q, want summary", h.Events, s.Type)
+	}
+	t.Summary = s.Summary
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("a line follows the summary")
+		}
+		return nil, corruptf("after the summary: %v", err)
+	}
+	return t, nil
+}
+
+// kindNamed is the inverse of Kind.String.
+func kindNamed(name string) (Kind, bool) {
+	for k, n := range kindNames {
+		if n == name {
+			return Kind(k), true
+		}
+	}
+	return 0, false
+}
+
+// WriteFile writes the trace to path as gzip'd NDJSON. The gzip header
+// carries no name or modification time, so a trace always yields the same
+// bytes.
+func WriteFile(path string, t *Trace) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	zw := gzip.NewWriter(f)
+	err = t.WriteNDJSON(zw)
+	if err == nil {
+		err = zw.Close()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// ReadFile reads a trace file written by WriteFile.
+func ReadFile(path string) (*Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w: gzip: %v", path, ErrCorrupt, err)
+	}
+	t, err := ReadNDJSON(zr)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return t, nil
 }

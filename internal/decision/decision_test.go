@@ -3,6 +3,8 @@ package decision
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -42,52 +44,91 @@ func testTrace() *Trace {
 func TestCodecRoundTrip(t *testing.T) {
 	want := testTrace()
 	var buf bytes.Buffer
-	if err := want.Encode(&buf); err != nil {
+	if err := want.WriteNDJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(bytes.NewReader(buf.Bytes()))
+	got, err := ReadNDJSON(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip changed the trace:\n got %+v\nwant %+v", got, want)
 	}
-	// Deterministic encoding: same trace, same bytes.
-	var buf2 bytes.Buffer
-	if err := got.Encode(&buf2); err != nil {
+
+	// The file form: gzip'd NDJSON, byte-deterministic.
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.ndjson.gz"), filepath.Join(dir, "b.ndjson.gz")
+	if err := WriteFile(a, want); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("re-encoding an identical trace produced different bytes")
+	if got, err = ReadFile(a); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("file round trip changed the trace:\n got %+v\nwant %+v", got, want)
+	}
+	if err := WriteFile(b, got); err != nil {
+		t.Fatal(err)
+	}
+	blobA, _ := os.ReadFile(a)
+	blobB, _ := os.ReadFile(b)
+	if !bytes.Equal(blobA, blobB) {
+		t.Fatal("writing an identical trace produced a different file")
 	}
 }
 
 func TestDecodeRejectsCorruptInput(t *testing.T) {
 	var good bytes.Buffer
-	if err := testTrace().Encode(&good); err != nil {
+	if err := testTrace().WriteNDJSON(&good); err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string][]byte{
-		"empty":      {},
-		"bad magic":  []byte("NOPE....."),
-		"truncated":  good.Bytes()[:good.Len()/2],
-		"trailing":   append(append([]byte{}, good.Bytes()...), 0xFF),
-		"bad length": []byte("VSDT\x01\xff\xff\xff\xff\xff\xff\xff\xff\x7f"),
+	g := good.String()
+	lines := strings.SplitAfter(g, "\n")
+	cases := map[string]string{
+		"empty":              "",
+		"gzip bytes":         "\x1f\x8b\x08\x00",
+		"truncated":          g[:len(g)/2],
+		"header only":        lines[0],
+		"no summary":         strings.Join(lines[:len(lines)-2], ""),
+		"count too high":     strings.Replace(g, `"events":4`, `"events":5`, 1),
+		"count too low":      strings.Replace(g, `"events":4`, `"events":3`, 1),
+		"negative count":     strings.Replace(g, `"events":4`, `"events":-1`, 1),
+		"unknown kind":       strings.Replace(g, `"kind":"gate"`, `"kind":"gates"`, 1),
+		"unknown field":      strings.Replace(g, `"forced":true`, `"forced":true,"extra":1`, 1),
+		"wrong first line":   strings.Replace(g, `"type":"header"`, `"type":"summary"`, 1),
+		"trailing line":      g + lines[1],
+		"trailing garbage":   g + "x",
+		"NaN":                strings.Replace(g, `"prev_ipc":3.5`, `"prev_ipc":NaN`, 1),
+		"Inf":                strings.Replace(g, `"prev_ipc":3.5`, `"prev_ipc":Infinity`, 1),
+		"cycle out of order": strings.Replace(g, `"cycle":350`, `"cycle":50`, 1),
+		"int overflow":       strings.Replace(g, `"iq_len":40`, `"iq_len":4000000000`, 1),
 	}
 	for name, data := range cases {
-		if _, err := Decode(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: Decode accepted corrupt input", name)
+		if data == g {
+			t.Fatalf("%s: the mutation did not apply", name)
+		}
+		if _, err := ReadNDJSON(strings.NewReader(data)); err == nil {
+			t.Errorf("%s: ReadNDJSON accepted corrupt input", name)
 		} else if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: error %v does not wrap ErrCorrupt", name, err)
 		}
+	}
+
+	// A trace file must be gzip'd.
+	path := filepath.Join(t.TempDir(), "plain.ndjson.gz")
+	if err := os.WriteFile(path, good.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFile(path); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("ReadFile of a plain NDJSON file: %v, want ErrCorrupt", err)
 	}
 }
 
 func TestEncodeRejectsUnorderedEvents(t *testing.T) {
 	tr := testTrace()
 	tr.Events[0].Cycle, tr.Events[1].Cycle = 500, 100
-	if err := tr.Encode(&bytes.Buffer{}); err == nil {
-		t.Fatal("Encode accepted events out of cycle order")
+	if err := tr.WriteNDJSON(&bytes.Buffer{}); err == nil {
+		t.Fatal("WriteNDJSON accepted events out of cycle order")
 	}
 }
 

@@ -47,7 +47,7 @@ func AblationOracleTags(p Params) (*OracleTagResult, error) {
 			cells = append(cells, harness.Cell{Key: key(mix.Name, variant), Cfg: cfg})
 		}
 	}
-	res, err := p.run(cells)
+	res, err := p.Run(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +157,7 @@ func AblationTcache(p Params) (*ThresholdResult, error) {
 			})
 		}
 	}
-	res, err := p.run(cells)
+	res, err := p.Run(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +218,7 @@ func AblationIQSize(p Params) (*IQSizeResult, error) {
 			})
 		}
 	}
-	res, err := p.run(cells)
+	res, err := p.Run(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +278,7 @@ func AblationInterval(p Params) (*IntervalResult, error) {
 			})
 		}
 	}
-	res, err := p.run(cells)
+	res, err := p.Run(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +341,7 @@ func AblationWidth(p Params) (*WidthResult, error) {
 			})
 		}
 	}
-	res, err := p.run(cells)
+	res, err := p.Run(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -430,7 +430,7 @@ func AblationPredictor(p Params) (*PredictorResult, error) {
 			})
 		}
 	}
-	res, err := p.run(cells)
+	res, err := p.Run(cells)
 	if err != nil {
 		return nil, err
 	}

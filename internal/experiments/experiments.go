@@ -41,13 +41,14 @@ type Params struct {
 	// harness path records; a Runner ignores it.
 	TraceLevel int
 	// TraceSink receives each recorded (cell key, trace) pair. Ignored
-	// when nil or TraceLevel is 0.
-	TraceSink func(key string, tr *decision.Trace)
+	// when nil or TraceLevel is 0. An error from it fails the sweep.
+	TraceSink func(key string, tr *decision.Trace) error
 }
 
-// run executes one sweep through the configured runner (the local harness
-// when none is set). Every experiment goes through this seam.
-func (p Params) run(cells []harness.Cell) (harness.Results, error) {
+// Run executes one sweep through the configured runner (the local harness
+// when none is set). Every experiment goes through this seam, and so does
+// cmd/experiments' cells target.
+func (p Params) Run(cells []harness.Cell) (harness.Results, error) {
 	if p.Runner != nil {
 		return p.Runner(cells)
 	}
@@ -63,7 +64,9 @@ func (p Params) run(cells []harness.Cell) (harness.Results, error) {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			p.TraceSink(k, traces[k])
+			if err := p.TraceSink(k, traces[k]); err != nil {
+				return nil, fmt.Errorf("trace %s: %w", k, err)
+			}
 		}
 	}
 	return res, nil
@@ -109,7 +112,7 @@ func runMixes(p Params, schemes []core.Scheme, policies []pipeline.FetchPolicyKi
 			}
 		}
 	}
-	return p.run(cells)
+	return p.Run(cells)
 }
 
 // categoryMean averages f over the mixes of each category, returning values

@@ -49,7 +49,7 @@ func ExtensionROBDVM(p Params) (*ROBDVMResult, error) {
 			})
 		}
 	}
-	res, err := p.run(cells)
+	res, err := p.Run(cells)
 	if err != nil {
 		return nil, err
 	}

@@ -55,7 +55,7 @@ func Fig10(p Params) (*Fig10Result, error) {
 			})
 		}
 	}
-	dyn, err := p.run(cells)
+	dyn, err := p.Run(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +78,7 @@ func Fig10(p Params) (*Fig10Result, error) {
 			})
 		}
 	}
-	stat, err := p.run(cells)
+	stat, err := p.Run(cells)
 	if err != nil {
 		return nil, err
 	}

@@ -54,7 +54,7 @@ func figDVM(p Params, pol pipeline.FetchPolicyKind) (*Fig8Result, error) {
 			})
 		}
 	}
-	dvmRes, err := p.run(cells)
+	dvmRes, err := p.Run(cells)
 	if err != nil {
 		return nil, err
 	}

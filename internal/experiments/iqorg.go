@@ -105,7 +105,7 @@ func IQMatrix(p Params) (*IQMatrixResult, error) {
 			},
 		})
 	}
-	baseRes, err := p.run(baseCells)
+	baseRes, err := p.Run(baseCells)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +138,7 @@ func IQMatrix(p Params) (*IQMatrixResult, error) {
 			}
 		}
 	}
-	res, err := p.run(cells)
+	res, err := p.Run(cells)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package replay
 import (
 	"bytes"
 	"encoding/json"
+	"path/filepath"
 	"testing"
 
 	"visasim/internal/core"
@@ -36,7 +37,7 @@ func opt2Config() core.Config {
 func encodeTrace(t *testing.T, tr *decision.Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
+	if err := tr.WriteNDJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -52,8 +53,9 @@ func marshalResult(t *testing.T, r *core.Result) []byte {
 }
 
 // TestUntouchedReplayByteIdentical is the core replay guarantee: replaying a
-// recorded trace with an empty forced schedule reproduces the original
-// result and the original trace byte for byte.
+// recorded trace, read back from its trace file, with an empty forced
+// schedule reproduces the original result and the original trace byte for
+// byte.
 func TestUntouchedReplayByteIdentical(t *testing.T) {
 	for name, cfg := range map[string]core.Config{"dvm": dvmConfig(), "opt2": opt2Config()} {
 		t.Run(name, func(t *testing.T) {
@@ -64,7 +66,15 @@ func TestUntouchedReplayByteIdentical(t *testing.T) {
 			if len(baseTr.Events) == 0 {
 				t.Fatal("recorded trace is empty; cell exercises no decisions")
 			}
-			replayRes, replayTr, err := Replay(baseTr, nil)
+			path := filepath.Join(t.TempDir(), name+".ndjson.gz")
+			if err := decision.WriteFile(path, baseTr); err != nil {
+				t.Fatal(err)
+			}
+			fileTr, err := decision.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayRes, replayTr, err := Replay(fileTr, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,17 +4,17 @@
 # end to end —
 #   1. `experiments -backends D2` (one daemon) prints the same Fig. 5
 #      output and CSV as a local `experiments` run;
-#   2. `visasimctl sweep -results-only` over a small cells file prints the
-#      same bytes with -local and with -backends D2, and with -v reports
-#      D2's member line on stderr;
+#   2. the `experiments cells` target over a small cells file prints the
+#      same bytes locally and with -backends D2, and with -backends
+#      reports D2's member line on stderr;
 #   3. an `experiments -backends D1,D2 -store DIR -resume` run of Fig. 5,
 #      with D1 killed by SIGKILL once the coordinator's store holds some
 #      but not all cells, still finishes, its in-flight cells failing over
 #      to D2 when their job streams break, and its output and CSV are
 #      byte-identical to a local run
 #      (which daemon ran a cell, and how often it was retried, never
-#      changes result bytes), and `visasimctl health` then reports D1 down
-#      and D2 healthy with exit status 1;
+#      changes result bytes), and the `experiments health` target then
+#      reports D1 down and D2 healthy with exit status 1;
 #   4. with both daemons gone, a -resume re-run produces the same bytes
 #      again, served from the store alone.
 # Used by `make cluster-smoke` and the CI cluster-smoke job.
@@ -44,7 +44,6 @@ trap cleanup EXIT
 
 go build -o "$TMP/visasimd" ./cmd/visasimd
 go build -o "$TMP/experiments" ./cmd/experiments
-go build -o "$TMP/visasimctl" ./cmd/visasimctl
 
 # Ground truth: the same figure run in-process, at both budgets.
 "$TMP/experiments" -n "$BUDGET" -csv "$TMP/local" "$TARGET" >"$TMP/local.out" 2>/dev/null
@@ -72,8 +71,8 @@ cmp "$TMP/local-s.out" "$TMP/server.out" || {
 cmp "$TMP/local-s/$TARGET.csv" "$TMP/server/$TARGET.csv" || {
     echo "cluster-smoke: one-daemon CSV diverged from local run"; exit 1; }
 
-# visasimctl: the same cells swept in-process and through the coordinator
-# must print the same bytes.
+# The cells target: the same cells run in-process and through the
+# coordinator must print the same bytes.
 cat >"$TMP/cells.json" <<'EOF'
 {"cells":[
   {"key":"gcc-base","config":{"Benchmarks":["gcc"],"Scheme":0,"MaxInstructions":50000}},
@@ -81,17 +80,17 @@ cat >"$TMP/cells.json" <<'EOF'
   {"key":"gcc-mcf-opt2","config":{"Benchmarks":["gcc","mcf"],"Scheme":3,"MaxInstructions":50000}}
 ]}
 EOF
-"$TMP/visasimctl" sweep -local -results-only -cells "$TMP/cells.json" >"$TMP/ctl-local.out" || {
-    echo "cluster-smoke: visasimctl sweep -local failed"; exit 1; }
-"$TMP/visasimctl" sweep -backends "http://$D2" -results-only -v -cells "$TMP/cells.json" \
-    >"$TMP/ctl-remote.out" 2>"$TMP/ctl-remote.log" || {
-    echo "cluster-smoke: visasimctl sweep -backends failed"; cat "$TMP/ctl-remote.log"; exit 1; }
-grep -q "^visasimctl: backend http://$D2 healthy, 3 dispatched$" "$TMP/ctl-remote.log" || {
-    echo "cluster-smoke: visasimctl sweep -v printed no member line for D2"; cat "$TMP/ctl-remote.log"; exit 1; }
-grep -q '"key": "gcc-mcf-opt2"' "$TMP/ctl-local.out" || {
-    echo "cluster-smoke: visasimctl sweep -local printed no results"; cat "$TMP/ctl-local.out"; exit 1; }
-cmp "$TMP/ctl-local.out" "$TMP/ctl-remote.out" || {
-    echo "cluster-smoke: visasimctl sweep -backends output diverged from -local"; exit 1; }
+"$TMP/experiments" cells <"$TMP/cells.json" >"$TMP/cells-local.out" 2>"$TMP/cells-local.log" || {
+    echo "cluster-smoke: experiments cells failed"; cat "$TMP/cells-local.log"; exit 1; }
+"$TMP/experiments" -backends "http://$D2" cells <"$TMP/cells.json" \
+    >"$TMP/cells-remote.out" 2>"$TMP/cells-remote.log" || {
+    echo "cluster-smoke: experiments -backends cells failed"; cat "$TMP/cells-remote.log"; exit 1; }
+grep -q "^experiments: backend http://$D2 healthy, 3 dispatched$" "$TMP/cells-remote.log" || {
+    echo "cluster-smoke: experiments -backends cells printed no member line for D2"; cat "$TMP/cells-remote.log"; exit 1; }
+grep -q '"key": "gcc-mcf-opt2"' "$TMP/cells-local.out" || {
+    echo "cluster-smoke: experiments cells printed no results"; cat "$TMP/cells-local.out"; exit 1; }
+cmp "$TMP/cells-local.out" "$TMP/cells-remote.out" || {
+    echo "cluster-smoke: experiments -backends cells output diverged from the local run"; exit 1; }
 
 # Two daemons, one killed mid-sweep.
 stored() { find "$STORE" -name '*.json' 2>/dev/null | wc -l; }
@@ -127,16 +126,16 @@ cmp "$TMP/local.out" "$TMP/remote.out" || {
 cmp "$TMP/local/$TARGET.csv" "$TMP/remote/$TARGET.csv" || {
     echo "cluster-smoke: dispatched CSV diverged from local run"; exit 1; }
 
-# visasimctl health: the killed daemon is down, the survivor healthy, and
+# The health target: the killed daemon is down, the survivor healthy, and
 # the exit status says not every backend is serviceable.
 HEALTH_RC=0
-"$TMP/visasimctl" health -backends "http://$D1,http://$D2" >"$TMP/health.out" 2>"$TMP/health.log" || HEALTH_RC=$?
+"$TMP/experiments" -backends "http://$D1,http://$D2" health >"$TMP/health.out" 2>"$TMP/health.log" || HEALTH_RC=$?
 [ "$HEALTH_RC" = 1 ] || {
-    echo "cluster-smoke: visasimctl health exited $HEALTH_RC with D1 killed, want 1"; cat "$TMP/health.out" "$TMP/health.log"; exit 1; }
+    echo "cluster-smoke: experiments health exited $HEALTH_RC with D1 killed, want 1"; cat "$TMP/health.out" "$TMP/health.log"; exit 1; }
 grep -q "^http://$D1 .* DOWN: " "$TMP/health.out" || {
-    echo "cluster-smoke: visasimctl health did not report D1 DOWN"; cat "$TMP/health.out"; exit 1; }
+    echo "cluster-smoke: experiments health did not report D1 DOWN"; cat "$TMP/health.out"; exit 1; }
 grep -q "^http://$D2 .* healthy$" "$TMP/health.out" || {
-    echo "cluster-smoke: visasimctl health did not report D2 healthy"; cat "$TMP/health.out"; exit 1; }
+    echo "cluster-smoke: experiments health did not report D2 healthy"; cat "$TMP/health.out"; exit 1; }
 
 # Store-only re-run: no daemon is left, so every cell must come from the
 # store.
@@ -153,4 +152,4 @@ cmp "$TMP/local/$TARGET.csv" "$TMP/resumed/$TARGET.csv" || {
     echo "cluster-smoke: store-only CSV diverged from local run"; exit 1; }
 [ "$(stored)" = "$TOTAL" ] || { echo "cluster-smoke: store changed during the store-only re-run"; exit 1; }
 
-echo "cluster-smoke: OK (one-daemon experiments -backends and visasimctl sweep byte-identical to local; $TARGET at $BUDGET: daemon killed with $AT_KILL of $TOTAL cells stored, output byte-identical to local, health reports it down, store-only re-run identical)"
+echo "cluster-smoke: OK (one-daemon experiments -backends and the cells target byte-identical to local; $TARGET at $BUDGET: daemon killed with $AT_KILL of $TOTAL cells stored, output byte-identical to local, health reports it down, store-only re-run identical)"

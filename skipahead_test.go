@@ -99,10 +99,10 @@ func TestSkipAheadParityMatrix(t *testing.T) {
 		}
 
 		var fastBuf, slowBuf bytes.Buffer
-		if err := fastTr.Encode(&fastBuf); err != nil {
+		if err := fastTr.WriteNDJSON(&fastBuf); err != nil {
 			t.Fatal(err)
 		}
-		if err := slowTr.Encode(&slowBuf); err != nil {
+		if err := slowTr.WriteNDJSON(&slowBuf); err != nil {
 			t.Fatal(err)
 		}
 		if fastBuf.String() != slowBuf.String() {

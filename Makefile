@@ -31,9 +31,9 @@ test-cover:
 	$(GO) tool cover -func=coverage.out | tail -1
 
 # Cluster smoke test: real processes — two visasimd daemons behind an
-# `experiments -backends ... -store -resume` Fig. 5 run, one daemon killed
-# mid-sweep, output asserted byte-identical to a local run, then a store-only
-# -resume re-run asserted identical again (see scripts/cluster-smoke.sh).
+# `experiments -backends ... -store` Fig. 5 run, one daemon killed
+# mid-sweep, output asserted byte-identical to a local run, then a
+# store-only re-run asserted identical again (see scripts/cluster-smoke.sh).
 cluster-smoke:
 	./scripts/cluster-smoke.sh
 

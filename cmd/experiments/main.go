@@ -33,13 +33,14 @@
 // result caches. One URL is enough for a single daemon, and -workers bounds
 // the cells in flight across all of them. After each target, one line per
 // backend (its health and dispatch count) goes to stderr. Add -store DIR
-// to checkpoint completed cells to disk and -resume to skip cells already
-// checkpointed by an earlier (possibly killed) run. -trace-level records
+// to checkpoint completed cells to disk: cells the store already holds,
+// from an earlier (possibly killed) run, are served from it instead of
+// being dispatched again. -trace-level records
 // decision traces (gzip'd NDJSON, one DIR/<key>.ndjson.gz per cell) on
 // local sweeps only: the simulator is deterministic, so a local traced run
 // yields the same results a daemon would. Flags that would do nothing
-// (-trace-level with -backends, -store or -resume without -backends, the
-// sweep flags with health) and unknown targets are rejected before any
+// (-trace-level with -backends, -store without -backends, the sweep flags
+// with health) and unknown targets are rejected before any
 // target runs, with exit status 2. A failing target, a trace that cannot
 // be written included, exits 1.
 package main
@@ -83,8 +84,7 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		workers     = fs.Int("workers", 0, "parallel simulations, or with -backends cells in flight (0 = GOMAXPROCS, or the coordinator's default)")
 		csvDir      = fs.String("csv", "", "also write machine-readable CSVs into this directory")
 		backendsCSV = fs.String("backends", "", "comma-separated visasimd base URLs (e.g. http://localhost:8080); sweeps shard across them via the dispatch coordinator")
-		storeDir    = fs.String("store", "", "with -backends: checkpoint completed cells to this directory")
-		resume      = fs.Bool("resume", false, "with -backends and -store: skip cells already checkpointed")
+		storeDir    = fs.String("store", "", "with -backends: checkpoint completed cells to this directory and serve the cells it already holds")
 		logLevel    = fs.String("log-level", "warn", "minimum log level for -backends sweeps: debug, info, warn, error")
 		logFormat   = fs.String("log-format", "text", "log line format: text or json")
 		traceLevel  = fs.Int("trace-level", 0, "record per-cell decision traces: 0 off, 1 decision edges, 2 adds per-sample observations (local sweeps only)")
@@ -112,7 +112,6 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		traceLevel: *traceLevel,
 		backends:   *backendsCSV,
 		store:      *storeDir,
-		resume:     *resume,
 		targets:    targets,
 		set:        set,
 	}); err != nil {
@@ -156,7 +155,6 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			Backends: strings.Split(*backendsCSV, ","),
 			Workers:  *workers, // 0 keeps the coordinator's default
 			Store:    st,
-			Resume:   *resume,
 			Logger:   logger,
 		})
 		if err != nil {
@@ -202,7 +200,7 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 }
 
 // cellsTarget is the cells target: it runs the batch on stdin through the
-// Params seam, so -workers, -backends, -store/-resume and -trace-level
+// Params seam, so -workers, -backends, -store and -trace-level
 // apply to it as to any figure, and renders the keyed results.
 func cellsTarget(stdin io.Reader) target {
 	return func(p experiments.Params) (string, csvWriter, error) {
@@ -277,25 +275,22 @@ func writeCSV(dir, target string, c csvWriter) error {
 type args struct {
 	traceLevel      int
 	backends, store string
-	resume          bool
 	targets         []string
 	set             map[string]bool // flags named on the command line
 }
 
 // checkArgs rejects, before any target runs, command lines that would
 // silently do nothing or fail only midway: traces are recorded on the
-// local harness path alone, -store and -resume only configure the
-// dispatch coordinator, cells and health run alone and take no budget or
+// local harness path alone, -store only configures the dispatch
+// coordinator, cells and health run alone and take no budget or
 // CSV directory, health only probes -backends, and an unknown target would
 // otherwise surface only once every target before it had run.
 func checkArgs(a args) error {
 	switch {
 	case a.traceLevel > 0 && a.backends != "":
 		return errors.New("-trace-level records local sweeps only; drop -backends or -trace-level")
-	case (a.store != "" || a.resume) && a.backends == "":
-		return errors.New("-store and -resume need -backends")
-	case a.resume && a.store == "":
-		return errors.New("-resume needs -store")
+	case a.store != "" && a.backends == "":
+		return errors.New("-store needs -backends")
 	}
 	for _, t := range a.targets {
 		if _, ok := figures[t]; !ok && t != "cells" && t != "health" {
@@ -319,7 +314,7 @@ func checkArgs(a args) error {
 		if a.backends == "" {
 			return errors.New("health probes -backends; name at least one")
 		}
-		for _, f := range []string{"store", "resume", "trace-level", "workers"} {
+		for _, f := range []string{"store", "trace-level", "workers"} {
 			if a.set[f] {
 				return fmt.Errorf("-%s does nothing with health", f)
 			}

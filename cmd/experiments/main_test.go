@@ -64,11 +64,9 @@ func TestCheckArgs(t *testing.T) {
 		{"every target", args{targets: []string{"fig1", "fig2", "fig5", "fig6", "fig8", "fig9",
 			"fig10", "table1", "table2", "table3", "iqmatrix", "ext-rob", "ablations"}}, ""},
 		{"one backend", args{backends: testURL, targets: figs}, ""},
-		{"backends with store", args{backends: testURL, store: "ckpt", resume: true, targets: figs}, ""},
+		{"backends with store", args{backends: testURL, store: "ckpt", targets: figs}, ""},
 		{"traced backends", args{traceLevel: 2, backends: testURL, targets: figs}, "-trace-level"},
 		{"store without backends", args{store: "ckpt", targets: figs}, "-backends"},
-		{"resume without backends", args{resume: true, targets: figs}, "-backends"},
-		{"resume without store", args{backends: testURL, resume: true, targets: figs}, "-store"},
 		{"unknown target last", args{targets: []string{"fig5", "fgi6"}}, `"fgi6"`},
 		{"retired bench target", args{targets: []string{"bench"}}, `"bench"`},
 		{"retired explore target", args{targets: []string{"explore"}}, `"explore"`},
@@ -80,7 +78,6 @@ func TestCheckArgs(t *testing.T) {
 		{"health with n", args{backends: testURL, targets: health, set: flags("n")}, "-n"},
 		{"health with csv", args{backends: testURL, targets: health, set: flags("csv")}, "-csv"},
 		{"health with store", args{backends: testURL, store: "ckpt", targets: health, set: flags("store")}, "-store"},
-		{"health with resume", args{backends: testURL, store: "ckpt", resume: true, targets: health, set: flags("store", "resume")}, "-store"},
 		{"health with trace-level", args{traceLevel: 1, backends: testURL, targets: health}, "-trace-level"},
 		{"health with trace-level 0", args{backends: testURL, targets: health, set: flags("trace-level")}, "-trace-level"},
 		{"health with workers", args{backends: testURL, targets: health, set: flags("workers")}, "-workers"},
@@ -96,10 +93,8 @@ func TestCheckCellsArgs(t *testing.T) {
 		{"local with workers and logging", args{targets: cells, set: flags("workers", "log-level", "log-format")}, ""},
 		{"local traced", args{traceLevel: 1, targets: cells, set: flags("trace-level", "trace-dir")}, ""},
 		{"backends", args{backends: testURL, targets: cells, set: flags("backends", "workers")}, ""},
-		{"backends with store", args{backends: testURL, store: "ckpt", resume: true, targets: cells}, ""},
+		{"backends with store", args{backends: testURL, store: "ckpt", targets: cells}, ""},
 		{"store without backends", args{store: "ckpt", targets: cells}, "-backends"},
-		{"resume without backends", args{resume: true, targets: cells}, "-backends"},
-		{"resume without store", args{backends: testURL, resume: true, targets: cells}, "-store"},
 		{"traced backends", args{traceLevel: 1, backends: testURL, targets: cells}, "-trace-level"},
 		{"with a figure", args{targets: []string{"cells", "fig5"}}, "alone"},
 		{"twice", args{targets: []string{"cells", "cells"}}, "alone"},
@@ -108,9 +103,9 @@ func TestCheckCellsArgs(t *testing.T) {
 	})
 }
 
-// TestRetiredFlagsRefused pins that the flags of the retired batch CLI,
-// which experiments did not take over, are refused with exit status 2
-// rather than ignored.
+// TestRetiredFlagsRefused pins that retired flags — those of the retired
+// batch CLI that experiments did not take over, and -resume, which -store
+// now implies — are refused with exit status 2 rather than ignored.
 func TestRetiredFlagsRefused(t *testing.T) {
 	for _, argv := range [][]string{
 		{"-local", "cells"},
@@ -119,6 +114,7 @@ func TestRetiredFlagsRefused(t *testing.T) {
 		{"-seed", "1", "cells"},
 		{"-timeout", "1m", "cells"},
 		{"-v", "cells"},
+		{"-resume", "cells"},
 	} {
 		t.Run(argv[0], func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

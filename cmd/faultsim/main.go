@@ -4,119 +4,94 @@
 // empirical AVF; it converges on the simulator's accounted AVF, connecting
 // the paper's AVF numbers to actual upset outcomes.
 //
+// The machine is built by core exactly as visasim builds it, with warmup
+// off so strikes start at cycle 0. Every scheme that needs no DVM target
+// runs: base, visa, visa+opt1 and visa+opt2.
+//
 // Example:
 //
 //	faultsim -mix MEM-A -n 200000 -rate 200
-//	faultsim -mix CPU-A -scheme visa+opt2     # protected machine
+//	faultsim -mix CPU-A -scheme visa+opt2
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
-	"visasim/internal/ace"
-	"visasim/internal/config"
 	"visasim/internal/core"
 	"visasim/internal/inject"
-	"visasim/internal/pipeline"
-	"visasim/internal/trace"
-	"visasim/internal/uarch"
 	"visasim/internal/workload"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, runs the campaign, writes the
+// report to stdout and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("faultsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		mixName    = flag.String("mix", "CPU-A", "Table 3 workload mix")
-		schemeName = flag.String("scheme", "base", "reliability scheme: base, visa, visa+opt1, visa+opt2")
-		budget     = flag.Uint64("n", 200_000, "instructions to commit during the campaign")
-		rate       = flag.Float64("rate", 200, "expected strikes per 1000 cycles")
-		seed       = flag.Uint64("seed", 1, "strike-stream seed")
-		verbose    = flag.Bool("v", false, "log every corrupting strike")
+		mixName    = fs.String("mix", "CPU-A", "Table 3 workload mix")
+		schemeName = fs.String("scheme", "base", "reliability scheme: base, visa, visa+opt1, visa+opt2")
+		budget     = fs.Uint64("n", 200_000, "instructions to commit during the campaign")
+		rate       = fs.Float64("rate", 200, "expected strikes per 1000 cycles")
+		seed       = fs.Uint64("seed", 1, "strike-stream seed")
+		verbose    = fs.Bool("v", false, "log every corrupting strike")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "faultsim:", err)
+		return 1
+	}
 
 	var mix *workload.Mix
 	for _, m := range workload.Mixes() {
 		if strings.EqualFold(m.Name, *mixName) {
-			mm := m
-			mix = &mm
+			mix = &m
 			break
 		}
 	}
 	if mix == nil {
-		fatal(fmt.Errorf("unknown mix %q", *mixName))
+		return fail(fmt.Errorf("unknown mix %q", *mixName))
 	}
-
-	sched := uarch.SchedOldestFirst
-	var ctrl pipeline.Controller
-	switch strings.ToLower(*schemeName) {
-	case "base":
-	case "visa":
-		sched = uarch.SchedVISA
-	case "visa+opt1", "visa+opt2":
-		// Controllers live in internal/alloc; reuse core's wiring by
-		// refusing here to keep this tool simple.
-		fatal(fmt.Errorf("faultsim supports base and visa; use cmd/visasim for %s AVF", *schemeName))
-	default:
-		fatal(fmt.Errorf("unknown scheme %q", *schemeName))
-	}
-
-	streams := make([]*trace.Stream, 4)
-	for i, name := range mix.Benchmarks {
-		b, err := workload.Get(name)
-		if err != nil {
-			fatal(err)
-		}
-		prof, err := core.ProfileFor(b, *budget+8192, ace.DefaultWindow)
-		if err != nil {
-			fatal(err)
-		}
-		prog, err := core.ProgramFor(b)
-		if err != nil {
-			fatal(err)
-		}
-		streams[i] = trace.NewStream(trace.NewExecutor(prog, b.Params.Seed, i), prof.Bits, prof.Tag)
-	}
-	proc, err := pipeline.New(pipeline.Params{
-		Machine:         config.Default(),
-		Scheduler:       sched,
-		Policy:          pipeline.PolicyICOUNT,
-		Controller:      ctrl,
-		Streams:         streams,
-		MaxInstructions: *budget,
-	})
+	scheme, err := core.ParseScheme(*schemeName)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
-	opts := inject.Options{
-		Instructions:     *budget,
-		StrikesPerKCycle: *rate,
-		Seed:             *seed,
-	}
+	opts := inject.Options{StrikesPerKCycle: *rate, Seed: *seed}
 	if *verbose {
 		opts.Observer = func(s inject.Strike) {
 			if s.Outcome == inject.Corrupting {
-				fmt.Printf("cycle %-10d slot %-3d bit %-3d CORRUPTING\n", s.Cycle, s.Slot, s.Bit)
+				fmt.Fprintf(stdout, "cycle %-10d slot %-3d bit %-3d CORRUPTING\n", s.Cycle, s.Slot, s.Bit)
 			}
 		}
 	}
-	c, err := inject.Run(proc, opts)
+	c, err := inject.Run(core.Config{
+		Benchmarks:      mix.Benchmarks[:],
+		Scheme:          scheme,
+		MaxInstructions: *budget,
+	}, opts)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("workload   %s (%s)\n", mix.Name, strings.Join(mix.Benchmarks[:], ","))
-	fmt.Printf("scheme     %s\n", *schemeName)
-	fmt.Println(c.String())
-	fmt.Printf("\ninterpretation: of %d simulated upsets in the IQ, %.1f%% would corrupt\n",
+	fmt.Fprintf(stdout, "workload   %s (%s)\n", mix.Name, strings.Join(mix.Benchmarks[:], ","))
+	fmt.Fprintf(stdout, "scheme     %s\n", scheme)
+	fmt.Fprintln(stdout, c.String())
+	fmt.Fprintf(stdout, "\ninterpretation: of %d simulated upsets in the IQ, %.1f%% would corrupt\n",
 		c.Trials, 100*c.EmpiricalAVF())
-	fmt.Printf("architectural state; the rest land on idle entries, wrong-path\n")
-	fmt.Printf("instructions, or dynamically dead (un-ACE) payload bits.\n")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "faultsim:", err)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "architectural state; the rest land on idle entries, wrong-path\n")
+	fmt.Fprintf(stdout, "instructions, or dynamically dead (un-ACE) payload bits.\n")
+	return 0
 }

@@ -15,23 +15,19 @@
 //
 // Decision traces are gzip'd NDJSON (a header line, one line per event, a
 // summary line), so `zcat cell.ndjson.gz` prints the raw records.
-//
-// Bare flags (no subcommand) keep their historical meaning: `tracedump
-// -benchmark mcf` is `tracedump ace -benchmark mcf`.
 package main
 
 import (
 	"fmt"
 	"os"
-	"strings"
 )
 
 func main() {
-	args := os.Args[1:]
-	cmd := "ace"
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		cmd, args = args[0], args[1:]
+	if len(os.Args) < 2 {
+		fmt.Fprintln(os.Stderr, "usage: tracedump ace|show|diff|replay [flags]")
+		os.Exit(2)
 	}
+	cmd, args := os.Args[1], os.Args[2:]
 	switch cmd {
 	case "ace":
 		cmdACE(args)

@@ -48,7 +48,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	scheme, err := parseScheme(*schemeName)
+	scheme, err := core.ParseScheme(*schemeName)
 	if err != nil {
 		fatal(err)
 	}
@@ -159,15 +159,6 @@ func resolveWorkload(mixName, benchList string) ([]string, error) {
 	default:
 		return workload.Mixes()[0].Benchmarks[:], nil // CPU-A
 	}
-}
-
-func parseScheme(s string) (core.Scheme, error) {
-	for v := core.Scheme(0); int(v) < core.NumSchemes; v++ {
-		if strings.EqualFold(v.String(), s) {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown scheme %q", s)
 }
 
 func parsePolicy(s string) (pipeline.FetchPolicyKind, error) {

@@ -7,16 +7,11 @@ import (
 	"runtime"
 	"testing"
 
-	"visasim/internal/ace"
-	"visasim/internal/config"
 	"visasim/internal/core"
 	"visasim/internal/harness"
 	"visasim/internal/inject"
 	"visasim/internal/pipeline"
 	"visasim/internal/replay"
-	"visasim/internal/trace"
-	"visasim/internal/uarch"
-	"visasim/internal/workload"
 )
 
 // determinismCells is a small batch spanning schemes and policies; every
@@ -178,39 +173,6 @@ func TestReplayDeterminismMatrix(t *testing.T) {
 	}
 }
 
-// newInjectProcessor builds a fresh default-machine processor for an
-// injection campaign.
-func newInjectProcessor(t *testing.T, names []string, budget uint64) *pipeline.Processor {
-	t.Helper()
-	streams := make([]*trace.Stream, len(names))
-	for i, name := range names {
-		b, err := workload.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := b.Generate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		prof, err := ace.Run(prog, b.Params.Seed, 0, budget+8192, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streams[i] = trace.NewStream(trace.NewExecutor(prog, b.Params.Seed, i), prof.Bits, prof.Tag)
-	}
-	proc, err := pipeline.New(pipeline.Params{
-		Machine:         config.Default(),
-		Scheduler:       uarch.SchedVISA,
-		Policy:          pipeline.PolicyICOUNT,
-		Streams:         streams,
-		MaxInstructions: budget,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return proc
-}
-
 // TestInjectCampaignDeterminism re-runs a seeded fault-injection campaign:
 // the full strike sequence — time, location, and outcome of every upset —
 // must repeat exactly. Statistical conclusions from a campaign are only
@@ -219,10 +181,9 @@ func TestInjectCampaignDeterminism(t *testing.T) {
 	const budget = 8_000
 	mix := []string{"gcc", "mcf", "vpr", "perlbmk"}
 	run := func() ([]inject.Strike, *inject.Campaign) {
-		proc := newInjectProcessor(t, mix, budget)
 		var strikes []inject.Strike
-		c, err := inject.Run(proc, inject.Options{
-			Instructions:     budget,
+		cfg := core.Config{Benchmarks: mix, Scheme: core.SchemeVISA, MaxInstructions: budget}
+		c, err := inject.Run(cfg, inject.Options{
 			StrikesPerKCycle: 400,
 			Seed:             1234,
 			Observer:         func(s inject.Strike) { strikes = append(strikes, s) },

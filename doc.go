@@ -27,7 +27,9 @@
 //   - Paper mechanisms — ace (offline ACE analysis and per-PC tagging),
 //     alloc (opt1/opt2 dispatch controllers), dvm (dynamic vulnerability
 //     management), all assembled behind the core facade: one
-//     core.Config in, one core.Result out.
+//     core.Config in, one core.Result out. core is the one place a
+//     Config becomes a processor; injection campaigns build through it
+//     too.
 //   - Experiment & service layer — harness (parallel sweep runner),
 //     experiments (every table and figure), report (ASCII rendering),
 //     server (the visasimd HTTP daemon with a job queue, a
@@ -35,7 +37,8 @@
 //     submit-and-stream client), store (a
 //     persistent on-disk result store keyed by the same content hashes),
 //     and dispatch (a coordinator sharding sweeps across several daemons
-//     with retry, failover, and checkpointed resume).
+//     with retry, failover, and store checkpoints that a re-run serves
+//     instead of re-dispatching).
 //
 // # Determinism as a load-bearing property
 //
@@ -49,7 +52,9 @@
 // # Entry points
 //
 // Commands: cmd/visasim (one simulation), cmd/avfprof (offline profiling),
-// cmd/faultsim (injection campaigns), cmd/tracedump (stream inspection),
+// cmd/faultsim (injection campaigns under base, visa, visa+opt1 or
+// visa+opt2), cmd/tracedump (its ace, show, diff and replay subcommands
+// inspect ACE streams and decision traces),
 // cmd/experiments (regenerate every table/figure or run a batch of cells,
 // optionally through a static list of one or more daemons via -backends,
 // and probe those daemons' health), and cmd/visasimd (the simulation

@@ -48,24 +48,18 @@ const (
 	FULatchBits = 128
 )
 
-// Accumulator tracks one structure's ACE-bit residency incrementally. Two
-// equivalent usage styles exist and must not be mixed on one accumulator:
-//
-//   - Eager: Add/Sub on every occupancy change plus Tick once per cycle.
-//   - Lazy: AddAt/SubAt with the absolute cycle of the change, and
-//     SettleTo before reading Sum/Cycles/AVF/AVFSince. The idle cycles
-//     between changes are charged in one multiply instead of one Tick
-//     each, keeping per-cycle accounting off the simulation hot path.
-//
-// Under both styles a change during cycle N is counted for cycle N onward
-// (an Add before the cycle's Tick; an AddAt(…, N) settling cycles < N
-// first), so the two styles produce bit-identical sums.
+// Accumulator tracks one structure's ACE-bit residency lazily: AddAt and
+// SubAt note each occupancy change with the absolute cycle it happens in,
+// and SettleTo brings the sums up to date before Sum/Cycles/AVF/AVFSince
+// are read. The idle cycles between changes are charged in one multiply
+// instead of one step per cycle, keeping per-cycle accounting off the
+// simulation hot path. A change during cycle N counts for cycle N onward.
 type Accumulator struct {
 	totalBits uint64 // structure capacity in bits
 	current   uint64 // ACE bits resident this cycle
 	sum       uint64 // Σ over cycles of current
 	cycles    uint64
-	settled   uint64 // absolute cycle sum covers (exclusive; lazy style)
+	settled   uint64 // absolute cycle sum covers (exclusive)
 }
 
 // NewAccumulator returns an accumulator for a structure with entries
@@ -74,25 +68,8 @@ func NewAccumulator(entries, entryBits int) *Accumulator {
 	return &Accumulator{totalBits: uint64(entries) * uint64(entryBits)}
 }
 
-// Add notes bits ACE bits becoming resident.
-func (a *Accumulator) Add(bits uint64) { a.current += bits }
-
-// Sub notes bits ACE bits draining.
-func (a *Accumulator) Sub(bits uint64) {
-	if bits > a.current {
-		panic("avf: accumulator underflow")
-	}
-	a.current -= bits
-}
-
-// Tick closes one cycle.
-func (a *Accumulator) Tick() {
-	a.sum += a.current
-	a.cycles++
-}
-
 // SettleTo charges current residency for every cycle in [settled, now),
-// bringing the sums up to date through cycle now-1 (lazy style).
+// bringing the sums up to date through cycle now-1.
 func (a *Accumulator) SettleTo(now uint64) {
 	if now <= a.settled {
 		return
@@ -104,14 +81,14 @@ func (a *Accumulator) SettleTo(now uint64) {
 }
 
 // AddAt notes bits ACE bits becoming resident during cycle now: they count
-// from cycle now onward (lazy style).
+// from cycle now onward.
 func (a *Accumulator) AddAt(bits, now uint64) {
 	a.SettleTo(now)
 	a.current += bits
 }
 
 // SubAt notes bits ACE bits draining during cycle now: they no longer count
-// for cycle now (lazy style).
+// for cycle now.
 func (a *Accumulator) SubAt(bits, now uint64) {
 	a.SettleTo(now)
 	if bits > a.current {
@@ -121,7 +98,7 @@ func (a *Accumulator) SubAt(bits, now uint64) {
 }
 
 // ResetStatsAt zeroes the accumulated sums as of cycle now, preserving the
-// resident ACE-bit count (lazy style).
+// resident ACE-bit count: in-flight entries keep contributing.
 func (a *Accumulator) ResetStatsAt(now uint64) {
 	a.SettleTo(now)
 	a.sum, a.cycles = 0, 0
@@ -130,18 +107,11 @@ func (a *Accumulator) ResetStatsAt(now uint64) {
 // Current returns the ACE bits resident now.
 func (a *Accumulator) Current() uint64 { return a.current }
 
-// ResetStats zeroes the accumulated sums while preserving the currently
-// resident ACE-bit count (in-flight entries keep contributing).
-func (a *Accumulator) ResetStats() { a.sum, a.cycles = 0, 0 }
-
 // Sum returns the cumulative ACE-bit-cycles.
 func (a *Accumulator) Sum() uint64 { return a.sum }
 
-// Cycles returns the ticked cycle count.
+// Cycles returns the settled cycle count.
 func (a *Accumulator) Cycles() uint64 { return a.cycles }
-
-// TotalBits returns the structure capacity in bits.
-func (a *Accumulator) TotalBits() uint64 { return a.totalBits }
 
 // AVF returns the whole-run AVF.
 func (a *Accumulator) AVF() float64 {
@@ -164,12 +134,12 @@ func (a *Accumulator) AVFSince(sum, cycles uint64) float64 {
 // SpanAccumulator accounts structures whose ACE residency is only known
 // retrospectively (the register file: a value's vulnerable span runs from
 // its write to its last read, discovered when it is overwritten). Spans are
-// charged in bulk; cycles tick as usual.
+// charged in bulk; only the cycle count settles lazily.
 type SpanAccumulator struct {
 	totalBits uint64
 	sum       uint64
 	cycles    uint64
-	settled   uint64 // absolute cycle the cycle count covers (lazy style)
+	settled   uint64 // absolute cycle the cycle count covers (exclusive)
 }
 
 // NewSpanAccumulator returns a span accumulator for entries×entryBits.
@@ -180,14 +150,8 @@ func NewSpanAccumulator(entries, entryBits int) *SpanAccumulator {
 // AddSpan charges bits ACE bits as resident for cycles cycles.
 func (a *SpanAccumulator) AddSpan(bits, cycles uint64) { a.sum += bits * cycles }
 
-// ResetStats zeroes the accumulated sums.
-func (a *SpanAccumulator) ResetStats() { a.sum, a.cycles = 0, 0 }
-
-// Tick closes one cycle.
-func (a *SpanAccumulator) Tick() { a.cycles++ }
-
-// SettleTo brings the cycle count up to date through cycle now-1 (lazy
-// style; spans are charged in bulk so only the denominator accrues).
+// SettleTo brings the cycle count up to date through cycle now-1 (spans
+// are charged in bulk, so only the denominator accrues).
 func (a *SpanAccumulator) SettleTo(now uint64) {
 	if now > a.settled {
 		a.cycles += now - a.settled
@@ -195,7 +159,7 @@ func (a *SpanAccumulator) SettleTo(now uint64) {
 	}
 }
 
-// ResetStatsAt zeroes the accumulated sums as of cycle now (lazy style).
+// ResetStatsAt zeroes the accumulated sums as of cycle now.
 func (a *SpanAccumulator) ResetStatsAt(now uint64) {
 	a.SettleTo(now)
 	a.sum, a.cycles = 0, 0

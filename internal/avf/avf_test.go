@@ -7,12 +7,10 @@ import (
 
 func TestAccumulatorBasics(t *testing.T) {
 	a := NewAccumulator(2, 100) // 200 bits total
-	a.Add(50)
-	a.Tick()
-	a.Tick()
-	a.Sub(50)
-	a.Add(100)
-	a.Tick()
+	a.AddAt(50, 0)
+	a.SubAt(50, 2)
+	a.AddAt(100, 2)
+	a.SettleTo(3)
 	// Sum = 50 + 50 + 100 = 200 over 3 cycles of 200 bits.
 	if got, want := a.AVF(), 200.0/600.0; got != want {
 		t.Fatalf("AVF %v, want %v", got, want)
@@ -24,23 +22,22 @@ func TestAccumulatorBasics(t *testing.T) {
 
 func TestAccumulatorUnderflowPanics(t *testing.T) {
 	a := NewAccumulator(1, 10)
-	a.Add(5)
+	a.AddAt(5, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on underflow")
 		}
 	}()
-	a.Sub(6)
+	a.SubAt(6, 0)
 }
 
 func TestAccumulatorAVFSince(t *testing.T) {
 	a := NewAccumulator(1, 100)
-	a.Add(100)
-	a.Tick() // full
+	a.AddAt(100, 0)
+	a.SettleTo(1) // cycle 0 full
 	s, c := a.Sum(), a.Cycles()
-	a.Sub(100)
-	a.Tick() // empty
-	a.Tick() // empty
+	a.SubAt(100, 1)
+	a.SettleTo(3) // cycles 1 and 2 empty
 	if got := a.AVFSince(s, c); got != 0 {
 		t.Fatalf("window AVF %v, want 0", got)
 	}
@@ -51,16 +48,15 @@ func TestAccumulatorAVFSince(t *testing.T) {
 
 func TestAccumulatorReset(t *testing.T) {
 	a := NewAccumulator(1, 100)
-	a.Add(40)
-	a.Tick()
-	a.ResetStats()
+	a.AddAt(40, 0)
+	a.ResetStatsAt(1)
 	if a.Sum() != 0 || a.Cycles() != 0 {
 		t.Fatal("reset incomplete")
 	}
 	if a.Current() != 40 {
 		t.Fatal("reset dropped resident bits")
 	}
-	a.Tick()
+	a.SettleTo(2)
 	if a.AVF() != 0.4 {
 		t.Fatalf("post-reset AVF %v", a.AVF())
 	}
@@ -77,14 +73,12 @@ func TestEmptyAVFZero(t *testing.T) {
 
 func TestSpanAccumulator(t *testing.T) {
 	a := NewSpanAccumulator(2, 64) // 128 bits
-	for i := 0; i < 10; i++ {
-		a.Tick()
-	}
+	a.SettleTo(10)
 	a.AddSpan(64, 5) // one register live 5 of 10 cycles
 	if got, want := a.AVF(), 64.0*5/(128*10); got != want {
 		t.Fatalf("AVF %v want %v", got, want)
 	}
-	a.ResetStats()
+	a.ResetStatsAt(10)
 	if a.AVF() != 0 {
 		t.Fatal("reset failed")
 	}
@@ -108,28 +102,29 @@ func TestBitHelpers(t *testing.T) {
 	}
 }
 
-// Property: AVF is always within [0, 1] for arbitrary add/sub/tick schedules
-// that never exceed capacity.
+// Property: AVF is always within [0, 1] for arbitrary add/sub/advance
+// schedules that never exceed capacity.
 func TestQuickAVFBounded(t *testing.T) {
 	f := func(ops []uint8) bool {
 		a := NewAccumulator(2, 64) // 128 bits
-		cur := uint64(0)
+		cur, now := uint64(0), uint64(0)
 		for _, op := range ops {
 			switch op % 3 {
 			case 0:
 				if cur+16 <= 128 {
-					a.Add(16)
+					a.AddAt(16, now)
 					cur += 16
 				}
 			case 1:
 				if cur >= 16 {
-					a.Sub(16)
+					a.SubAt(16, now)
 					cur -= 16
 				}
 			default:
-				a.Tick()
+				now++
 			}
 		}
+		a.SettleTo(now)
 		v := a.AVF()
 		return v >= 0 && v <= 1
 	}

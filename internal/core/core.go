@@ -21,6 +21,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"time"
 
 	"visasim/internal/ace"
@@ -54,9 +55,6 @@ const (
 	numSchemes
 )
 
-// NumSchemes is the number of schemes.
-const NumSchemes = int(numSchemes)
-
 var schemeNames = [...]string{
 	SchemeBase:      "base",
 	SchemeVISA:      "visa",
@@ -71,6 +69,16 @@ func (s Scheme) String() string {
 		return schemeNames[s]
 	}
 	return "scheme(?)"
+}
+
+// ParseScheme returns the scheme named s (case-insensitive).
+func ParseScheme(s string) (Scheme, error) {
+	for v := Scheme(0); v < numSchemes; v++ {
+		if strings.EqualFold(v.String(), s) {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scheme %q", s)
 }
 
 // DefaultInstructions is the default per-run committed-instruction budget.
@@ -219,9 +227,43 @@ func Run(cfg Config) (*Result, error) {
 // none of it joins Config.Hash, because tracing and replay must never change
 // what a content address means.
 func RunTraced(cfg Config, opt RunOptions) (*Result, *decision.Trace, error) {
-	c, err := cfg.withDefaults()
+	m, err := build(cfg, opt)
 	if err != nil {
 		return nil, nil, err
+	}
+	res, tr := m.run(cfg, opt)
+	return res, tr, nil
+}
+
+// NewProcessor builds cfg's machine exactly as Run does and returns it
+// unstarted, for tools that drive it cycle by cycle (fault-injection
+// campaigns). Its Run finishes the simulation, warmup reset included.
+func NewProcessor(cfg Config) (*pipeline.Processor, error) {
+	m, err := build(cfg, RunOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return m.proc, nil
+}
+
+// machine is a Config built into a ready-to-run processor, with what the
+// run-and-wrap step reads back from the build.
+type machine struct {
+	cfg  Config // canonical
+	proc *pipeline.Processor
+	ctrl pipeline.Controller
+	rec  *decision.Recorder // nil unless tracing
+
+	aceFrac, tagAcc float64 // mean profiled ACE fraction and tag accuracy
+}
+
+// build is the one place a Config becomes a processor: defaults, thread
+// streams over cached profiles, scheme → scheduler and controller, and
+// pipeline.New.
+func build(cfg Config, opt RunOptions) (*machine, error) {
+	c, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
 	}
 
 	warmup := c.Warmup
@@ -231,35 +273,34 @@ func RunTraced(cfg Config, opt RunOptions) (*Result, *decision.Trace, error) {
 
 	streams, profs, err := threadStreams(c.Benchmarks, c.MaxInstructions+uint64(warmup)+profileSlack, c.ProfileWindow)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var aceFrac, tagAcc float64
+	m := &machine{cfg: c}
 	for _, prof := range profs {
-		aceFrac += prof.ACEFraction()
-		tagAcc += prof.Accuracy()
+		m.aceFrac += prof.ACEFraction()
+		m.tagAcc += prof.Accuracy()
 	}
-	aceFrac /= float64(len(profs))
-	tagAcc /= float64(len(profs))
+	m.aceFrac /= float64(len(profs))
+	m.tagAcc /= float64(len(profs))
 
 	sched := uarch.SchedOldestFirst
-	var ctrl pipeline.Controller
 	switch c.Scheme {
 	case SchemeVISA:
 		sched = uarch.SchedVISA
 	case SchemeVISAOpt1:
 		sched = uarch.SchedVISA
-		ctrl = alloc.NewOpt1()
+		m.ctrl = alloc.NewOpt1()
 	case SchemeVISAOpt2:
 		sched = uarch.SchedVISA
 		o2 := alloc.NewOpt2()
 		if c.Opt2Threshold > 0 {
 			o2.Tcache = c.Opt2Threshold
 		}
-		ctrl = o2
+		m.ctrl = o2
 	case SchemeDVM:
 		d := dvm.New(c.DVMTarget)
 		d.Struct = c.DVMStructure
-		ctrl = d
+		m.ctrl = d
 	case SchemeDVMStatic:
 		ratio := c.DVMStaticRatio
 		if ratio <= 0 {
@@ -267,14 +308,14 @@ func RunTraced(cfg Config, opt RunOptions) (*Result, *decision.Trace, error) {
 		}
 		d := dvm.NewStatic(c.DVMTarget, ratio)
 		d.Struct = c.DVMStructure
-		ctrl = d
+		m.ctrl = d
 	}
 
 	params := pipeline.Params{
 		Machine:            *c.Machine,
 		Scheduler:          sched,
 		Policy:             c.Policy,
-		Controller:         ctrl,
+		Controller:         m.ctrl,
 		Streams:            streams,
 		MaxInstructions:    c.MaxInstructions,
 		MaxCycles:          c.MaxCycles,
@@ -284,21 +325,26 @@ func RunTraced(cfg Config, opt RunOptions) (*Result, *decision.Trace, error) {
 		InvariantEvery:     c.InvariantEvery,
 		Forced:             opt.Forced,
 		DisableSkipAhead:   opt.DisableSkipAhead,
-		Pool:               opt.Pool,
 	}
 	// Only assign the sink when recording: a nil *Recorder stored in the
 	// interface would read as non-nil inside the pipeline.
-	var rec *decision.Recorder
 	if opt.TraceLevel > 0 {
-		rec = decision.NewRecorder(opt.TraceLevel)
-		params.Decisions = rec
+		m.rec = decision.NewRecorder(opt.TraceLevel)
+		params.Decisions = m.rec
 	}
-	proc, err := pipeline.New(params)
-	if err != nil {
-		return nil, nil, err
+	if m.proc, err = pipeline.New(params); err != nil {
+		return nil, err
 	}
+	return m, nil
+}
+
+// run simulates the built machine and wraps its results, labelling and
+// summarizing the decision trace when recording. cfg is the caller's
+// Config, whose Hash is the cell's address.
+func (m *machine) run(cfg Config, opt RunOptions) (*Result, *decision.Trace) {
+	c := m.cfg
 	t0 := time.Now()
-	res := proc.Run()
+	res := m.proc.Run()
 	if opt.SimTime != nil {
 		*opt.SimTime = time.Since(t0)
 	}
@@ -308,38 +354,38 @@ func RunTraced(cfg Config, opt RunOptions) (*Result, *decision.Trace, error) {
 		Scheme:               c.Scheme,
 		Policy:               c.Policy,
 		Benchmarks:           append([]string(nil), c.Benchmarks...),
-		ProfileACEFraction:   aceFrac,
-		CommittedTagAccuracy: tagAcc,
+		ProfileACEFraction:   m.aceFrac,
+		CommittedTagAccuracy: m.tagAcc,
 	}
-	if d, ok := ctrl.(*dvm.Controller); ok {
+	if d, ok := m.ctrl.(*dvm.Controller); ok {
 		out.DVMMeanRatio = d.MeanRatio()
 	}
-
-	var tr *decision.Trace
-	if rec != nil {
-		tr = rec.Trace()
-		tr.Scheme = c.Scheme.String()
-		tr.Policy = c.Policy.String()
-		tr.Controller = controllerName(c.Scheme)
-		tr.CellKey = opt.CellKey
-		if blob, err := json.Marshal(c); err == nil {
-			tr.ConfigJSON = blob
-		}
-		if h, err := cfg.Hash(); err == nil {
-			tr.ConfigHash = h
-		}
-		tr.Summary = decision.Summary{
-			Cycles:         res.Cycles,
-			Commits:        res.TotalCommits(),
-			ThroughputIPC:  res.ThroughputIPC,
-			IQAVF:          res.IQAVF,
-			ROBAVF:         res.ROBAVF,
-			MaxIQAVF:       res.MaxIQAVF,
-			PolicySwitches: res.PolicySwitches,
-			DVMTriggers:    res.DVMTriggers,
-		}
+	if m.rec == nil {
+		return out, nil
 	}
-	return out, tr, nil
+
+	tr := m.rec.Trace()
+	tr.Scheme = c.Scheme.String()
+	tr.Policy = c.Policy.String()
+	tr.Controller = controllerName(c.Scheme)
+	tr.CellKey = opt.CellKey
+	if blob, err := json.Marshal(c); err == nil {
+		tr.ConfigJSON = blob
+	}
+	if h, err := cfg.Hash(); err == nil {
+		tr.ConfigHash = h
+	}
+	tr.Summary = decision.Summary{
+		Cycles:         res.Cycles,
+		Commits:        res.TotalCommits(),
+		ThroughputIPC:  res.ThroughputIPC,
+		IQAVF:          res.IQAVF,
+		ROBAVF:         res.ROBAVF,
+		MaxIQAVF:       res.MaxIQAVF,
+		PolicySwitches: res.PolicySwitches,
+		DVMTriggers:    res.DVMTriggers,
+	}
+	return out, tr
 }
 
 // RunOptions are the tracing/replay knobs of RunTraced. None of these fields
@@ -359,9 +405,6 @@ type RunOptions struct {
 	// see pipeline.Params.DisableSkipAhead). Results are identical either
 	// way, which is why it lives here and not in Config.
 	DisableSkipAhead bool
-	// Pool shares a uop free list across strictly sequential runs (a sweep
-	// worker's cells); nil gives the run a private pool. Result-neutral.
-	Pool *uarch.UopPool
 	// SimTime, when non-nil, receives the wall time of the pipeline run
 	// alone — excluding workload synthesis, ACE profiling and processor
 	// construction — so throughput benchmarks can report the core loop's

@@ -16,10 +16,10 @@
 // cannot change the bytes that come back.
 //
 // With a persistent store attached (internal/store), completed cells are
-// checkpointed to disk as they finish and — in resume mode — cells whose
-// content address is already stored are served without dispatching at all.
-// A coordinator killed mid-sweep therefore re-dispatches only the missing
-// hashes on the next run. See DESIGN.md §8.
+// checkpointed to disk as they finish, and cells whose content address is
+// already stored are served without dispatching at all. A coordinator
+// killed mid-sweep therefore re-dispatches only the missing hashes on the
+// next run. See DESIGN.md §8.
 package dispatch
 
 import (
@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
@@ -67,17 +66,11 @@ type Options struct {
 	// returns (4×len(Backends) when 0, with a floor of 8).
 	Workers int
 	// Store, when non-nil, is the durable checkpoint tier: every
-	// completed cell is written through to it keyed by content hash.
+	// completed cell is written through to it keyed by content hash, and
+	// cells whose address it already holds are served from it without
+	// dispatching — which is also the cross-sweep dedup path. Sound
+	// because the address fully determines the result (DESIGN.md §8).
 	Store *store.Store
-	// Resume, with Store set, serves cells whose content address is
-	// already stored without dispatching them — which is also the
-	// cross-sweep dedup path. Sound because the address fully determines
-	// the result (DESIGN.md §8).
-	Resume bool
-	// Seed seeds the coordinator's backoff-jitter RNG; 0 seeds from the
-	// clock. A fixed seed makes retry timing reproducible
-	// in tests without touching the process-global math/rand state.
-	Seed int64
 	// Logger receives the coordinator's structured log lines — every
 	// retry and failover decision, tagged with a
 	// correlation ID so one grep follows a sweep through client,
@@ -133,12 +126,6 @@ type Coordinator struct {
 
 	// backends is the pool, fixed at New.
 	backends []*backend
-
-	// rng jitters retry backoff. Per-instance and mutex-guarded rather
-	// than the global math/rand: seedable for reproducible tests, and no
-	// cross-talk with anything else in the process drawing randomness.
-	rngMu sync.Mutex
-	rng   *rand.Rand
 }
 
 // New validates the backend list. Backends start out presumed healthy; a
@@ -149,15 +136,7 @@ func New(opt Options) (*Coordinator, error) {
 		return nil, errors.New("dispatch: no backends")
 	}
 	opt = opt.withDefaults()
-	seed := opt.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	c := &Coordinator{
-		opt: opt,
-		log: obs.Logger(opt.Logger),
-		rng: rand.New(rand.NewSource(seed)), //nolint:gosec // jitter, not crypto
-	}
+	c := &Coordinator{opt: opt, log: obs.Logger(opt.Logger)}
 	seen := map[string]bool{}
 	for _, raw := range opt.Backends {
 		url := strings.TrimRight(strings.TrimSpace(raw), "/")

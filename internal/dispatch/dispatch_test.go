@@ -289,7 +289,7 @@ func TestCellErrorKeySurvivesDispatch(t *testing.T) {
 
 // TestResumeSkipsCompletedCells is the checkpointed-resume acceptance
 // check: a coordinator killed mid-sweep leaves its completed cells in the
-// store; re-running with Resume dispatches only the missing hashes.
+// store; re-running with the same store dispatches only the missing hashes.
 func TestResumeSkipsCompletedCells(t *testing.T) {
 	dir := t.TempDir()
 	cells := []harness.Cell{
@@ -315,13 +315,13 @@ func TestResumeSkipsCompletedCells(t *testing.T) {
 	}
 
 	// "Second life": fresh store handle, fresh coordinator, fresh
-	// backend, full sweep in resume mode.
+	// backend, full sweep.
 	st2, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b2 := newBackend(t)
-	second := newCoordinator(t, Options{Backends: []string{b2.URL}, Store: st2, Resume: true})
+	second := newCoordinator(t, Options{Backends: []string{b2.URL}, Store: st2})
 	remote, _, err := second.Run(context.Background(), cells)
 	if err != nil {
 		t.Fatal(err)

@@ -70,40 +70,25 @@ func TestSweepCorrelationAcrossLayers(t *testing.T) {
 	}
 }
 
-// TestSeededBackoffReproducible pins the satellite fix for the jitter RNG:
-// two coordinators with the same Options.Seed draw identical backoff
-// sequences (reproducible retry timing in tests), and drawing does not touch
-// the process-global math/rand state.
-func TestSeededBackoffReproducible(t *testing.T) {
-	mk := func(seed int64) *Coordinator {
-		c, err := New(Options{Backends: []string{"http://unused:1"}, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
+// TestBackoffJitterBounds pins the retry delay: BaseBackoff doubled per
+// retry and capped at MaxBackoff (shift overflow included), then jittered
+// into [0.5, 1.5) of that.
+func TestBackoffJitterBounds(t *testing.T) {
+	c, err := New(Options{Backends: []string{"http://unused:1"},
+		BaseBackoff: 100 * time.Millisecond, MaxBackoff: time.Second})
+	if err != nil {
+		t.Fatal(err)
 	}
-	draw := func(c *Coordinator) []time.Duration {
-		out := make([]time.Duration, 8)
-		for i := range out {
-			out[i] = c.backoff(i%3 + 1)
+	for _, tc := range []struct {
+		attempt int
+		capped  time.Duration
+	}{{1, 100 * time.Millisecond}, {2, 200 * time.Millisecond}, {4, 800 * time.Millisecond},
+		{5, time.Second}, {70, time.Second}} {
+		for i := 0; i < 100; i++ {
+			d := c.backoff(tc.attempt)
+			if d < tc.capped/2 || d >= tc.capped*3/2 {
+				t.Fatalf("attempt %d: backoff %v outside [%v, %v)", tc.attempt, d, tc.capped/2, tc.capped*3/2)
+			}
 		}
-		return out
-	}
-
-	a, b := draw(mk(42)), draw(mk(42))
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at draw %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	c := draw(mk(43))
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical backoff sequences")
 	}
 }

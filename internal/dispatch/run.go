@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -67,12 +68,12 @@ func (c *Coordinator) Run(ctx context.Context, cells []harness.Cell) (harness.Re
 		g.keys = append(g.keys, cell.Key)
 	}
 
-	// Resume: anything already checkpointed in the store is complete —
-	// its address fully determines its result — so serve it from disk and
+	// Anything already checkpointed in the store is complete — its
+	// address fully determines its result — so serve it from disk and
 	// dispatch only the missing hashes.
 	pending := groups[:0:0]
 	for _, g := range groups {
-		if c.opt.Resume && c.opt.Store != nil {
+		if c.opt.Store != nil {
 			if res, st, ok := c.opt.Store.Get(g.hash); ok {
 				g.res, g.stats = res, st
 				continue
@@ -241,18 +242,14 @@ func (c *Coordinator) dispatchGroup(ctx context.Context, g *group) (*core.Result
 // backoff returns the pre-attempt delay: BaseBackoff doubled per retry,
 // capped at MaxBackoff, jittered uniformly over [0.5, 1.5)× so the
 // retries of many concurrently failing cells decorrelate instead of
-// stampeding the next backend together. The jitter comes from the
-// coordinator's own seedable RNG (Options.Seed), never the process-global
-// math/rand.
+// stampeding the next backend together. The jitter comes from math/rand/v2's
+// top-level source: goroutine-safe, and with no global seed to share.
 func (c *Coordinator) backoff(attempt int) time.Duration {
 	d := c.opt.BaseBackoff << (attempt - 1)
 	if d > c.opt.MaxBackoff || d <= 0 { // <=0: shift overflow
 		d = c.opt.MaxBackoff
 	}
-	c.rngMu.Lock()
-	j := c.rng.Float64()
-	c.rngMu.Unlock()
-	return time.Duration(float64(d) * (0.5 + j))
+	return time.Duration(float64(d) * (0.5 + rand.Float64()))
 }
 
 // runOn executes g's representative cell on backend b as a single-cell

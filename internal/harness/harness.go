@@ -15,7 +15,6 @@ import (
 
 	"visasim/internal/core"
 	"visasim/internal/decision"
-	"visasim/internal/uarch"
 )
 
 // Cell is one simulation in a sweep.
@@ -171,12 +170,6 @@ func RunTraced(cells []Cell, opt Options) (Results, Stats, Traces, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One uop free list per worker, shared across its (strictly
-			// sequential) cells: steady-state allocation is paid once per
-			// worker instead of once per cell. Never shared across
-			// goroutines, and result-neutral by the pool's generation
-			// protocol.
-			pool := &uarch.UopPool{}
 			for c := range jobs {
 				mu.Lock()
 				stop := firstErr != nil
@@ -201,7 +194,6 @@ func RunTraced(cells []Cell, opt Options) (Results, Stats, Traces, error) {
 					res, tr, err = core.RunTraced(c.Cfg, core.RunOptions{
 						TraceLevel: opt.TraceLevel,
 						CellKey:    c.Key,
-						Pool:       pool,
 						SimTime:    &simTime,
 					})
 				})

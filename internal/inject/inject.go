@@ -17,7 +17,8 @@ import (
 	"math"
 
 	"visasim/internal/avf"
-	"visasim/internal/pipeline"
+	"visasim/internal/config"
+	"visasim/internal/core"
 	"visasim/internal/rng"
 )
 
@@ -86,8 +87,6 @@ func (c *Campaign) String() string {
 
 // Options tunes a campaign.
 type Options struct {
-	// Instructions to commit during the campaign.
-	Instructions uint64
 	// StrikesPerKCycle is the expected injection rate (strikes are
 	// Bernoulli per cycle so time sampling is uniform).
 	StrikesPerKCycle float64
@@ -97,12 +96,26 @@ type Options struct {
 	Observer func(Strike)
 }
 
-// Run drives proc for opt.Instructions committed instructions, injecting
-// strikes along the way, and returns the campaign statistics. The processor
-// must be freshly constructed; its results are finalised by the campaign.
-func Run(proc *pipeline.Processor, opt Options) (*Campaign, error) {
-	if opt.Instructions == 0 {
+// Run builds cfg's machine through core, drives it for cfg.MaxInstructions
+// committed instructions while injecting strikes, and returns the campaign
+// statistics. Any scheme core builds is accepted. Strikes start at cycle 0,
+// so the campaign runs with warmup off whatever cfg.Warmup says: a warmup
+// would reset the accounted AVF to a later region than the one struck.
+// cfg's machine must leave the IQ unprotected, because strikes are
+// classified by the unprotected ACE-bit layout (avf.IQBits).
+func Run(cfg core.Config, opt Options) (*Campaign, error) {
+	if cfg.MaxInstructions == 0 {
 		return nil, fmt.Errorf("inject: zero-instruction campaign")
+	}
+	if cfg.Machine != nil {
+		if prot := cfg.Machine.Canonical().IQProtection; prot != config.ProtNone {
+			return nil, fmt.Errorf("inject: IQ protection %q: strikes are classified unprotected", prot)
+		}
+	}
+	cfg.Warmup = -1
+	proc, err := core.NewProcessor(cfg)
+	if err != nil {
+		return nil, err
 	}
 	rate := opt.StrikesPerKCycle
 	if rate <= 0 {
@@ -117,8 +130,9 @@ func Run(proc *pipeline.Processor, opt Options) (*Campaign, error) {
 	c := &Campaign{}
 	iq := proc.IQ()
 	size := iq.Size()
-	cycleCap := proc.Cycle() + 128*opt.Instructions
-	for proc.TotalCommits() < opt.Instructions && proc.Cycle() < cycleCap {
+	n := cfg.MaxInstructions
+	cycleCap := proc.Cycle() + 128*n
+	for proc.TotalCommits() < n && proc.Cycle() < cycleCap {
 		proc.Step()
 		if !src.Bool(p) {
 			continue

@@ -2,45 +2,16 @@ package inject
 
 import (
 	"math"
+	"strings"
 	"testing"
 
-	"visasim/internal/ace"
 	"visasim/internal/config"
-	"visasim/internal/pipeline"
-	"visasim/internal/trace"
-	"visasim/internal/uarch"
-	"visasim/internal/workload"
+	"visasim/internal/core"
 )
 
-func newProc(t testing.TB, names []string, budget uint64) *pipeline.Processor {
-	t.Helper()
-	streams := make([]*trace.Stream, len(names))
-	for i, name := range names {
-		b, err := workload.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := b.Generate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		prof, err := ace.Run(prog, b.Params.Seed, 0, budget+8192, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streams[i] = trace.NewStream(trace.NewExecutor(prog, b.Params.Seed, i), prof.Bits, prof.Tag)
-	}
-	proc, err := pipeline.New(pipeline.Params{
-		Machine:         config.Default(),
-		Scheduler:       uarch.SchedOldestFirst,
-		Policy:          pipeline.PolicyICOUNT,
-		Streams:         streams,
-		MaxInstructions: budget,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return proc
+// campaignCfg is a default-machine base-scheme Config for names.
+func campaignCfg(names []string, budget uint64) core.Config {
+	return core.Config{Benchmarks: names, MaxInstructions: budget}
 }
 
 // TestEmpiricalAVFMatchesAccounting is the statistical validation the AVF
@@ -48,9 +19,7 @@ func newProc(t testing.TB, names []string, budget uint64) *pipeline.Processor {
 // AVF rate.
 func TestEmpiricalAVFMatchesAccounting(t *testing.T) {
 	const budget = 60_000
-	proc := newProc(t, []string{"bzip2", "eon", "gcc", "perlbmk"}, budget)
-	c, err := Run(proc, Options{
-		Instructions:     budget,
+	c, err := Run(campaignCfg([]string{"bzip2", "eon", "gcc", "perlbmk"}, budget), Options{
 		StrikesPerKCycle: 800, // dense sampling for a tight CI
 		Seed:             42,
 	})
@@ -71,8 +40,7 @@ func TestEmpiricalAVFMatchesAccounting(t *testing.T) {
 func TestCampaignDeterministic(t *testing.T) {
 	const budget = 15_000
 	run := func() *Campaign {
-		proc := newProc(t, []string{"gcc", "mcf"}, budget)
-		c, err := Run(proc, Options{Instructions: budget, Seed: 7})
+		c, err := Run(campaignCfg([]string{"gcc", "mcf"}, budget), Options{Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,12 +54,10 @@ func TestCampaignDeterministic(t *testing.T) {
 
 func TestObserverSeesEveryStrike(t *testing.T) {
 	const budget = 10_000
-	proc := newProc(t, []string{"gcc"}, budget)
 	var seen uint64
 	var corrupting uint64
-	c, err := Run(proc, Options{
-		Instructions: budget,
-		Seed:         3,
+	c, err := Run(campaignCfg([]string{"gcc"}, budget), Options{
+		Seed: 3,
 		Observer: func(s Strike) {
 			seen++
 			if s.Outcome == Corrupting {
@@ -112,9 +78,48 @@ func TestObserverSeesEveryStrike(t *testing.T) {
 }
 
 func TestZeroInstructionCampaignRejected(t *testing.T) {
-	proc := newProc(t, []string{"gcc"}, 1000)
-	if _, err := Run(proc, Options{}); err == nil {
+	if _, err := Run(campaignCfg([]string{"gcc"}, 0), Options{}); err == nil {
 		t.Fatal("zero-instruction campaign accepted")
+	}
+}
+
+// TestAccountedAVFIsTheStruckRun pins what MeasuredAVF means: a campaign
+// only observes the machine, so its accounted AVF is that of the same cell
+// run by core with warmup off — the region the strikes landed in. Were the
+// campaign built with warmup on, the closing Run would reset the statistics
+// and account a later region instead.
+func TestAccountedAVFIsTheStruckRun(t *testing.T) {
+	const budget = 12_000
+	for _, scheme := range []core.Scheme{core.SchemeBase, core.SchemeVISAOpt2} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			cfg := campaignCfg([]string{"gcc", "mcf"}, budget)
+			cfg.Scheme = scheme
+			c, err := Run(cfg, Options{Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.MeasuredAVF <= 0 {
+				t.Fatalf("accounted AVF %v, want > 0", c.MeasuredAVF)
+			}
+			cfg.Warmup = -1
+			res, err := core.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.MeasuredAVF != res.IQAVF {
+				t.Fatalf("campaign accounted AVF %v, core run with warmup off %v", c.MeasuredAVF, res.IQAVF)
+			}
+		})
+	}
+}
+
+func TestProtectedMachineRefused(t *testing.T) {
+	m := config.Default()
+	m.IQProtection = config.ProtParity
+	cfg := campaignCfg([]string{"gcc"}, 1000)
+	cfg.Machine = &m
+	if _, err := Run(cfg, Options{}); err == nil || !strings.Contains(err.Error(), "protection") {
+		t.Fatalf("protected machine: err %v, want a protection refusal", err)
 	}
 }
 

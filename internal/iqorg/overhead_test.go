@@ -1,6 +1,7 @@
 package iqorg
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -73,7 +74,8 @@ var newOrgOpaque = func(q *uarch.IQ) Organization { return NewUnified(q) }
 // issue-queue policy seam (CanAccept, Select, EndCycle) through the
 // Organization interface must cost less than 5% over the seed's direct
 // unified-AGE loop on the bare *uarch.IQ. Paired best-of-N ratio timing
-// keeps the comparison robust to scheduler noise and machine load.
+// over the test thread's own CPU time keeps the comparison robust to
+// scheduler noise and machine load.
 func TestInterfaceOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison; skipped in -short mode")
@@ -94,29 +96,34 @@ func TestInterfaceOverhead(t *testing.T) {
 
 	// The estimator targets the *intrinsic* overhead, so it must survive
 	// the suite running packages in parallel, where contention inflates
-	// indirect calls beyond their quiet-machine cost. Variants alternate
+	// indirect calls beyond their quiet-machine cost. Each block is timed
+	// by the CPU time of the OS thread the test holds, not wall time, so
+	// the cycles other processes take while it waits are not charged to
+	// whichever variant happened to be running. Variants alternate
 	// trial by trial and each takes its minimum block time across the
 	// attempt — its quietest window — so a load spike has to cover every
 	// window of one variant to skew the ratio; re-measuring on a miss
 	// (attempts) rides out sustained spikes. The attempts' ratios are
 	// logged (go test -v); perfbench's iqorg.self_share tracks the layer's
 	// cost inside whole simulations.
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	measure := func() float64 {
 		direct, viaOrg := time.Duration(1<<62), time.Duration(1<<62)
 		for trial := 0; trial < trials; trial++ {
 			age := uint64(0)
-			t0 := time.Now()
+			t0 := threadCPU()
 			for p := 0; p < passes; p++ {
 				age += uint64(iqSize) + overheadPass(nil, qDirect, pool, age)
 			}
-			if d := time.Since(t0); d < direct {
+			if d := threadCPU() - t0; d < direct {
 				direct = d
 			}
-			t0 = time.Now()
+			t0 = threadCPU()
 			for p := 0; p < passes; p++ {
 				age += uint64(iqSize) + overheadPass(org, org.Queue(), pool, age)
 			}
-			if d := time.Since(t0); d < viaOrg {
+			if d := threadCPU() - t0; d < viaOrg {
 				viaOrg = d
 			}
 		}

@@ -78,10 +78,6 @@ type Params struct {
 	// schedule). Results must be identical either way; the parity tests
 	// pin that.
 	DisableSkipAhead bool
-	// Pool, when non-nil, supplies the uop free list, letting sequential
-	// runs (a sweep worker's cells) share one steady-state allocation.
-	// Safe only for strictly sequential runs; nil allocates a private pool.
-	Pool *uarch.UopPool
 }
 
 // Processor is the simulated SMT core.
@@ -150,9 +146,9 @@ type Processor struct {
 	skippedCycles uint64
 
 	// pool recycles uop allocations; fetch draws from it and commit,
-	// squash and the completion wheel return to it. It may be shared with
-	// other (strictly sequential) runs via Params.Pool.
-	pool *uarch.UopPool
+	// squash and the completion wheel return to it. Each Processor owns
+	// its own: it warms up to the in-flight population once per run.
+	pool uarch.UopPool
 
 	// fetchCands is the fetch stage's reusable priority scratch.
 	fetchCands [uarch.MaxThreads]fetchCand
@@ -306,10 +302,6 @@ func New(p Params) (*Processor, error) {
 	}
 	proc.invariantEvery = p.InvariantEvery
 	proc.recPrevIQLCap = proc.dec.IQLCap
-	proc.pool = p.Pool
-	if proc.pool == nil {
-		proc.pool = &uarch.UopPool{}
-	}
 	proc.skipOK = p.Controller == nil && len(p.Forced) == 0 && !p.DisableSkipAhead
 	return proc, nil
 }

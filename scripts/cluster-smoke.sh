@@ -7,7 +7,7 @@
 #   2. the `experiments cells` target over a small cells file prints the
 #      same bytes locally and with -backends D2, and with -backends
 #      reports D2's member line on stderr;
-#   3. an `experiments -backends D1,D2 -store DIR -resume` run of Fig. 5,
+#   3. an `experiments -backends D1,D2 -store DIR` run of Fig. 5,
 #      with D1 killed by SIGKILL once the coordinator's store holds some
 #      but not all cells, still finishes, its in-flight cells failing over
 #      to D2 when their job streams break, and its output and CSV are
@@ -15,8 +15,8 @@
 #      (which daemon ran a cell, and how often it was retried, never
 #      changes result bytes), and the `experiments health` target then
 #      reports D1 down and D2 healthy with exit status 1;
-#   4. with both daemons gone, a -resume re-run produces the same bytes
-#      again, served from the store alone.
+#   4. with both daemons gone, a re-run with the same -store produces the
+#      same bytes again, served from the store alone.
 # Used by `make cluster-smoke` and the CI cluster-smoke job.
 set -euo pipefail
 
@@ -96,7 +96,7 @@ cmp "$TMP/cells-local.out" "$TMP/cells-remote.out" || {
 stored() { find "$STORE" -name '*.json' 2>/dev/null | wc -l; }
 
 "$TMP/experiments" -n "$BUDGET" -backends "http://$D1,http://$D2" \
-    -store "$STORE" -resume -csv "$TMP/remote" -log-level warn \
+    -store "$STORE" -csv "$TMP/remote" -log-level warn \
     "$TARGET" >"$TMP/remote.out" 2>"$TMP/remote.log" &
 EXPID=$!
 
@@ -143,7 +143,7 @@ kill "$D2PID"
 wait "$D2PID" 2>/dev/null || true
 D2PID=
 "$TMP/experiments" -n "$BUDGET" -backends "http://$D1,http://$D2" \
-    -store "$STORE" -resume -csv "$TMP/resumed" \
+    -store "$STORE" -csv "$TMP/resumed" \
     "$TARGET" >"$TMP/resumed.out" 2>"$TMP/resumed.log" || {
     echo "cluster-smoke: store-only re-run failed"; cat "$TMP/resumed.log"; exit 1; }
 cmp "$TMP/local.out" "$TMP/resumed.out" || {

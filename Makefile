@@ -50,9 +50,10 @@ docs-lint:
 	./scripts/docs-lint.sh
 
 # Throughput-floor gate: short seed-1 perfbench runs of mem-long and figs
-# must report every cell digest correct, no failed operation, and a
-# simulator rate above each workload's Minstr/s floor (see
-# scripts/perf-smoke.sh, which holds the lengths and floors).
+# must report every cell digest correct, no failed operation, a
+# simulator rate above each workload's Minstr/s floor and a peak RSS
+# under its ceiling (see scripts/perf-smoke.sh, which holds the lengths,
+# floors and ceilings).
 perf-smoke:
 	./scripts/perf-smoke.sh
 

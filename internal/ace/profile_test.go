@@ -197,3 +197,44 @@ func TestSuiteShapes(t *testing.T) {
 		t.Errorf("average ACE fraction %.3f out of plausible range", avgACE)
 	}
 }
+
+// TestProfilePrefixProperty checks what lets core keep one ACE bit vector
+// per benchmark and window: Run analyzes a full window past the profiled
+// prefix, so a shorter profile's bits are the first bits of every longer
+// one. Lengths around a word boundary and around the window are compared
+// with a profile one instruction longer than the longest of them and with
+// a much longer one.
+func TestProfilePrefixProperty(t *testing.T) {
+	const window, l, long = 1000, 30_000, 200_000
+	for _, name := range []string{"gcc", "mcf", "swim", "eon"} {
+		b := workload.MustGet(name)
+		prog, err := b.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(n uint64) *Profile {
+			p, err := Run(prog, b.Params.Seed, 0, n, window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		refs := []*Profile{run(l + 1), run(long)}
+		for _, n := range []uint64{1, 63, 64, 65, window - 1, window, window + 1, l} {
+			p := run(n)
+			if p.DynInstrs != n {
+				t.Fatalf("%s at %d: %d instructions classified", name, n, p.DynInstrs)
+			}
+			for _, ref := range refs {
+				for i := range n {
+					if p.Bits.Get(i) != ref.Bits.Get(i) {
+						t.Fatalf("%s: ACE bit %d at length %d differs from length %d", name, i, n, ref.Bits.Len())
+					}
+				}
+				if got := ref.Bits.Count(n); got != p.DynACE {
+					t.Fatalf("%s: %d ACE in the first %d of length %d, %d at length %d", name, got, n, ref.Bits.Len(), p.DynACE, n)
+				}
+			}
+		}
+	}
+}

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"visasim/internal/isa"
 	"visasim/internal/pipeline"
 	"visasim/internal/program"
+	"visasim/internal/trace"
 	"visasim/internal/workload"
 )
 
@@ -33,20 +36,22 @@ func TestProfileCacheDefaultWindow(t *testing.T) {
 }
 
 // countingProfile returns a profile function that counts its calls and
-// hands out a distinct empty profile per call.
-func countingProfile(calls *atomic.Int32) func() (*ace.Profile, error) {
+// hands out a distinct all-clear profile of n instructions per call.
+func countingProfile(calls *atomic.Int32, n uint64) func() (*ace.Profile, error) {
 	return func() (*ace.Profile, error) {
 		calls.Add(1)
-		return &ace.Profile{}, nil
+		return &ace.Profile{Bits: trace.NewBitSet(n), Tag: trace.NewBitSet(1)}, nil
 	}
 }
 
 func TestProfileCacheLRUEviction(t *testing.T) {
 	c := newProfileLRU(2)
-	key := func(n uint64) profileKey { return profileKey{"k", n, ace.DefaultWindow} }
+	// One benchmark per key: profiles of one benchmark share a vector,
+	// and a longer one arriving republishes the shorter ones.
+	key := func(n uint64) profileKey { return profileKey{fmt.Sprint("k", n), n, ace.DefaultWindow} }
 	var calls atomic.Int32
 	get := func(n uint64) *ace.Profile {
-		p, err := c.get(key(n), countingProfile(&calls))
+		p, err := c.get(key(n), countingProfile(&calls, n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +117,7 @@ func TestProfileCacheSingleFlight(t *testing.T) {
 	slow := func() (*ace.Profile, error) {
 		calls.Add(1)
 		<-release
-		return &ace.Profile{}, nil
+		return &ace.Profile{Bits: trace.NewBitSet(1), Tag: trace.NewBitSet(1)}, nil
 	}
 
 	const callers = 8
@@ -225,7 +230,8 @@ func TestProgramSharedConcurrentCells(t *testing.T) {
 }
 
 // TestProgramSharedRetainedHeap checks what a cell at a new budget keeps
-// live: its profile, and no copy of the program image.
+// live: its profile's tags, one ACE bit vector all budgets of the
+// benchmark share, and no copy of the program image.
 func TestProgramSharedRetainedHeap(t *testing.T) {
 	b := workload.MustGet("crafty")
 	prog, err := ProgramFor(b)
@@ -255,23 +261,249 @@ func TestProgramSharedRetainedHeap(t *testing.T) {
 
 	cell(18_000) // warm every lazily built global
 	before := heap()
-	var profBytes uint64
 	for _, n := range sharedBudgets {
 		cell(n)
+	}
+	var tagBytes, vectorBytes uint64
+	var vector *uint64
+	for _, n := range sharedBudgets {
 		p, err := ProfileFor(b, n+profileSlack, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		profBytes += 8 * uint64(len(p.Bits.Words())+len(p.Tag.Words()))
+		tagBytes += 8 * uint64(len(p.Tag.Words()))
+		vectorBytes = max(vectorBytes, 8*uint64(len(p.Bits.Words())))
+		if w := &p.Bits.Words()[0]; vector == nil {
+			vector = w
+		} else if w != vector {
+			t.Fatalf("budget %d holds its own ACE bits, not the shared vector", n)
+		}
 	}
 	grown := int64(heap()) - int64(before)
 
 	image := uint64(len(prog.Instrs))*uint64(unsafe.Sizeof(isa.Inst{})) +
 		uint64(len(prog.Branches))*uint64(unsafe.Sizeof(program.BranchMeta{})) +
 		uint64(len(prog.Streams))*uint64(unsafe.Sizeof(program.MemMeta{}))
-	if grown >= int64(profBytes+image) {
-		t.Fatalf("three new budgets kept %d bytes live: profiles %d + at most one %d-byte image expected",
-			grown, profBytes, image)
+	if grown >= int64(vectorBytes+tagBytes+image) {
+		t.Fatalf("three new budgets kept %d bytes live: one %d-byte ACE vector, %d tag bytes and at most one %d-byte image expected",
+			grown, vectorBytes, tagBytes, image)
 	}
-	t.Logf("retained %d bytes for %d profile bytes (image %d bytes)", grown, profBytes, image)
+	t.Logf("retained %d bytes for a %d-byte vector and %d tag bytes (image %d bytes)", grown, vectorBytes, tagBytes, image)
+}
+
+// unsharedProfile profiles bench at n instructions under window directly,
+// outside every cache.
+func unsharedProfile(t *testing.T, bench string, n uint64, window int) *ace.Profile {
+	t.Helper()
+	b := workload.MustGet(bench)
+	prog, err := ProgramFor(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ace.Run(prog, b.Params.Seed, 0, n, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// sameProfile fails t unless got reads like want: the same tags, totals,
+// length and ACE bit at every position.
+func sameProfile(t *testing.T, got, want *ace.Profile) {
+	t.Helper()
+	if got.DynInstrs != want.DynInstrs || got.DynACE != want.DynACE ||
+		got.LateMarks != want.LateMarks || got.TagMismatches != want.TagMismatches {
+		t.Fatalf("totals %d/%d/%d/%d, unshared %d/%d/%d/%d",
+			got.DynInstrs, got.DynACE, got.LateMarks, got.TagMismatches,
+			want.DynInstrs, want.DynACE, want.LateMarks, want.TagMismatches)
+	}
+	if !reflect.DeepEqual(got.Tag, want.Tag) {
+		t.Fatalf("%d-instruction profile: tags differ from the unshared pass", want.Bits.Len())
+	}
+	if got.Bits.Len() != want.Bits.Len() {
+		t.Fatalf("%d ACE bits, unshared %d", got.Bits.Len(), want.Bits.Len())
+	}
+	for i := range want.Bits.Len() {
+		if got.Bits.Get(i) != want.Bits.Get(i) {
+			t.Fatalf("%d-instruction profile: ACE bit %d differs from the unshared pass", want.Bits.Len(), i)
+		}
+	}
+}
+
+// retainedWords returns the ACE vector words and tag words c's resident
+// entries keep live. It fails t if a resident profile holds ACE bits of
+// its own rather than a view of its benchmark's vector.
+func retainedWords(t *testing.T, c *profileLRU) (vector, tags int) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, v := range c.vectors {
+		vector += len(v.bits.Words())
+	}
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*profileEntry)
+		v := c.vectors[vectorKey{e.key.bench, e.key.window}]
+		if v == nil || &e.p.Bits.Words()[0] != &v.bits.Words()[0] {
+			t.Fatalf("%s at %d: ACE bits outside the shared vector", e.key.bench, e.key.n)
+		}
+		tags += len(e.p.Tag.Words())
+	}
+	return vector, tags
+}
+
+// TestProfileCacheSharedVectorBound profiles one benchmark at five lengths
+// in three arrival orders. Each time the cache keeps one vector of the
+// longest length's words plus each length's tags, and every profile reads
+// like an unshared pass. Evicting the longest shrinks the vector, and
+// evicting the rest drops it.
+func TestProfileCacheSharedVectorBound(t *testing.T) {
+	const bench, window = "gcc", 2000
+	lengths := []uint64{9001, 7000, 5000, 3000, 1000} // descending
+	want := map[uint64]*ace.Profile{}
+	for _, n := range lengths {
+		want[n] = unsharedProfile(t, bench, n, window)
+	}
+	tagWords := len(want[1000].Tag.Words())
+	orders := map[string][]int{"descending": {0, 1, 2, 3, 4}, "ascending": {4, 3, 2, 1, 0}, "shuffled": {3, 0, 4, 1, 2}}
+	for name, order := range orders {
+		t.Run(name, func(t *testing.T) {
+			c := newProfileLRU(len(lengths))
+			get := func(bench string, n uint64) *ace.Profile {
+				p, err := c.get(profileKey{bench, n, window}, func() (*ace.Profile, error) {
+					return unsharedProfile(t, bench, n, window), nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			for _, i := range order {
+				get(bench, lengths[i])
+			}
+			for _, n := range lengths {
+				sameProfile(t, get(bench, n), want[n])
+			}
+			if v, tags := retainedWords(t, c); v != (9001+63)/64 || tags != len(lengths)*tagWords {
+				t.Fatalf("%d vector and %d tag words live, want %d and %d", v, tags, (9001+63)/64, len(lengths)*tagWords)
+			}
+
+			// The lookups above left 9001 least recently used.
+			get("mcf", 1000)
+			if v, _ := retainedWords(t, c); v != (7000+63)/64+(1000+63)/64 {
+				t.Fatalf("%d vector words live after evicting the longest, want %d for %s and %d for mcf",
+					v, (7000+63)/64, bench, (1000+63)/64)
+			}
+			for _, n := range lengths[1:] {
+				sameProfile(t, get(bench, n), want[n])
+			}
+			for _, n := range []uint64{2000, 4000, 6000, 8000, 10_000} {
+				get("mcf", n)
+			}
+			c.mu.Lock()
+			_, kept := c.vectors[vectorKey{bench, window}]
+			c.mu.Unlock()
+			if kept {
+				t.Fatalf("%s's vector outlived its last entry", bench)
+			}
+		})
+	}
+}
+
+// TestProfileCacheSharedConcurrent asks the process cache for one
+// benchmark at five lengths, each from two goroutines at once, and checks
+// every answer against an unshared pass (run it under -race).
+func TestProfileCacheSharedConcurrent(t *testing.T) {
+	const bench, window = "vpr", 1500 // a window no other test uses
+	lengths := []uint64{12_000, 4_000, 16_000, 8_000, 20_000}
+	b := workload.MustGet(bench)
+	got := make([]*ace.Profile, 2*len(lengths))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := ProfileFor(b, lengths[i/2], window)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = p
+		}()
+	}
+	wg.Wait()
+	for i, p := range got {
+		if p == nil {
+			t.FailNow()
+		}
+		sameProfile(t, p, unsharedProfile(t, bench, lengths[i/2], window))
+	}
+	profiles.mu.Lock()
+	words := len(profiles.vectors[vectorKey{bench, window}].bits.Words())
+	profiles.mu.Unlock()
+	if words != (20_000+63)/64 {
+		t.Fatalf("%s's vector holds %d words, want %d", bench, words, (20_000+63)/64)
+	}
+}
+
+// TestProfileCachePrefixMismatch feeds the cache a pass whose bits are
+// not a prefix of the vector's: the cache must refuse it, naming the
+// benchmark and both lengths, and serve nothing from it.
+func TestProfileCachePrefixMismatch(t *testing.T) {
+	c := newProfileLRU(4)
+	var calls atomic.Int32
+	if _, err := c.get(profileKey{"x", 100, 10}, countingProfile(&calls, 100)); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []uint64{71, 200} {
+		_, err := c.get(profileKey{"x", n, 10}, func() (*ace.Profile, error) {
+			p, _ := countingProfile(&calls, n)()
+			p.Bits.Set(70, true)
+			return p, nil
+		})
+		if err == nil {
+			t.Fatalf("a %d-instruction pass differing at instruction 70 was accepted", n)
+		}
+		for _, s := range []string{"x", fmt.Sprint(n), "100", "instruction 70"} {
+			if !strings.Contains(err.Error(), s) {
+				t.Errorf("error %q does not name %q", err, s)
+			}
+		}
+	}
+	c.mu.Lock()
+	members := len(c.vectors[vectorKey{"x", 10}].members)
+	c.mu.Unlock()
+	if members != 1 {
+		t.Fatalf("%d profiles share the vector after two refused passes, want 1", members)
+	}
+}
+
+// TestProfileCacheEvictedDuringPass evicts an entry while its pass runs:
+// the pass's callers get its own profile, and the vector does not keep it.
+func TestProfileCacheEvictedDuringPass(t *testing.T) {
+	c := newProfileLRU(1)
+	own := &ace.Profile{Bits: trace.NewBitSet(500), Tag: trace.NewBitSet(1)}
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan *ace.Profile)
+	go func() {
+		p, err := c.get(profileKey{"x", 500, 10}, func() (*ace.Profile, error) {
+			close(started)
+			<-release
+			return own, nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- p
+	}()
+	<-started
+	var calls atomic.Int32
+	if _, err := c.get(profileKey{"x", 100, 10}, countingProfile(&calls, 100)); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if p := <-done; p != own {
+		t.Fatal("an entry evicted during its pass was not served its own profile")
+	}
+	if v, _ := retainedWords(t, c); v != (100+63)/64 {
+		t.Fatalf("%d vector words live, want %d: the evicted pass joined the vector", v, (100+63)/64)
+	}
 }

@@ -11,6 +11,7 @@ import (
 type BitSet struct {
 	words []uint64
 	n     uint64
+	view  bool // a read-only Prefix view: Set panics
 }
 
 // NewBitSet returns a bit set of length n.
@@ -21,8 +22,22 @@ func NewBitSet(n uint64) *BitSet {
 // Len returns the number of bits.
 func (b *BitSet) Len() uint64 { return b.n }
 
+// Prefix returns a read-only view of b's first n bits. The view shares b's
+// words, so it costs no copy: Set on it panics, Get panics at n and
+// beyond, and b must not be written while the view is read.
+func (b *BitSet) Prefix(n uint64) *BitSet {
+	if n > b.n {
+		panic(fmt.Sprintf("trace: BitSet.Prefix(%d) of %d bits", n, b.n))
+	}
+	w := (n + 63) / 64
+	return &BitSet{words: b.words[:w:w], n: n, view: true}
+}
+
 // Set sets bit i to v.
 func (b *BitSet) Set(i uint64, v bool) {
+	if b.view {
+		panic("trace: BitSet.Set on a read-only prefix view")
+	}
 	if i >= b.n {
 		panic(fmt.Sprintf("trace: BitSet.Set(%d) out of range %d", i, b.n))
 	}
@@ -41,7 +56,8 @@ func (b *BitSet) Get(i uint64) bool {
 	return b.words[i/64]&(1<<(i%64)) != 0
 }
 
-// Words exposes the backing words.
+// Words exposes the backing words. A prefix view's last word may hold
+// bits of the set it views beyond Len.
 func (b *BitSet) Words() []uint64 { return b.words }
 
 // Count returns the number of set bits in [0, upto).

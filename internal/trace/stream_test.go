@@ -48,6 +48,47 @@ func TestBitSetOutOfRangePanics(t *testing.T) {
 	}
 }
 
+func TestBitSetPrefixView(t *testing.T) {
+	b := NewBitSet(200)
+	for _, i := range []uint64{0, 64, 99, 100, 130, 199} {
+		b.Set(i, true)
+	}
+	v := b.Prefix(100)
+	if v.Len() != 100 || len(v.Words()) != 2 || &v.Words()[0] != &b.Words()[0] {
+		t.Fatalf("view of 100 bits: len %d over %d words, shared %v", v.Len(), len(v.Words()), &v.Words()[0] == &b.Words()[0])
+	}
+	for i := range uint64(100) {
+		if v.Get(i) != b.Get(i) {
+			t.Fatalf("view bit %d = %v, set says %v", i, v.Get(i), b.Get(i))
+		}
+	}
+	if got := v.Count(200); got != 3 {
+		t.Fatalf("view count %d, want 3", got)
+	}
+	if got := b.Prefix(100).Prefix(65).Count(65); got != 2 {
+		t.Fatalf("view of a view counts %d, want 2", got)
+	}
+	for name, f := range map[string]func(){
+		"get at length":  func() { v.Get(100) },
+		"set in range":   func() { v.Set(0, false) },
+		"longer than b":  func() { b.Prefix(201) },
+		"longer than v":  func() { v.Prefix(101) },
+		"empty view get": func() { b.Prefix(0).Get(0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+	if !b.Get(0) {
+		t.Fatal("a refused Set on the view changed the set")
+	}
+}
+
 // Property: Count equals a naive recount after arbitrary set/clear actions.
 func TestQuickBitSetCount(t *testing.T) {
 	f := func(ops []uint16) bool {

@@ -309,8 +309,13 @@ func (q *IQ) ringInsert(k uint64) {
 
 // ringRemove drops packed key k from the ready list. Keys are unique (the
 // slot is part of the key), so the binary search lands exactly. Oldest-first
-// issue drains the head, which pops in O(1).
+// issue drains the head, which pops in O(1) before any search.
 func (q *IQ) ringRemove(k uint64) {
+	if q.rLen > 0 && q.ready[q.rHead] == k {
+		q.rHead = (q.rHead + 1) & q.rMask
+		q.rLen--
+		return
+	}
 	lo := q.readySearch(k)
 	if lo >= q.rLen || q.readyAt(lo) != k {
 		panic("uarch: IQ ready-list remove of absent uop")

@@ -147,7 +147,7 @@ func run(argv []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if *backendsCSV != "" {
 		var st *store.Store
 		if *storeDir != "" {
-			if st, err = store.Open(*storeDir, store.Options{}); err != nil {
+			if st, err = store.Open(*storeDir); err != nil {
 				return fail(1, "opening store: %v", err)
 			}
 		}

@@ -1,8 +1,8 @@
 // Command visasimd is the long-running simulation service: an HTTP daemon
-// that accepts sweep cells (core.Config JSON), executes them on a bounded
-// worker pool, and serves repeated cells from a content-addressed result
-// cache — the simulator is deterministic, so a cached result is
-// byte-identical to re-running the cell. With -store DIR the cache is
+// that accepts sweep cells (core.Config JSON), simulates fresh ones in
+// arrival order on -workers cell workers, and serves repeated cells from a
+// content-addressed result cache — the simulator is deterministic, so a
+// cached result is byte-identical to re-running the cell. With -store DIR the cache is
 // backed by a persistent on-disk store (internal/store): results survive
 // restarts, and a warm daemon serves them from disk without re-simulating.
 //
@@ -13,7 +13,8 @@
 //	                          an "end" event with the job's terminal state
 //	GET  /healthz             liveness
 //	GET  /metrics/prom        Prometheus text metrics: job, cell, cache and
-//	                          store counters plus queue-wait/simulate/
+//	                          store counters plus queue-wait (a fresh
+//	                          cell's wait for a worker)/simulate/
 //	                          cache-serve histograms
 //
 // Logging is structured (-log-format text|json, -log-level debug|info|...);
@@ -33,8 +34,11 @@
 //	curl -sN localhost:8080/v1/jobs/job-1/stream
 //	curl -s localhost:8080/metrics/prom
 //
-// SIGINT/SIGTERM trigger a graceful shutdown: in-flight jobs finish, queued
-// jobs are canceled, new submissions get 503.
+// At most 64 jobs are unfinished at once; a submission past that gets 503,
+// and the last 256 finished jobs stay streamable. SIGINT/SIGTERM trigger a
+// graceful shutdown: new submissions get 503 and every admitted job
+// finishes within -drain. A bad flag value, a negative -cache-entries
+// included, exits 2 before anything listens.
 package main
 
 import (
@@ -42,6 +46,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -54,44 +59,51 @@ import (
 )
 
 func main() {
-	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		jobWorkers = flag.Int("job-workers", 2, "concurrently executing jobs")
-		simWorkers = flag.Int("workers", 0, "concurrent simulations across all jobs (0 = GOMAXPROCS)")
-		queueDepth = flag.Int("queue-depth", 64, "bounded job queue; beyond it submissions get 503")
-		jobHistory = flag.Int("job-history", 256, "terminal jobs whose stream stays readable; older ones are evicted")
-		drainWait  = flag.Duration("drain", 10*time.Minute, "shutdown grace period for in-flight jobs")
-		storeDir   = flag.String("store", "", "persist results to this directory; warm restarts serve from disk")
-		storeMax   = flag.Int64("store-max-bytes", 0, "evict oldest store entries beyond this size (0 = unbounded)")
-		cacheMax   = flag.Int("cache-entries", 0, "resolved results kept in memory, LRU-evicted beyond it (0 = default 4096, negative = unbounded)")
-		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		logFormat  = flag.String("log-format", "text", "log line format: text or json")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
 
-	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
+// run is the whole command: it parses args, serves until SIGINT/SIGTERM,
+// drains and returns the exit status.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("visasimd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr       = fs.String("addr", ":8080", "listen address")
+		simWorkers = fs.Int("workers", 0, "cell workers: concurrent simulations across all jobs (0 = GOMAXPROCS)")
+		drainWait  = fs.Duration("drain", 10*time.Minute, "shutdown grace period for admitted jobs")
+		storeDir   = fs.String("store", "", "persist results to this directory; warm restarts serve from disk")
+		cacheMax   = fs.Int("cache-entries", 0, "resolved results kept in memory, LRU-evicted beyond it (0 = default 4096)")
+		logLevel   = fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
+		logFormat  = fs.String("log-format", "text", "log line format: text or json")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	logger, err := obs.NewLogger(stderr, *logLevel, *logFormat)
+	if err == nil && *cacheMax < 0 {
+		err = fmt.Errorf("-cache-entries %d: must not be negative", *cacheMax)
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "visasimd: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "visasimd: %v\n", err)
+		return 2
 	}
 
 	var st *store.Store
 	if *storeDir != "" {
-		var err error
-		st, err = store.Open(*storeDir, store.Options{MaxBytes: *storeMax})
+		st, err = store.Open(*storeDir)
 		if err != nil {
 			logger.Error("opening store failed", "dir", *storeDir, "err", err)
-			os.Exit(1)
+			return 1
 		}
 		logger.Info("store opened", "dir", st.Dir(),
 			"entries", st.Len(), "bytes", st.Bytes())
 	}
 
 	srv := server.New(server.Options{
-		JobWorkers:   *jobWorkers,
 		SimWorkers:   *simWorkers,
-		QueueDepth:   *queueDepth,
-		JobHistory:   *jobHistory,
 		CacheEntries: *cacheMax,
 		Store:        st,
 		Logger:       logger,
@@ -103,13 +115,12 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	logger.Info("listening", "addr", *addr,
-		"job_workers", *jobWorkers, "queue_depth", *queueDepth)
+	logger.Info("listening", "addr", *addr, "workers", *simWorkers)
 
 	select {
 	case err := <-errc:
 		logger.Error("serve failed", "err", err)
-		os.Exit(1)
+		return 1
 	case <-ctx.Done():
 	}
 
@@ -121,6 +132,7 @@ func main() {
 	}
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		logger.Error("drain failed", "err", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -32,7 +32,7 @@
 //     too.
 //   - Experiment & service layer — harness (parallel sweep runner),
 //     experiments (every table and figure), report (ASCII rendering),
-//     server (the visasimd HTTP daemon with a job queue, a
+//     server (the visasimd HTTP daemon with a fresh-cell FIFO, a
 //     content-addressed result cache, Prometheus metrics, and the
 //     submit-and-stream client), store (a
 //     persistent on-disk result store keyed by the same content hashes),

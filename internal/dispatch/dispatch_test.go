@@ -301,7 +301,7 @@ func TestResumeSkipsCompletedCells(t *testing.T) {
 
 	// "First life": the sweep got through cells a and b before the
 	// coordinator died — their results are checkpointed in the store.
-	st1, err := store.Open(dir, store.Options{})
+	st1, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestResumeSkipsCompletedCells(t *testing.T) {
 
 	// "Second life": fresh store handle, fresh coordinator, fresh
 	// backend, full sweep.
-	st2, err := store.Open(dir, store.Options{})
+	st2, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,13 +105,12 @@ type SubmitResponse struct {
 	Stream string `json:"stream"`
 }
 
-// Job states, in lifecycle order.
+// Job states, in lifecycle order: a job runs from admission until every
+// cell has resolved, then ends done, or failed if any cell failed.
 const (
-	StateQueued   = "queued"
-	StateRunning  = "running"
-	StateDone     = "done"
-	StateFailed   = "failed"
-	StateCanceled = "canceled"
+	StateRunning = "running"
+	StateDone    = "done"
+	StateFailed  = "failed"
 )
 
 // CellStatus is one cell's progress within a job.

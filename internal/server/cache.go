@@ -8,41 +8,36 @@ import (
 	"visasim/internal/harness"
 )
 
-// cacheEntry is one content-addressed result slot. The fields behind done
-// are written exactly once, before done is closed; readers wait on done, so
-// the channel close is the publication barrier.
+// cacheEntry is one content-addressed result slot. Its result fields are
+// written once, by fill or fail, before resolved is set under
+// resultCache.mu; claimants read them only after seeing resolved under the
+// same lock, so the lock is the publication barrier.
 type cacheEntry struct {
-	hash  string
-	done  chan struct{}
-	res   *core.Result
-	stats harness.CellStats
-	err   error
+	hash     string
+	resolved bool
+	res      *core.Result
+	stats    harness.CellStats
+	err      error
+	// waiters are the follower cells of an in-flight entry, run by
+	// whoever resolves it.
+	waiters []func(*cacheEntry)
 
 	// elem is the entry's LRU position, set under resultCache.mu when the
 	// entry resolves successfully; nil while in flight (in-flight entries
-	// are never evicted — their single-flight followers hold the pointer
-	// and the leader must be able to publish to them).
+	// are never evicted — their followers wait on them and the leader
+	// must be able to publish to them).
 	elem *list.Element
-}
-
-// resolved reports whether the entry has been filled (without blocking).
-func (e *cacheEntry) resolved() bool {
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
 }
 
 // resultCache is the in-memory content-addressed result tier with
 // single-flight semantics: the first claimant of a hash becomes the leader
-// and runs the simulation; everyone else waits on the same entry.
+// and runs the simulation; everyone else waits on the same entry without
+// a goroutine of their own.
 // Determinism makes this sound — a config hash fully determines the
 // Result, so sharing one run is indistinguishable from running again (see
 // DESIGN.md §7).
 //
-// Resolved entries are bounded by an LRU cap (maxResolved): beyond it the
+// Resolved entries are bounded by an LRU cap (max): beyond it the
 // least-recently-claimed resolved entries are dropped, so a long-running
 // daemon's memory is bounded regardless of how large a config space its
 // clients explore. With a persistent store configured (DESIGN.md §8) an
@@ -51,7 +46,7 @@ func (e *cacheEntry) resolved() bool {
 // the address.
 type resultCache struct {
 	mu        sync.Mutex
-	max       int // resolved-entry cap; <= 0 means unbounded
+	max       int // resolved-entry cap, positive
 	entries   map[string]*cacheEntry
 	lru       *list.List // of *cacheEntry, front = most recently used
 	evictions int64
@@ -65,32 +60,39 @@ func newResultCache(maxResolved int) *resultCache {
 	}
 }
 
-// claim returns the entry for hash and whether the caller is its leader.
-// A leader must eventually call fill or fail, or followers block forever.
-func (c *resultCache) claim(hash string) (e *cacheEntry, leader bool) {
+// claim returns hash's entry and whether the caller leads it. A leader
+// must eventually call fill or fail. A non-leader gets the entry when it is
+// already resolved; when it is still in flight, claim instead registers
+// follow to run with the entry once it resolves and returns nil.
+func (c *resultCache) claim(hash string, follow func(*cacheEntry)) (e *cacheEntry, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[hash]; ok {
-		if e.elem != nil {
-			c.lru.MoveToFront(e.elem)
-		}
-		return e, false
+	e, ok := c.entries[hash]
+	switch {
+	case !ok:
+		e = &cacheEntry{hash: hash}
+		c.entries[hash] = e
+		return e, true
+	case !e.resolved:
+		e.waiters = append(e.waiters, follow)
+		return nil, false
 	}
-	e = &cacheEntry{hash: hash, done: make(chan struct{})}
-	c.entries[hash] = e
-	return e, true
+	if e.elem != nil {
+		c.lru.MoveToFront(e.elem)
+	}
+	return e, false
 }
 
-// fill publishes a successful result to the entry's waiters and future
-// claimants, and enforces the resolved-entry cap.
+// fill publishes a successful result to future claimants, enforces the
+// resolved-entry cap and then runs the entry's waiters.
 func (c *resultCache) fill(e *cacheEntry, res *core.Result, stats harness.CellStats) {
+	c.mu.Lock()
 	e.res = res
 	e.stats = stats
-	c.mu.Lock()
 	// The entry may have been failed-and-reclaimed only for errors, never
 	// for fills, so e is still the map's entry for its hash here.
 	e.elem = c.lru.PushFront(e)
-	for c.max > 0 && c.lru.Len() > c.max {
+	for c.lru.Len() > c.max {
 		oldest := c.lru.Back()
 		victim := oldest.Value.(*cacheEntry)
 		c.lru.Remove(oldest)
@@ -98,18 +100,28 @@ func (c *resultCache) fill(e *cacheEntry, res *core.Result, stats harness.CellSt
 		victim.elem = nil
 		c.evictions++
 	}
-	c.mu.Unlock()
-	close(e.done)
+	c.resolveLocked(e)
 }
 
 // fail publishes an error to the entry's waiters and evicts the address so
 // a later submission retries.
-func (c *resultCache) fail(hash string, e *cacheEntry, err error) {
+func (c *resultCache) fail(e *cacheEntry, err error) {
 	c.mu.Lock()
-	delete(c.entries, hash)
-	c.mu.Unlock()
 	e.err = err
-	close(e.done)
+	delete(c.entries, e.hash)
+	c.resolveLocked(e)
+}
+
+// resolveLocked marks e resolved, releases c.mu (which the caller holds)
+// and runs e's waiters outside it.
+func (c *resultCache) resolveLocked(e *cacheEntry) {
+	e.resolved = true
+	waiters := e.waiters
+	e.waiters = nil
+	c.mu.Unlock()
+	for _, follow := range waiters {
+		follow(e)
+	}
 }
 
 // size returns the number of live entries (resolved or in flight).

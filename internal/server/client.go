@@ -128,10 +128,9 @@ var ErrIncompleteStream = errors.New("incomplete job stream")
 
 // Wait reads the job's event stream (ack.Stream) to its "end" event and
 // returns the job's cells in the order they resolved. A job that ended
-// done or failed is a result — failed cells carry their Error; a canceled
-// job (the daemon shut down before running it) is an error, and so is a
-// stream that is cut or short (ErrIncompleteStream). Wait ends when ctx
-// does, with ctx's error.
+// done or failed is a result — failed cells carry their Error; any other
+// end state is an error, and so is a stream that is cut or short
+// (ErrIncompleteStream). Wait ends when ctx does, with ctx's error.
 func (c *Client) Wait(ctx context.Context, ack SubmitResponse) ([]CellStatus, error) {
 	cells, end, err := c.readJob(ctx, ack)
 	if err == nil && end.State != StateDone && end.State != StateFailed {

@@ -151,7 +151,8 @@ func TestWaitDeadline(t *testing.T) {
 // TestWaitRefusesIncompleteStream pins that only a stream reaching its
 // "end" event is a result: for a two-cell job, one "cell" event followed by
 // a hang-up, by a clean close, or by an "end" event must all fail with
-// ErrIncompleteStream, as must a canceled job with an error of its own.
+// ErrIncompleteStream, and an "end" event in any state but done or failed
+// (an older daemon's "canceled") fails with an error of its own.
 func TestWaitRefusesIncompleteStream(t *testing.T) {
 	one := StreamEvent{Type: "cell", Cell: &CellStatus{Key: "a", Done: true, Result: json.RawMessage(`{"Cycles":1}`)}}
 	for _, tc := range []struct {
@@ -170,7 +171,7 @@ func TestWaitRefusesIncompleteStream(t *testing.T) {
 			writeEvents(w, one, StreamEvent{Type: "end", State: StateDone})
 		}, true},
 		{"canceled job", func(w http.ResponseWriter, r *http.Request) {
-			writeEvents(w, StreamEvent{Type: "end", State: StateCanceled, Error: "server shutting down"})
+			writeEvents(w, StreamEvent{Type: "end", State: "canceled", Error: "server shutting down"})
 		}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

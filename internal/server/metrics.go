@@ -15,12 +15,10 @@ type metrics struct {
 	prom *obs.Registry
 
 	jobsSubmitted *obs.Counter // accepted by POST /v1/sweeps
-	jobsQueued    *obs.Gauge   // waiting in the queue
-	jobsRunning   *obs.Gauge   // being executed now
+	jobsRunning   *obs.Gauge   // admitted and not yet finished
 	jobsDone      *obs.Counter
 	jobsFailed    *obs.Counter
-	jobsCanceled  *obs.Counter // rejected at shutdown while queued
-	jobsRejected  *obs.Counter // refused at submit (queue full / shutdown)
+	jobsRejected  *obs.Counter // refused at submit (busy / shutdown)
 
 	cellsTotal     *obs.Counter // resolved cells, hits + misses
 	cacheHits      *obs.Counter // resolved without a fresh simulation
@@ -31,7 +29,7 @@ type metrics struct {
 	simCycles      *obs.Counter // simulated cycles across all fresh runs
 	simInstrs      *obs.Counter // committed instructions across all fresh runs
 
-	histQueueWait *obs.Histogram // submit → job start
+	histQueueWait *obs.Histogram // fresh cell: FIFO enqueue → simulation start
 	histSimulate  *obs.Histogram // harness wall-clock per fresh cell
 	histCacheHit  *obs.Histogram // resolved-without-simulating serve time
 }
@@ -43,12 +41,10 @@ func newMetrics(s *Server) *metrics {
 	m := &metrics{
 		prom:           p,
 		jobsSubmitted:  p.NewCounter("visasimd_jobs_submitted_total", "Sweep jobs accepted by POST /v1/sweeps."),
-		jobsQueued:     p.NewGauge("visasimd_jobs_queued", "Jobs waiting in the bounded queue."),
-		jobsRunning:    p.NewGauge("visasimd_jobs_running", "Jobs currently executing."),
+		jobsRunning:    p.NewGauge("visasimd_jobs_running", "Jobs admitted and not yet finished."),
 		jobsDone:       p.NewCounter("visasimd_jobs_done_total", "Jobs that completed with every cell resolved."),
 		jobsFailed:     p.NewCounter("visasimd_jobs_failed_total", "Jobs that finished with at least one failed cell."),
-		jobsCanceled:   p.NewCounter("visasimd_jobs_canceled_total", "Queued jobs canceled by shutdown."),
-		jobsRejected:   p.NewCounter("visasimd_jobs_rejected_total", "Submissions refused (queue full or shutting down)."),
+		jobsRejected:   p.NewCounter("visasimd_jobs_rejected_total", "Submissions refused (too many unfinished jobs, or shutting down)."),
 		cellsTotal:     p.NewCounter("visasimd_cells_total", "Cells resolved, cache hits plus fresh simulations."),
 		cacheHits:      p.NewCounter("visasimd_cache_hits_total", "Cells resolved without a fresh simulation."),
 		simsRun:        p.NewCounter("visasimd_sims_run_total", "Fresh simulations executed."),
@@ -58,7 +54,7 @@ func newMetrics(s *Server) *metrics {
 		simCycles:      p.NewCounter("visasimd_sim_cycles_total", "Simulated cycles across all fresh runs."),
 		simInstrs:      p.NewCounter("visasimd_sim_instructions_total", "Committed instructions across all fresh runs."),
 		histQueueWait: p.NewHistogram("visasimd_queue_wait_seconds",
-			"Time a job spent queued before a worker started it.", nil),
+			"Time a fresh cell waited in the FIFO before a worker started simulating it.", nil),
 		histSimulate: p.NewHistogram("visasimd_simulate_seconds",
 			"Wall-clock of one fresh cell simulation (queue wait excluded).", nil),
 		histCacheHit: p.NewHistogram("visasimd_cache_serve_seconds",

@@ -92,10 +92,8 @@ func TestPromFamilySet(t *testing.T) {
 		"visasimd_cache_hits_total counter",
 		"visasimd_cache_serve_seconds histogram",
 		"visasimd_cells_total counter",
-		"visasimd_jobs_canceled_total counter",
 		"visasimd_jobs_done_total counter",
 		"visasimd_jobs_failed_total counter",
-		"visasimd_jobs_queued gauge",
 		"visasimd_jobs_rejected_total counter",
 		"visasimd_jobs_running gauge",
 		"visasimd_jobs_submitted_total counter",

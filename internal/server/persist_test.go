@@ -12,7 +12,7 @@ import (
 
 func openStore(t *testing.T, dir string) *store.Store {
 	t.Helper()
-	st, err := store.Open(dir, store.Options{})
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

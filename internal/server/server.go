@@ -1,5 +1,5 @@
 // Package server is the visasimd simulation service: an HTTP front end over
-// the deterministic simulator with a bounded job queue, a content-addressed
+// the deterministic simulator with bounded admission, a content-addressed
 // result cache, and Prometheus text-format metrics.
 //
 // Clients POST sweep cells (core.Config values, the same shape the harness
@@ -11,10 +11,10 @@
 // re-simulating. Concurrent identical cells share a single simulation
 // (single-flight); see DESIGN.md §7 for the soundness argument.
 //
-// Execution is a two-level bounded pool: Options.JobWorkers jobs run
-// concurrently, and across all of them Options.SimWorkers simulations may be
-// in flight, each executed through internal/harness.RunStats so the daemon
-// reports the same per-cell cost records the CLI tools do.
+// Execution is one FIFO of fresh cells — cells neither cached, in flight
+// nor stored — drained by Options.SimWorkers workers, each simulation
+// executed through internal/harness.RunStats so the daemon reports the same
+// per-cell cost records the CLI tools do.
 package server
 
 import (
@@ -33,26 +33,27 @@ import (
 	"visasim/internal/store"
 )
 
+const (
+	// maxUnfinished bounds admitted jobs that have not yet finished; a
+	// submission past it gets 503 instead of growing the daemon's memory.
+	maxUnfinished = 64
+	// jobHistory bounds how many finished jobs the server keeps
+	// streamable. Older ones are evicted oldest-first and their streams
+	// 404; their results stay reachable through the content-addressed
+	// cache, so a long-running daemon does not grow with every submission.
+	jobHistory = 256
+)
+
 // Options tunes the service.
 type Options struct {
-	// JobWorkers bounds concurrently executing jobs (2 when 0).
-	JobWorkers int
-	// SimWorkers bounds concurrently running simulations across all jobs
-	// (GOMAXPROCS when 0, as in harness.Options).
+	// SimWorkers is the number of cell workers, and so the bound on
+	// concurrently running simulations across all jobs (GOMAXPROCS when
+	// 0, as in harness.Options).
 	SimWorkers int
-	// QueueDepth bounds the job queue; submissions beyond it are rejected
-	// with 503 (64 when 0).
-	QueueDepth int
-	// JobHistory bounds how many terminal (done/failed/canceled) jobs the
-	// server keeps streamable (256 when 0). Older terminal jobs are
-	// evicted oldest-first and their streams 404; their results stay
-	// reachable through the content-addressed cache, so a long-running
-	// daemon does not grow with every submission.
-	JobHistory int
 	// CacheEntries bounds resolved results resident in memory (4096 when
-	// 0; negative means unbounded). Past it the least-recently-used
-	// entries are evicted — re-served from Store when one is configured,
-	// re-simulated otherwise.
+	// not positive). Past it the least-recently-used entries are evicted
+	// — re-served from Store when one is configured, re-simulated
+	// otherwise.
 	CacheEntries int
 	// Store, when non-nil, is the durable result tier: every fresh
 	// simulation is written through to it, and a cache miss consults it
@@ -65,25 +66,6 @@ type Options struct {
 	// one grep correlates daemon activity with the submitting client's
 	// and coordinator's logs. Nil discards.
 	Logger *slog.Logger
-}
-
-func (o Options) withDefaults() Options {
-	if o.JobWorkers <= 0 {
-		o.JobWorkers = 2
-	}
-	if o.SimWorkers <= 0 {
-		o.SimWorkers = harness.DefaultWorkers()
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 64
-	}
-	if o.JobHistory <= 0 {
-		o.JobHistory = 256
-	}
-	if o.CacheEntries == 0 {
-		o.CacheEntries = 4096
-	}
-	return o
 }
 
 // jobCell is the server-side state of one submitted cell.
@@ -99,20 +81,17 @@ type jobCell struct {
 	stats harness.CellStats
 }
 
-// job is one accepted sweep submission.
+// job is one admitted sweep submission.
 type job struct {
 	id string
 	// sweep is the correlation ID the submission carried (or was minted
 	// at accept); immutable after creation.
 	sweep string
-	// queuedAt is when the submission was accepted, for the queue-wait
-	// histogram.
-	queuedAt time.Time
 
 	mu      sync.Mutex
 	state   string
-	err     string
 	cells   []jobCell
+	pending int           // cells not yet resolved
 	changed chan struct{} // closed and replaced on every state change
 }
 
@@ -122,44 +101,54 @@ func (j *job) bump() {
 	j.changed = make(chan struct{})
 }
 
+// freshCell is a job cell leading a cache entry that no tier could serve,
+// waiting in the FIFO for a cell worker to simulate it.
+type freshCell struct {
+	j        *job
+	i        int // index into j.cells
+	e        *cacheEntry
+	enqueued time.Time
+}
+
 // Server is the simulation service. Create with New, mount Handler on an
 // http.Server, and stop with Shutdown.
 type Server struct {
-	opt   Options
 	cache *resultCache
 	store *store.Store // durable tier; nil when not configured
 	met   *metrics
 	log   *slog.Logger
 
-	mu     sync.Mutex
-	closed bool
-	jobs   map[string]*job
-	hist   []string // terminal job IDs, oldest first, capped at JobHistory
-	seq    int
+	mu         sync.Mutex
+	wake       *sync.Cond // on mu: the FIFO grew, or shutdown may be complete
+	closed     bool
+	jobs       map[string]*job
+	hist       []string // finished job IDs, oldest first, capped at jobHistory
+	seq        int
+	unfinished int         // admitted jobs not yet finished
+	fifo       []freshCell // fresh cells in arrival order
 
-	queue chan *job
-	quit  chan struct{}
-	sem   chan struct{} // simulation slots
-	wg    sync.WaitGroup
+	wg sync.WaitGroup // cell workers
 }
 
-// New starts a Server's worker pool and returns it ready to serve.
+// New starts a Server's cell workers and returns it ready to serve.
 func New(opt Options) *Server {
-	opt = opt.withDefaults()
+	if opt.SimWorkers <= 0 {
+		opt.SimWorkers = harness.DefaultWorkers()
+	}
+	if opt.CacheEntries <= 0 {
+		opt.CacheEntries = 4096
+	}
 	s := &Server{
-		opt:   opt,
 		cache: newResultCache(opt.CacheEntries),
 		store: opt.Store,
 		log:   obs.Logger(opt.Logger),
 		jobs:  map[string]*job{},
-		queue: make(chan *job, opt.QueueDepth),
-		quit:  make(chan struct{}),
-		sem:   make(chan struct{}, opt.SimWorkers),
 	}
+	s.wake = sync.NewCond(&s.mu)
 	s.met = newMetrics(s)
-	s.wg.Add(opt.JobWorkers)
-	for i := 0; i < opt.JobWorkers; i++ {
-		go s.worker()
+	s.wg.Add(opt.SimWorkers)
+	for i := 0; i < opt.SimWorkers; i++ {
+		go s.cellWorker()
 	}
 	return s
 }
@@ -174,18 +163,14 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Shutdown stops the service gracefully: new submissions are rejected,
-// in-flight jobs run to completion, and still-queued jobs are canceled. It
-// returns once every worker has exited, or ctx's error if that takes too
-// long (workers keep draining in the background either way). Shutdown is
-// idempotent.
+// Shutdown stops the service gracefully: new submissions are rejected and
+// every admitted job runs to completion. It returns once the cell workers
+// have exited, or ctx's error if that takes too long (the workers keep
+// draining in the background either way). Shutdown is idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.quit)
-		close(s.queue)
-	}
+	s.closed = true
+	s.wake.Broadcast()
 	s.mu.Unlock()
 
 	done := make(chan struct{})
@@ -201,181 +186,154 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// worker executes queued jobs until the queue closes. After Shutdown it
-// keeps draining the queue but cancels instead of running.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for j := range s.queue {
-		s.met.jobsQueued.Add(-1)
-		select {
-		case <-s.quit:
-			s.cancelJob(j)
-			continue
-		default:
-		}
-		s.runJob(j)
-	}
-}
+// errBusy and errClosed refuse a submission (HTTP 503).
+var (
+	errBusy   = fmt.Errorf("server busy (%d jobs unfinished)", maxUnfinished)
+	errClosed = errors.New("server is shutting down")
+)
 
-func (s *Server) cancelJob(j *job) {
-	// Log before publishing the terminal state: a client that streams the
-	// job to its end may tear down its log sink the moment the state flips,
-	// so the write has to land first.
-	s.met.jobsCanceled.Add(1)
-	s.log.Warn("job canceled", "sweep", j.sweep, "job", j.id,
-		"reason", "shutdown before the job ran")
-	j.mu.Lock()
-	j.state = StateCanceled
-	j.err = "server shutting down before the job ran"
-	j.bump()
-	j.mu.Unlock()
-	s.retireJob(j)
-}
-
-// retireJob records j as terminal and evicts terminal jobs beyond the
-// JobHistory cap, oldest first, so the jobs map (and the per-cell Results
-// it pins) stays bounded on a long-running daemon.
-func (s *Server) retireJob(j *job) {
+// admit registers a job of cells under sweep and starts resolving it, or
+// refuses it when the server is closed or maxUnfinished jobs are
+// unfinished.
+func (s *Server) admit(sweep string, cells []jobCell) (*job, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.hist = append(s.hist, j.id)
-	for len(s.hist) > s.opt.JobHistory {
-		delete(s.jobs, s.hist[0])
-		s.hist = s.hist[1:]
+	if s.closed {
+		s.mu.Unlock()
+		return nil, errClosed
 	}
+	if s.unfinished >= maxUnfinished {
+		s.mu.Unlock()
+		return nil, errBusy
+	}
+	s.seq++
+	s.unfinished++
+	j := &job{
+		id:      fmt.Sprintf("job-%d", s.seq),
+		sweep:   sweep,
+		state:   StateRunning,
+		cells:   cells,
+		pending: len(cells),
+		changed: make(chan struct{}),
+	}
+	s.jobs[j.id] = j
+	s.mu.Unlock()
+
+	s.met.jobsSubmitted.Add(1)
+	s.met.jobsRunning.Add(1)
+	s.log.Info("job accepted", "sweep", sweep, "job", j.id, "cells", len(cells))
+	go s.resolve(j)
+	return j, nil
 }
 
-// runJob resolves every cell of j through the cache: the single-flight
-// leader of each content hash simulates (through harness.RunStats, bounded
-// by the server-wide simulation semaphore) and everyone else — later cells
-// of this job, or cells of concurrent jobs — shares the leader's result.
-func (s *Server) runJob(j *job) {
-	queueWait := time.Since(j.queuedAt)
-	s.met.histQueueWait.Observe(queueWait.Seconds())
-	j.mu.Lock()
-	j.state = StateRunning
-	j.bump()
-	j.mu.Unlock()
-	s.met.jobsRunning.Add(1)
-	s.log.Info("job running", "sweep", j.sweep, "job", j.id,
-		"cells", len(j.cells), "queue_wait", queueWait)
-
-	var wg sync.WaitGroup
+// resolve routes each cell of j through the cache: a resolved address
+// finishes the cell at once, an address in flight takes the cell as a
+// waiter, and for an address j leads the store is consulted before the
+// cell joins the FIFO, so a stored hit never queues behind a simulation.
+func (s *Server) resolve(j *job) {
 	for i := range j.cells {
 		c := &j.cells[i]
-		e, leader := s.cache.claim(c.hash)
+		e, leader := s.cache.claim(c.hash, func(e *cacheEntry) {
+			// Shared-flight follower: its wait is the leader's
+			// simulation, so it belongs to neither the cache-serve nor
+			// the simulate histogram.
+			s.finishCell(j, i, e, true)
+		})
+		if e == nil {
+			continue // the follow callback finishes it
+		}
 		if !leader {
-			if e.resolved() {
-				t0 := time.Now()
-				s.finishCell(j, c, e, true)
-				s.met.histCacheHit.Observe(time.Since(t0).Seconds())
-				continue
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Shared-flight follower: the wait is dominated by the
-				// leader's simulation, so it belongs to neither the
-				// cache-serve nor the simulate histogram.
-				<-e.done
-				s.finishCell(j, c, e, true)
-			}()
+			t0 := time.Now()
+			s.finishCell(j, i, e, true)
+			s.met.histCacheHit.Observe(time.Since(t0).Seconds())
 			continue
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// The durable tier first: a previous process — or an evicted
-			// in-memory entry — may already hold this address on disk, in
-			// which case the cell is a hit without simulating.
-			if s.store != nil {
-				t0 := time.Now()
-				if res, st, ok := s.store.Get(c.hash); ok {
-					s.met.storeHits.Add(1)
-					s.cache.fill(e, res, st)
-					s.finishCell(j, c, e, true)
-					s.met.histCacheHit.Observe(time.Since(t0).Seconds())
-					s.log.Debug("cell served from store", "sweep", j.sweep,
-						"job", j.id, "cell", c.key, "hash", c.hash[:12])
-					return
-				}
-				s.met.storeMisses.Add(1)
-			}
-			s.sem <- struct{}{}
+		// The durable tier first: a previous process — or an evicted
+		// in-memory entry — may already hold this address on disk, in
+		// which case the cell is a hit without simulating.
+		if s.store != nil {
 			t0 := time.Now()
-			res, stats, err := harness.RunStats(
-				[]harness.Cell{{Key: c.hash, Cfg: c.cfg}},
-				harness.Options{Workers: 1, Labels: map[string]string{"sweep": j.sweep}})
-			s.met.histSimulate.Observe(time.Since(t0).Seconds())
-			<-s.sem
-			if err != nil {
-				s.cache.fail(c.hash, e, err)
-				s.log.Error("cell simulation failed", "sweep", j.sweep,
-					"job", j.id, "cell", c.key, "hash", c.hash[:12], "err", err)
-			} else {
-				st := stats[c.hash]
-				s.met.recordSim(st)
-				s.cache.fill(e, res[c.hash], st)
-				if s.store != nil {
-					// Best-effort write-through: a full disk degrades the
-					// daemon to memory-only instead of failing the cell.
-					if perr := s.store.Put(c.hash, res[c.hash], st); perr != nil {
-						s.met.storePutErrors.Add(1)
-						s.log.Warn("store write-through failed", "sweep", j.sweep,
-							"job", j.id, "hash", c.hash[:12], "err", perr)
-					}
-				}
-				s.log.Debug("cell simulated", "sweep", j.sweep, "job", j.id,
-					"cell", c.key, "hash", c.hash[:12],
-					"seconds", st.Seconds, "cycles", st.Cycles,
-					"iq_high_water", st.Telemetry.IQHighWater,
-					"policy_switches", st.Telemetry.PolicySwitches,
-					"dvm_triggers", st.Telemetry.DVMTriggers)
+			if res, st, ok := s.store.Get(c.hash); ok {
+				s.met.storeHits.Add(1)
+				s.cache.fill(e, res, st)
+				s.finishCell(j, i, e, true)
+				s.met.histCacheHit.Observe(time.Since(t0).Seconds())
+				s.log.Debug("cell served from store", "sweep", j.sweep,
+					"job", j.id, "cell", c.key, "hash", c.hash[:12])
+				continue
 			}
-			s.finishCell(j, c, e, false)
-		}()
-	}
-	wg.Wait()
-
-	failed := false
-	hits := 0
-	j.mu.Lock()
-	for i := range j.cells {
-		if j.cells[i].err != nil {
-			failed = true
+			s.met.storeMisses.Add(1)
 		}
-		if j.cells[i].hit {
-			hits++
-		}
+		s.mu.Lock()
+		s.fifo = append(s.fifo, freshCell{j: j, i: i, e: e, enqueued: time.Now()})
+		s.wake.Signal()
+		s.mu.Unlock()
 	}
-	j.mu.Unlock()
-
-	state := StateDone
-	if failed {
-		state = StateFailed
-	}
-	s.met.jobsRunning.Add(-1)
-	if failed {
-		s.met.jobsFailed.Add(1)
-	} else {
-		s.met.jobsDone.Add(1)
-	}
-	// Log before publishing the terminal state: a client that streams the
-	// job to its end may tear down its log sink the moment the state flips,
-	// so the write has to land first.
-	s.log.Info("job finished", "sweep", j.sweep, "job", j.id,
-		"state", state, "cells", len(j.cells), "cache_hits", hits)
-
-	j.mu.Lock()
-	j.state = state
-	j.bump()
-	j.mu.Unlock()
-	s.retireJob(j)
 }
 
-// finishCell records a resolved cache entry into the job's cell.
-func (s *Server) finishCell(j *job, c *jobCell, e *cacheEntry, hit bool) {
+// cellWorker simulates fresh cells in arrival order. It exits once the
+// server is closed and every admitted job has finished.
+func (s *Server) cellWorker() {
+	defer s.wg.Done()
+	for {
+		s.mu.Lock()
+		for len(s.fifo) == 0 {
+			if s.closed && s.unfinished == 0 {
+				s.mu.Unlock()
+				return
+			}
+			s.wake.Wait()
+		}
+		f := s.fifo[0]
+		s.fifo[0] = freshCell{}
+		s.fifo = s.fifo[1:]
+		s.mu.Unlock()
+		s.simulate(f)
+	}
+}
+
+// simulate runs a fresh cell through harness.RunStats, publishes the
+// result to its cache entry — finishing every cell waiting on it — writes
+// it through to the store and finishes the cell itself.
+func (s *Server) simulate(f freshCell) {
+	j, c := f.j, &f.j.cells[f.i]
+	s.met.histQueueWait.Observe(time.Since(f.enqueued).Seconds())
+	t0 := time.Now()
+	res, stats, err := harness.RunStats(
+		[]harness.Cell{{Key: c.hash, Cfg: c.cfg}},
+		harness.Options{Workers: 1, Labels: map[string]string{"sweep": j.sweep}})
+	s.met.histSimulate.Observe(time.Since(t0).Seconds())
+	if err != nil {
+		s.cache.fail(f.e, err)
+		s.log.Error("cell simulation failed", "sweep", j.sweep,
+			"job", j.id, "cell", c.key, "hash", c.hash[:12], "err", err)
+	} else {
+		st := stats[c.hash]
+		s.met.recordSim(st)
+		s.cache.fill(f.e, res[c.hash], st)
+		if s.store != nil {
+			// Best-effort write-through: a full disk degrades the
+			// daemon to memory-only instead of failing the cell.
+			if perr := s.store.Put(c.hash, res[c.hash], st); perr != nil {
+				s.met.storePutErrors.Add(1)
+				s.log.Warn("store write-through failed", "sweep", j.sweep,
+					"job", j.id, "hash", c.hash[:12], "err", perr)
+			}
+		}
+		s.log.Debug("cell simulated", "sweep", j.sweep, "job", j.id,
+			"cell", c.key, "hash", c.hash[:12],
+			"seconds", st.Seconds, "cycles", st.Cycles,
+			"iq_high_water", st.Telemetry.IQHighWater,
+			"policy_switches", st.Telemetry.PolicySwitches,
+			"dvm_triggers", st.Telemetry.DVMTriggers)
+	}
+	s.finishCell(j, f.i, f.e, false)
+}
+
+// finishCell records a resolved cache entry into the job's cell i, and
+// finishes the job when it was the last cell pending.
+func (s *Server) finishCell(j *job, i int, e *cacheEntry, hit bool) {
 	j.mu.Lock()
+	c := &j.cells[i]
 	c.done = true
 	c.hit = hit
 	if e.err != nil {
@@ -392,9 +350,65 @@ func (s *Server) finishCell(j *job, c *jobCell, e *cacheEntry, hit bool) {
 		c.res = e.res
 		c.stats = e.stats
 	}
+	j.pending--
+	last := j.pending == 0
 	j.bump()
 	j.mu.Unlock()
 	s.met.recordCell(hit)
+	if last {
+		s.finishJob(j)
+	}
+}
+
+// finishJob publishes j's terminal state and retires it: it frees j's
+// admission slot and evicts finished jobs beyond jobHistory, oldest first,
+// so the jobs map (and the per-cell Results it pins) stays bounded on a
+// long-running daemon.
+func (s *Server) finishJob(j *job) {
+	failed := false
+	hits := 0
+	j.mu.Lock()
+	for i := range j.cells {
+		if j.cells[i].err != nil {
+			failed = true
+		}
+		if j.cells[i].hit {
+			hits++
+		}
+	}
+	j.mu.Unlock()
+
+	state := StateDone
+	s.met.jobsRunning.Add(-1)
+	if failed {
+		state = StateFailed
+		s.met.jobsFailed.Add(1)
+	} else {
+		s.met.jobsDone.Add(1)
+	}
+	// Log before publishing the terminal state: a client that streams the
+	// job to its end may tear down its log sink the moment the state flips,
+	// so the write has to land first.
+	s.log.Info("job finished", "sweep", j.sweep, "job", j.id,
+		"state", state, "cells", len(j.cells), "cache_hits", hits)
+
+	// Publish and retire under s.mu, so a client that has read the end
+	// event can be admitted again at once.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j.mu.Lock()
+	j.state = state
+	j.bump()
+	j.mu.Unlock()
+	s.unfinished--
+	s.hist = append(s.hist, j.id)
+	for len(s.hist) > jobHistory {
+		delete(s.jobs, s.hist[0])
+		s.hist = s.hist[1:]
+	}
+	if s.closed && s.unfinished == 0 {
+		s.wake.Broadcast()
+	}
 }
 
 // --- HTTP handlers ---
@@ -432,43 +446,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		sweep = obs.NewSweepID()
 	}
 
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	j, err := s.admit(sweep, cells)
+	if err != nil {
 		s.met.jobsRejected.Add(1)
-		s.log.Warn("job rejected", "sweep", sweep, "reason", "shutting down")
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+		s.log.Warn("job rejected", "sweep", sweep, "reason", err)
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	s.seq++
-	j := &job{
-		id:       fmt.Sprintf("job-%d", s.seq),
-		sweep:    sweep,
-		queuedAt: time.Now(),
-		state:    StateQueued,
-		cells:    cells,
-		changed:  make(chan struct{}),
-	}
-	select {
-	case s.queue <- j:
-	default:
-		s.mu.Unlock()
-		s.met.jobsRejected.Add(1)
-		s.log.Warn("job rejected", "sweep", sweep, "reason", "queue full",
-			"queue_depth", s.opt.QueueDepth)
-		writeError(w, http.StatusServiceUnavailable, "job queue full (%d queued)", s.opt.QueueDepth)
-		return
-	}
-	s.jobs[j.id] = j
-	s.mu.Unlock()
-
-	s.met.jobsSubmitted.Add(1)
-	s.met.jobsQueued.Add(1)
-	s.log.Info("job accepted", "sweep", sweep, "job", j.id, "cells", len(cells))
 	writeJSON(w, http.StatusAccepted, SubmitResponse{
 		ID:     j.id,
 		Sweep:  sweep,
-		Cells:  len(cells),
+		Cells:  len(j.cells),
 		Stream: "/v1/jobs/" + j.id + "/stream",
 	})
 }
@@ -522,7 +510,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	for {
 		j.mu.Lock()
 		state := j.state
-		jerr := j.err
 		changed := j.changed
 		var fresh []jobCell
 		for i := range j.cells {
@@ -539,8 +526,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		if state == StateDone || state == StateFailed || state == StateCanceled {
-			enc.Encode(StreamEvent{Type: "end", State: state, Error: jerr}) //nolint:errcheck
+		if state == StateDone || state == StateFailed {
+			enc.Encode(StreamEvent{Type: "end", State: state}) //nolint:errcheck
 			return
 		}
 		if flusher != nil {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -265,7 +266,7 @@ func TestNoWarmupParity(t *testing.T) {
 // the tier-1 race target.
 func TestSingleFlight(t *testing.T) {
 	const n = 8
-	_, ts := newTestServer(t, Options{JobWorkers: 4})
+	_, ts := newTestServer(t, Options{})
 	cfg := testCfg("bzip2", core.SchemeVISAOpt2)
 
 	var wg sync.WaitGroup
@@ -338,25 +339,31 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestJobHistoryEviction checks the terminal-job cap: with JobHistory 1,
-// finishing a second job evicts the first (its stream 404s) while the
-// newest terminal job stays streamable and the result cache keeps both
-// results.
+// TestJobHistoryEviction checks the finished-job cap: after jobHistory
+// more jobs finish, the first is evicted (its stream 404s) while the newest
+// stays streamable and the result cache keeps both results. Every later job
+// is a cache hit, so the run is cheap, and the jobs map never holds more
+// than the history plus the admission bound.
 func TestJobHistoryEviction(t *testing.T) {
-	s, ts := newTestServer(t, Options{JobHistory: 1})
+	s, ts := newTestServer(t, Options{})
+	jobs := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.jobs)
+	}
 	first := submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: "a", Config: testCfg("gcc", core.SchemeBase)}}})
 	waitJob(t, ts, first)
-	second := submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: "b", Config: testCfg("gcc", core.SchemeVISA)}}})
-	waitJob(t, ts, second)
-
-	// Retirement runs just after the terminal state becomes visible, so
-	// poll briefly for the eviction.
-	deadline := time.Now().Add(time.Minute)
-	for s.lookup(first.ID) != nil {
-		if time.Now().After(deadline) {
-			t.Fatal("first job was never evicted")
+	var last SubmitResponse
+	for i := 0; i < jobHistory; i++ {
+		last = submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: "b", Config: testCfg("gcc", core.SchemeVISA)}}})
+		waitJob(t, ts, last)
+		if n := jobs(); n > jobHistory+maxUnfinished {
+			t.Fatalf("after %d jobs the server holds %d, want at most %d", i+2, n, jobHistory+maxUnfinished)
 		}
-		time.Sleep(2 * time.Millisecond)
+	}
+
+	if s.lookup(first.ID) != nil {
+		t.Fatalf("first job survived %d later finished jobs", jobHistory)
 	}
 	resp, err := http.Get(ts.URL + first.Stream)
 	if err != nil {
@@ -366,7 +373,7 @@ func TestJobHistoryEviction(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("evicted job: HTTP %d, want 404", resp.StatusCode)
 	}
-	if st := waitJob(t, ts, second); st.State != StateDone {
+	if st := waitJob(t, ts, last); st.State != StateDone {
 		t.Fatalf("newest job state %s, want done", st.State)
 	}
 	if n := s.cache.size(); n != 2 {
@@ -436,18 +443,12 @@ func TestStream(t *testing.T) {
 	}
 }
 
-// TestShutdown pins the graceful-shutdown contract: the in-flight job
-// finishes, the queued job is canceled cleanly, and new submissions are
-// rejected with 503. To make the race-free ordering testable, the test
-// claims the in-flight cell's cache entry first (becoming its single-flight
-// leader), so the job blocks as a follower until the test releases it —
-// the job is deterministically "in flight" across the shutdown.
-func TestShutdown(t *testing.T) {
-	// One job worker so the second job is necessarily queued behind the
-	// first.
-	s, ts := newTestServer(t, Options{JobWorkers: 1})
-	gated := testCfg("eon", core.SchemeBase)
-	canon, err := gated.Canonical()
+// gate claims cfg's cache entry for the test, so every job cell with that
+// address waits on it as a single-flight follower until the test fills it:
+// the jobs are deterministically unfinished until then.
+func gate(t *testing.T, s *Server, cfg core.Config) (release func()) {
+	t.Helper()
+	canon, err := cfg.Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,25 +456,149 @@ func TestShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry, leader := s.cache.claim(hash)
+	entry, leader := s.cache.claim(hash, nil)
 	if !leader {
 		t.Fatal("test could not claim the gate entry")
 	}
-
-	inflight := submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: "inflight", Config: gated}}})
-	queued := submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: "queued", Config: testCfg("vpr", core.SchemeBase)}}})
-
-	deadline := time.Now().Add(time.Minute)
-	for jobState(t, s, inflight.ID) != StateRunning {
-		if time.Now().After(deadline) {
-			t.Fatal("first job never started running")
+	return func() {
+		// Release the followers with a real result for the config.
+		res, stats, err := harness.RunStats([]harness.Cell{{Key: hash, Cfg: canon}}, harness.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond)
+		s.cache.fill(entry, res[hash], stats[hash])
+	}
+}
+
+// postStatus submits one cell and returns the HTTP status.
+func postStatus(t *testing.T, ts *httptest.Server, cfg core.Config) int {
+	t.Helper()
+	blob, err := json.Marshal(SubmitRequest{Cells: []SubmitCell{{Config: cfg}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestSimWorkersBoundSingleCellJobs pins that SimWorkers bounds
+// simulations, not jobs: four single-cell jobs of distinct cells — the
+// shape the dispatch coordinator submits — are simulating at once on four
+// workers. A simulation is seen through the pprof "cell" label harness
+// puts on the goroutine running it.
+func TestSimWorkersBoundSingleCellJobs(t *testing.T) {
+	s, ts := newTestServer(t, Options{SimWorkers: 4})
+	// One benchmark under four schemes: cells of about equal length, each
+	// far longer than the four submissions take.
+	var hashes []string
+	var acks []SubmitResponse
+	for _, scheme := range []core.Scheme{core.SchemeBase, core.SchemeVISA, core.SchemeVISAOpt1, core.SchemeVISAOpt2} {
+		cfg := testCfg("gcc", scheme)
+		cfg.MaxInstructions = 500_000
+		canon, err := cfg.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash, err := canon.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashes = append(hashes, hash)
+		acks = append(acks, submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: "c", Config: cfg}}}))
 	}
 
-	// Shutdown blocks on the gated in-flight job; run it in the
-	// background and wait until it has flipped the server to closed
-	// (healthz 503) before releasing the gate.
+	peak := 0
+	for peak < len(hashes) {
+		var buf bytes.Buffer
+		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, h := range hashes {
+			if strings.Contains(buf.String(), `"cell":"`+h+`"`) {
+				n++
+			}
+		}
+		peak = max(peak, n)
+		finished := 0
+		for _, ack := range acks {
+			if jobState(t, s, ack.ID) != StateRunning {
+				finished++
+			}
+		}
+		if finished == len(acks) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if peak != len(hashes) {
+		t.Fatalf("at most %d of %d single-cell jobs simulated at once on %d workers", peak, len(hashes), len(hashes))
+	}
+	for _, ack := range acks {
+		if st := waitJob(t, ts, ack); st.State != StateDone {
+			t.Fatalf("job %s ended %s (%s)", ack.ID, st.State, st.Error)
+		}
+	}
+}
+
+// TestAdmissionBound pins the admission bound: with maxUnfinished jobs
+// unfinished the next submission gets 503, and ending one job admits one
+// more.
+func TestAdmissionBound(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	held := testCfg("eon", core.SchemeBase)
+	releaseHeld := gate(t, s, held)
+	lone := testCfg("eon", core.SchemeVISA)
+	releaseLone := gate(t, s, lone)
+
+	loneAck := submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Config: lone}}})
+	acks := []SubmitResponse{loneAck}
+	for len(acks) < maxUnfinished {
+		acks = append(acks, submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Config: held}}}))
+	}
+	if code := postStatus(t, ts, held); code != http.StatusServiceUnavailable {
+		t.Fatalf("submit past %d unfinished jobs: HTTP %d, want 503", maxUnfinished, code)
+	}
+
+	releaseLone()
+	if st := waitJob(t, ts, loneAck); st.State != StateDone {
+		t.Fatalf("released job ended %s (%s)", st.State, st.Error)
+	}
+	acks = append(acks, submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Config: held}}}))
+	if code := postStatus(t, ts, held); code != http.StatusServiceUnavailable {
+		t.Fatalf("second submit after one job ended: HTTP %d, want 503", code)
+	}
+	if m := getMetrics(t, ts); m["visasimd_jobs_rejected_total"] != 2 || m["visasimd_jobs_running"] != maxUnfinished {
+		t.Fatalf("rejected %v, running %v; want 2 and %d",
+			m["visasimd_jobs_rejected_total"], m["visasimd_jobs_running"], maxUnfinished)
+	}
+
+	releaseHeld()
+	for _, ack := range acks[1:] {
+		if st := waitJob(t, ts, ack); st.State != StateDone {
+			t.Fatalf("job %s ended %s (%s)", ack.ID, st.State, st.Error)
+		}
+	}
+}
+
+// TestShutdown pins the graceful-shutdown contract: every admitted job
+// finishes done — one of them held unfinished by a gated cell across the
+// shutdown — and new submissions and health checks get 503.
+func TestShutdown(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	gated := testCfg("eon", core.SchemeBase)
+	release := gate(t, s, gated)
+
+	inflight := submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: "inflight", Config: gated}}})
+	other := submit(t, ts, SubmitRequest{Cells: []SubmitCell{{Key: "other", Config: testCfg("vpr", core.SchemeBase)}}})
+
+	// Shutdown blocks on the gated job; run it in the background and wait
+	// until it has flipped the server to closed (healthz 503) before
+	// releasing the gate.
 	shutdownErr := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -491,34 +616,29 @@ func TestShutdown(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-
-	// Release the in-flight job with a real result for its config.
-	res, stats, err := harness.RunStats([]harness.Cell{{Key: hash, Cfg: canon}}, harness.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	if code := postStatus(t, ts, testCfg("gcc", core.SchemeBase)); code != http.StatusServiceUnavailable {
+		t.Fatalf("submit during shutdown: HTTP %d, want 503", code)
 	}
-	s.cache.fill(entry, res[hash], stats[hash])
+	select {
+	case err := <-shutdownErr:
+		t.Fatalf("shutdown returned (%v) while an admitted job was unfinished", err)
+	default:
+	}
+
+	release()
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-
-	if st := waitJob(t, ts, inflight); st.State != StateDone {
-		t.Fatalf("in-flight job ended %s, want done (error %q)", st.State, st.Error)
-	}
-	if st := waitJob(t, ts, queued); st.State != StateCanceled {
-		t.Fatalf("queued job ended %s, want canceled", st.State)
+	for _, ack := range []SubmitResponse{inflight, other} {
+		if st := waitJob(t, ts, ack); st.State != StateDone {
+			t.Fatalf("job %s ended %s, want done (error %q)", ack.ID, st.State, st.Error)
+		}
 	}
 
-	blob, _ := json.Marshal(SubmitRequest{Cells: []SubmitCell{{Config: testCfg("gcc", core.SchemeBase)}}})
-	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
+	if code := postStatus(t, ts, testCfg("gcc", core.SchemeBase)); code != http.StatusServiceUnavailable {
+		t.Fatalf("post-shutdown submit: HTTP %d, want 503", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("post-shutdown submit: HTTP %d, want 503", resp.StatusCode)
-	}
-	resp, err = http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,25 +650,18 @@ func TestShutdown(t *testing.T) {
 
 // TestFailedCellFailsJob exercises the run-path failure handling. Submit
 // validation is a superset of the run-time checks, so a failing cell cannot
-// be provoked through the HTTP API; inject a job with an unknown benchmark
-// directly into the queue instead.
+// be provoked through the HTTP API; admit a job with an unknown benchmark
+// directly instead.
 func TestFailedCellFailsJob(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
-	j := &job{
-		id:    "job-injected",
-		state: StateQueued,
-		cells: []jobCell{{
-			key:  "doomed",
-			hash: "deadbeefdeadbeef",
-			cfg:  core.Config{Benchmarks: []string{"nonesuch"}, MaxInstructions: 1000},
-		}},
-		changed: make(chan struct{}),
+	j, err := s.admit("", []jobCell{{
+		key:  "doomed",
+		hash: "deadbeefdeadbeef",
+		cfg:  core.Config{Benchmarks: []string{"nonesuch"}, MaxInstructions: 1000},
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.mu.Unlock()
-	s.met.jobsQueued.Add(1)
-	s.queue <- j
 
 	st := waitJob(t, ts, SubmitResponse{ID: j.id, Cells: 1, Stream: "/v1/jobs/" + j.id + "/stream"})
 	if st.State != StateFailed {

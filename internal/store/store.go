@@ -23,10 +23,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"visasim/internal/core"
 	"visasim/internal/harness"
@@ -53,13 +51,6 @@ type envelope struct {
 	Result json.RawMessage `json:"result"`
 }
 
-// Options tunes a Store.
-type Options struct {
-	// MaxBytes caps the total size of stored entries; past it the
-	// least-recently-used entries are evicted. Zero means no cap.
-	MaxBytes int64
-}
-
 // Store is a persistent content-addressed result store. It is safe for
 // concurrent use by multiple goroutines. Multiple processes may share one
 // root: writes are atomic renames and equal addresses hold byte-identical
@@ -67,19 +58,14 @@ type Options struct {
 // converge; a reader either sees a complete entry or a miss.
 type Store struct {
 	dir string // <root>/<layoutVersion>
-	opt Options
 
 	mu    sync.Mutex
 	sizes map[string]int64 // hash -> entry file size
-	seq   map[string]int64 // hash -> last-access sequence (higher = newer)
-	tick  int64
 	total int64
 }
 
-// Open creates (if needed) and indexes the store rooted at dir. Existing
-// entries are indexed by file modification time, oldest first, so LRU
-// eviction order survives restarts approximately.
-func Open(dir string, opt Options) (*Store, error) {
+// Open creates (if needed) and indexes the store rooted at dir.
+func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("store: empty directory")
 	}
@@ -87,64 +73,32 @@ func Open(dir string, opt Options) (*Store, error) {
 	if err := os.MkdirAll(vdir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{
-		dir:   vdir,
-		opt:   opt,
-		sizes: map[string]int64{},
-		seq:   map[string]int64{},
-	}
+	s := &Store{dir: vdir, sizes: map[string]int64{}}
 	ents, err := os.ReadDir(vdir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	type stamped struct {
-		hash string
-		size int64
-		mod  int64
-	}
-	var found []stamped
 	for _, de := range ents {
 		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, entryExt) {
-			continue // leftover temp files are cleaned below
+		if de.IsDir() {
+			continue
+		}
+		// Abandoned temp files (crashed writers) are junk at non-live
+		// names; sweep them so the directory doesn't accumulate them
+		// forever.
+		if strings.HasPrefix(name, tmpPrefix) {
+			os.Remove(filepath.Join(vdir, name)) //nolint:errcheck
+			continue
+		}
+		if !strings.HasSuffix(name, entryExt) {
+			continue
 		}
 		info, err := de.Info()
 		if err != nil {
 			continue
 		}
-		found = append(found, stamped{
-			hash: strings.TrimSuffix(name, entryExt),
-			size: info.Size(),
-			mod:  info.ModTime().UnixNano(),
-		})
+		s.note(strings.TrimSuffix(name, entryExt), info.Size())
 	}
-	// Abandoned temp files (crashed writers) are junk at non-live names;
-	// sweep them so the directory doesn't accumulate them forever.
-	for _, de := range ents {
-		if !de.IsDir() && strings.HasPrefix(de.Name(), tmpPrefix) {
-			os.Remove(filepath.Join(vdir, de.Name())) //nolint:errcheck
-		}
-	}
-	// Order by modification time, then by hash: many filesystems store
-	// mtimes at second or coarser granularity, so entries written in one
-	// burst collide on mod and an mtime-only sort would seed the LRU
-	// order — and therefore eviction order — differently on every Open.
-	// The hash tie-break keeps restart eviction deterministic.
-	sort.Slice(found, func(i, j int) bool {
-		if found[i].mod != found[j].mod {
-			return found[i].mod < found[j].mod
-		}
-		return found[i].hash < found[j].hash
-	})
-	for _, f := range found {
-		s.tick++
-		s.sizes[f.hash] = f.size
-		s.seq[f.hash] = s.tick
-		s.total += f.size
-	}
-	s.mu.Lock()
-	s.evictLocked()
-	s.mu.Unlock()
 	return s, nil
 }
 
@@ -197,48 +151,33 @@ func (s *Store) Get(hash string) (res *core.Result, stats harness.CellStats, ok 
 		s.drop(hash)
 		return nil, harness.CellStats{}, false
 	}
-	s.touch(hash, int64(len(blob)))
+	// A hit also adopts an entry written by another process sharing the
+	// root, which Open never saw.
+	s.note(hash, int64(len(blob)))
 	return &r, env.Stats, true
 }
 
-// touch refreshes hash's LRU position (and, best-effort, its file mtime so
-// the order survives a restart). It also adopts entries written by another
-// process sharing the root, which Open never saw.
-func (s *Store) touch(hash string, size int64) {
-	now := time.Now()
-	os.Chtimes(s.path(hash), now, now) //nolint:errcheck // advisory only
+// note indexes hash at size bytes, replacing any earlier size.
+func (s *Store) note(hash string, size int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, known := s.sizes[hash]; known {
-		s.total += size - old
-	} else {
-		s.total += size
-	}
+	s.total += size - s.sizes[hash]
 	s.sizes[hash] = size
-	s.tick++
-	s.seq[hash] = s.tick
 }
 
-// drop removes a corrupt or evicted entry from disk and the index.
+// drop removes a corrupt entry from disk and the index.
 func (s *Store) drop(hash string) {
 	os.Remove(s.path(hash)) //nolint:errcheck
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.forgetLocked(hash)
-}
-
-func (s *Store) forgetLocked(hash string) {
-	if size, ok := s.sizes[hash]; ok {
-		s.total -= size
-		delete(s.sizes, hash)
-		delete(s.seq, hash)
-	}
+	s.total -= s.sizes[hash]
+	delete(s.sizes, hash)
 }
 
 // Put stores res and stats at hash, overwriting any previous entry. The
 // write is atomic: the entry is staged in a temp file in the same
 // directory and renamed into place, so readers never observe a partial
-// entry. Putting past Options.MaxBytes evicts least-recently-used entries.
+// entry.
 func (s *Store) Put(hash string, res *core.Result, stats harness.CellStats) error {
 	if !validHash(hash) {
 		return fmt.Errorf("store: invalid address %q", hash)
@@ -274,39 +213,8 @@ func (s *Store) Put(hash string, res *core.Result, stats harness.CellStats) erro
 		return fmt.Errorf("store: %w", err)
 	}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, known := s.sizes[hash]; known {
-		s.total += int64(len(blob)) - old
-	} else {
-		s.total += int64(len(blob))
-	}
-	s.sizes[hash] = int64(len(blob))
-	s.tick++
-	s.seq[hash] = s.tick
-	s.evictLocked()
+	s.note(hash, int64(len(blob)))
 	return nil
-}
-
-// evictLocked removes least-recently-used entries until the total size is
-// within Options.MaxBytes. Callers hold s.mu.
-func (s *Store) evictLocked() {
-	if s.opt.MaxBytes <= 0 {
-		return
-	}
-	for s.total > s.opt.MaxBytes && len(s.sizes) > 1 {
-		oldest, oldestSeq := "", int64(0)
-		for h, q := range s.seq {
-			// Sequence numbers are unique in-process; the hash tie-break
-			// guards the impossible-by-construction case anyway so eviction
-			// never depends on map iteration order.
-			if oldest == "" || q < oldestSeq || (q == oldestSeq && h < oldest) {
-				oldest, oldestSeq = h, q
-			}
-		}
-		os.Remove(s.path(oldest)) //nolint:errcheck
-		s.forgetLocked(oldest)
-	}
 }
 
 // Len returns the number of indexed entries.
@@ -321,16 +229,4 @@ func (s *Store) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.total
-}
-
-// Hashes returns the indexed addresses in unspecified order — the
-// checkpoint set a resuming coordinator skips re-dispatching.
-func (s *Store) Hashes() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.sizes))
-	for h := range s.sizes {
-		out = append(out, h)
-	}
-	return out
 }

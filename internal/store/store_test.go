@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -39,7 +38,7 @@ func simOnce(t *testing.T, scheme core.Scheme) (string, *core.Result, harness.Ce
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{})
+	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +79,7 @@ func TestReopenServesEntries(t *testing.T) {
 	dir := t.TempDir()
 	hash, res, stats := simOnce(t, core.SchemeVISA)
 
-	s1, err := Open(dir, Options{})
+	s1, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +87,7 @@ func TestReopenServesEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(dir, Options{})
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +105,7 @@ func TestReopenServesEntries(t *testing.T) {
 
 func TestCorruptEntryIsAMissAndRemoved(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{})
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +158,7 @@ func mustEnvelope(t *testing.T, hash string, res *core.Result, stats harness.Cel
 // before CellStats lost its derived rate fields (such as CyclesPerSec and
 // InstrsPerSec) still load: unknown fields are ignored.
 func TestRetiredStatsFieldsStillRead(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{})
+	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +184,7 @@ func TestRetiredStatsFieldsStillRead(t *testing.T) {
 }
 
 func TestInvalidAddressesRejected(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{})
+	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,47 +196,6 @@ func TestInvalidAddressesRejected(t *testing.T) {
 		if _, _, ok := s.Get(bad); ok {
 			t.Errorf("Get(%q) hit on an invalid address", bad)
 		}
-	}
-}
-
-// TestLRUEviction pins the size cap: with room for roughly two entries,
-// putting a third evicts the least-recently-used one — and a Get refreshes
-// recency, steering eviction away from the just-read entry.
-func TestLRUEviction(t *testing.T) {
-	hashA, res, stats := simOnce(t, core.SchemeBase)
-	hashB, resB, statsB := simOnce(t, core.SchemeVISA)
-	hashC, resC, statsC := simOnce(t, core.SchemeVISAOpt1)
-
-	blob := mustEnvelope(t, hashA, res, stats)
-	s, err := Open(t.TempDir(), Options{MaxBytes: int64(len(blob))*2 + 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(hashA, res, stats); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(hashB, resB, statsB); err != nil {
-		t.Fatal(err)
-	}
-	// Read A so B becomes the LRU entry.
-	if _, _, ok := s.Get(hashA); !ok {
-		t.Fatal("A missing before eviction")
-	}
-	if err := s.Put(hashC, resC, statsC); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, _, ok := s.Get(hashB); ok {
-		t.Fatal("least-recently-used entry B survived past the cap")
-	}
-	if _, _, ok := s.Get(hashA); !ok {
-		t.Fatal("recently-read entry A was evicted")
-	}
-	if _, _, ok := s.Get(hashC); !ok {
-		t.Fatal("just-written entry C was evicted")
-	}
-	if s.Bytes() > s.opt.MaxBytes {
-		t.Fatalf("store size %d exceeds cap %d", s.Bytes(), s.opt.MaxBytes)
 	}
 }
 
@@ -253,7 +211,7 @@ func TestOpenSweepsTempFiles(t *testing.T) {
 	if err := os.WriteFile(stray, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(dir, Options{})
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +226,7 @@ func TestOpenSweepsTempFiles(t *testing.T) {
 // TestConcurrentPutGet exercises the index under parallel access (run with
 // -race in CI's race job).
 func TestConcurrentPutGet(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{})
+	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,56 +255,4 @@ func TestConcurrentPutGet(t *testing.T) {
 		}
 	}
 	t.Fatal("writer never finished")
-}
-
-// TestOpenEvictionDeterministicOnMtimeTies pins the LRU tie-break fix: on
-// filesystems with coarse mtimes, a burst of writes lands many entries on
-// the same timestamp, and Open's former mtime-only ordering left restart
-// eviction order to sort.Slice's unstable whims. With the hash tie-break,
-// equal-mtime entries always evict smallest-hash-first — byte-identical
-// survivor sets on every reopen.
-func TestOpenEvictionDeterministicOnMtimeTies(t *testing.T) {
-	hashes := []string{"0a", "1b", "2c", "3d", "4e", "5f"}
-	blob := bytes.Repeat([]byte("x"), 100)
-	when := time.Now().Add(-time.Hour).Truncate(time.Second)
-
-	survivors := func() []string {
-		dir := t.TempDir()
-		vdir := filepath.Join(dir, layoutVersion)
-		if err := os.MkdirAll(vdir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for _, h := range hashes {
-			p := filepath.Join(vdir, h+entryExt)
-			if err := os.WriteFile(p, blob, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			// Collapse every mtime onto one instant, as a coarse-mtime
-			// filesystem would for a write burst.
-			if err := os.Chtimes(p, when, when); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Room for three 100-byte entries: Open must evict the other three.
-		s, err := Open(dir, Options{MaxBytes: 350})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := s.Hashes()
-		sort.Strings(out)
-		return out
-	}
-
-	want := []string{"3d", "4e", "5f"} // smallest hashes evict first on a tie
-	for round := 0; round < 3; round++ {
-		got := survivors()
-		if len(got) != len(want) {
-			t.Fatalf("round %d: %d survivors %v, want %v", round, len(got), got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("round %d: survivors %v, want %v", round, got, want)
-			}
-		}
-	}
 }

@@ -72,7 +72,6 @@ examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/memhog
 	$(GO) run ./examples/dvmbudget
-	$(GO) run ./examples/profiling
 	$(GO) run ./examples/service
 
 # Run the simulation daemon (see README "Simulation service").

@@ -323,17 +323,15 @@ func checkArgs(a args) error {
 	return nil
 }
 
-// figure adapts an experiment whose result prints and has a CSV form.
-func figure[R interface {
-	fmt.Stringer
-	csvWriter
-}](f func(experiments.Params) (R, error)) target {
+// figure adapts an experiment whose result prints and may have a CSV form.
+func figure[R fmt.Stringer](f func(experiments.Params) (R, error)) target {
 	return func(p experiments.Params) (string, csvWriter, error) {
 		r, err := f(p)
 		if err != nil {
 			return "", nil, err
 		}
-		return r.String(), r, nil
+		c, _ := any(r).(csvWriter)
+		return r.String(), c, nil
 	}
 }
 
@@ -351,59 +349,29 @@ var figures = map[string]target{
 	"fig9":     figure(experiments.Fig9),
 	"fig10":    figure(experiments.Fig10),
 	"table1":   figure(experiments.Table1),
+	"table3":   figure(experiments.Table3),
 	"iqmatrix": figure(experiments.IQMatrix),
 	"table2": func(experiments.Params) (string, csvWriter, error) {
 		return experiments.Table2(), nil, nil
 	},
-	"table3": func(experiments.Params) (string, csvWriter, error) {
-		return experiments.Table3(), nil, nil
-	},
-	"ext-rob": func(p experiments.Params) (string, csvWriter, error) {
-		r, err := experiments.ExtensionROBDVM(p)
-		if err != nil {
-			return "", nil, err
-		}
-		return r.String(), nil, nil
-	},
+	"ext-rob":   figure(experiments.ExtensionROBDVM),
 	"ablations": ablations,
 }
 
+// ablations runs every ablation, one report after another.
 func ablations(p experiments.Params) (string, csvWriter, error) {
-	var b strings.Builder
-	or, err := experiments.AblationOracleTags(p)
-	if err != nil {
-		return "", nil, err
+	parts := []target{
+		figure(experiments.AblationOracleTags), figure(experiments.AblationTcache),
+		figure(experiments.AblationIQSize), figure(experiments.AblationInterval),
+		figure(experiments.AblationWindow), figure(experiments.AblationWidth),
+		figure(experiments.AblationPredictor),
 	}
-	b.WriteString(or.String() + "\n")
-	tc, err := experiments.AblationTcache(p)
-	if err != nil {
-		return "", nil, err
+	out := make([]string, len(parts))
+	for i, part := range parts {
+		var err error
+		if out[i], _, err = part(p); err != nil {
+			return "", nil, err
+		}
 	}
-	b.WriteString(tc.String() + "\n")
-	iq, err := experiments.AblationIQSize(p)
-	if err != nil {
-		return "", nil, err
-	}
-	b.WriteString(iq.String() + "\n")
-	iv, err := experiments.AblationInterval(p)
-	if err != nil {
-		return "", nil, err
-	}
-	b.WriteString(iv.String() + "\n")
-	w, err := experiments.AblationWindow(p)
-	if err != nil {
-		return "", nil, err
-	}
-	b.WriteString(w.String() + "\n")
-	wd, err := experiments.AblationWidth(p)
-	if err != nil {
-		return "", nil, err
-	}
-	b.WriteString(wd.String() + "\n")
-	pr, err := experiments.AblationPredictor(p)
-	if err != nil {
-		return "", nil, err
-	}
-	b.WriteString(pr.String())
-	return b.String(), nil, nil
+	return strings.Join(out, "\n"), nil, nil
 }

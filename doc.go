@@ -51,10 +51,10 @@
 //
 // # Entry points
 //
-// Commands: cmd/visasim (one simulation), cmd/avfprof (offline profiling),
-// cmd/faultsim (injection campaigns under base, visa, visa+opt1 or
-// visa+opt2), cmd/tracedump (its ace, show, diff and replay subcommands
-// inspect ACE streams and decision traces),
+// Commands: cmd/visasim (one simulation), cmd/faultsim (injection
+// campaigns under base, visa, visa+opt1 or visa+opt2), cmd/tracedump (its
+// profile subcommand reports a benchmark's offline vulnerability profile;
+// ace, show, diff and replay inspect ACE streams and decision traces),
 // cmd/experiments (regenerate every table/figure or run a batch of cells,
 // optionally through a static list of one or more daemons via -backends,
 // and probe those daemons' health), and cmd/visasimd (the simulation

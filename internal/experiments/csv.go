@@ -50,6 +50,20 @@ func (r *Table1Result) WriteCSV(w io.Writer) error {
 	return report.WriteCSV(w, []string{"benchmark", "accuracy", "ace_fraction"}, rows)
 }
 
+// WriteCSV emits one row per mix: its ICOUNT baseline characteristics.
+func (r *Table3Result) WriteCSV(w io.Writer) error {
+	var rows [][]string
+	for i, m := range r.Mixes {
+		b := r.Base[i]
+		perK, med := l2Misses(b)
+		rows = append(rows, []string{m.Name, m.Category.String(),
+			fmt.Sprintf("%.6f", b.ThroughputIPC), fmt.Sprintf("%.6f", b.IQAVF), fmt.Sprintf("%.3f", b.MeanReadyLen),
+			fmt.Sprintf("%.3f", perK), fmt.Sprint(len(b.Intervals)), fmt.Sprintf("%.1f", med)})
+	}
+	return report.WriteCSV(w, []string{"mix", "category", "ipc", "iq_avf", "mean_ready_len",
+		"l2_misses_per_ki", "intervals", "median_interval_l2_misses"}, rows)
+}
+
 // WriteCSV emits scheme,category,norm_avf,norm_ipc rows.
 func (r *Fig5Result) WriteCSV(w io.Writer) error {
 	var rows [][]string

@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"visasim/internal/core"
 	"visasim/internal/iqorg"
+	"visasim/internal/pipeline"
+	"visasim/internal/stats"
+	"visasim/internal/workload"
 )
 
 // small returns a budget small enough for CI but large enough to cross
@@ -85,10 +89,58 @@ func TestTables2And3Render(t *testing.T) {
 	if !strings.Contains(Table2(), "96") || !strings.Contains(Table2(), "Gshare") {
 		t.Error("Table 2 misses configuration rows")
 	}
-	t3 := Table3()
-	for _, want := range []string{"CPU", "MIX", "MEM", "bzip2", "mcf"} {
+	r, err := Table3(Params{Budget: 20_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t3 := r.String()
+	for _, want := range []string{"CPU", "MIX", "MEM", "bzip2", "mcf", "Tcache_miss = 16"} {
 		if !strings.Contains(t3, want) {
 			t.Errorf("Table 3 missing %q", want)
+		}
+	}
+	rows := map[string]string{} // benchmark list → rendered row
+	for _, line := range strings.Split(t3, "\n") {
+		for _, m := range workload.Mixes() {
+			if list := strings.Join(m.Benchmarks[:], ", "); strings.Contains(line, list) {
+				rows[list] = line
+			}
+		}
+	}
+	if len(rows) != 9 {
+		t.Fatalf("Table 3 has %d mix rows, want 9:\n%s", len(rows), t3)
+	}
+
+	// The MEM-A row shows its ICOUNT baseline cell, run directly.
+	memA := []string{"mcf", "equake", "vpr", "swim"}
+	direct, err := core.Run(core.Config{Benchmarks: memA, MaxInstructions: 20_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, med := l2Misses(direct)
+	for _, want := range []string{fmt.Sprintf("  %.2f  ", direct.ThroughputIPC), fmt.Sprintf("  %.1f ", med)} {
+		if row := rows[strings.Join(memA, ", ")]; !strings.Contains(row, want) {
+			t.Errorf("MEM-A row %q lacks the direct run's %q", row, want)
+		}
+	}
+}
+
+func TestMedianIntervalL2(t *testing.T) {
+	for _, tc := range []struct {
+		misses []uint64
+		want   float64
+	}{
+		{nil, 0},
+		{[]uint64{7}, 7},
+		{[]uint64{30, 2, 17}, 17},
+		{[]uint64{40, 3, 16, 20}, 18},
+	} {
+		r := &core.Result{Results: &pipeline.Results{Commits: []uint64{1}}}
+		for _, m := range tc.misses {
+			r.Intervals = append(r.Intervals, stats.Interval{L2Misses: m})
+		}
+		if _, got := l2Misses(r); got != tc.want {
+			t.Errorf("median of %v = %v, want %v", tc.misses, got, tc.want)
 		}
 	}
 }

@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"visasim/internal/ace"
+	"visasim/internal/alloc"
 	"visasim/internal/config"
 	"visasim/internal/core"
 	"visasim/internal/pipeline"
@@ -97,13 +100,61 @@ func Table2() string {
 	return "Table 2: simulated machine configuration\n" + config.Default().String() + "\n"
 }
 
-// Table3 renders the studied SMT workloads.
-func Table3() string {
-	t := report.NewTable("Table 3: the studied SMT workloads",
-		"type", "group", "benchmarks")
-	for _, m := range workload.Mixes() {
-		t.AddRow(m.Category.String(), m.Group,
-			fmt.Sprintf("%s, %s, %s, %s", m.Benchmarks[0], m.Benchmarks[1], m.Benchmarks[2], m.Benchmarks[3]))
+// Table3Result is Table 3's workload list with each mix's ICOUNT baseline
+// cell: the characteristics workload calibration tunes against.
+type Table3Result struct {
+	Mixes []workload.Mix
+	Base  []*core.Result // aligned with Mixes
+}
+
+// Table3 reproduces Table 3 and runs each mix's ICOUNT baseline.
+func Table3(p Params) (*Table3Result, error) {
+	res, err := runMixes(p, []core.Scheme{core.SchemeBase}, []pipeline.FetchPolicyKind{pipeline.PolicyICOUNT})
+	if err != nil {
+		return nil, err
 	}
-	return t.String()
+	out := &Table3Result{Mixes: workload.Mixes()}
+	for _, m := range out.Mixes {
+		out.Base = append(out.Base, res[key(m.Name, core.SchemeBase, pipeline.PolicyICOUNT)])
+	}
+	return out, nil
+}
+
+// l2Misses returns a run's data L2 misses per 1K committed instructions and
+// the median of its intervals' data L2 misses, the count opt2 compares
+// with Tcache_miss (0 with no interval).
+func l2Misses(r *core.Result) (perK, medianInterval float64) {
+	perK = 1000 * float64(r.L2Misses) / float64(r.TotalCommits())
+	m := make([]uint64, len(r.Intervals))
+	for i, iv := range r.Intervals {
+		m[i] = iv.L2Misses
+	}
+	slices.Sort(m)
+	switch h := len(m) / 2; {
+	case len(m) == 0:
+	case len(m)%2 == 1:
+		medianInterval = float64(m[h])
+	default:
+		medianInterval = float64(m[h-1]+m[h]) / 2
+	}
+	return perK, medianInterval
+}
+
+// String renders the table.
+func (r *Table3Result) String() string {
+	t := report.NewTable("Table 3: the studied SMT workloads, with each mix's ICOUNT baseline",
+		"type", "group", "benchmarks", "IPC", "IQ AVF", "RQL", "L2 miss/KI", "intervals", "median L2 miss/interval")
+	under := 0
+	for i, m := range r.Mixes {
+		b := r.Base[i]
+		perK, med := l2Misses(b)
+		if med <= alloc.DefaultCacheMissThreshold {
+			under++
+		}
+		t.AddRow(m.Category.String(), m.Group, strings.Join(m.Benchmarks[:], ", "),
+			fmt.Sprintf("%.2f", b.ThroughputIPC), fmt.Sprintf("%.3f", b.IQAVF), fmt.Sprintf("%.1f", b.MeanReadyLen),
+			fmt.Sprintf("%.1f", perK), fmt.Sprint(len(b.Intervals)), fmt.Sprintf("%.1f", med))
+	}
+	return t.String() + fmt.Sprintf("\nTcache_miss = %d (opt2 takes FLUSH above it): %d of %d mixes have a median at or under it\n",
+		alloc.DefaultCacheMissThreshold, under, len(r.Mixes))
 }

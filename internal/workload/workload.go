@@ -274,7 +274,7 @@ func buildBenchmarks() map[string]Benchmark {
 func Get(name string) (Benchmark, error) {
 	b, ok := benchmarks[name]
 	if !ok {
-		return Benchmark{}, fmt.Errorf("workload: unknown benchmark %q", name)
+		return Benchmark{}, fmt.Errorf("workload: unknown benchmark %q (known: %v)", name, Names())
 	}
 	return b, nil
 }

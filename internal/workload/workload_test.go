@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"visasim/internal/isa"
@@ -39,8 +40,13 @@ func TestSuiteCoversPaper(t *testing.T) {
 }
 
 func TestGetUnknown(t *testing.T) {
-	if _, err := Get("nonesuch"); err == nil {
+	_, err := Get("nonesuch")
+	if err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+	// The error lists the known names, so a typo is fixable from it alone.
+	if !strings.Contains(err.Error(), "mcf") {
+		t.Fatalf("error %q names no known benchmark", err)
 	}
 }
 

@@ -46,8 +46,9 @@ type Params struct {
 }
 
 // Run executes one sweep through the configured runner (the local harness
-// when none is set). Every experiment goes through this seam, and so does
-// cmd/experiments' cells target.
+// when none is set). Every experiment that simulates goes through this
+// seam, and so does cmd/experiments' cells target; Table1 and
+// AblationWindow only read offline profiles (core.ProfileFor).
 func (p Params) Run(cells []harness.Cell) (harness.Results, error) {
 	if p.Runner != nil {
 		return p.Runner(cells)
@@ -94,25 +95,35 @@ func key(parts ...any) string {
 	return s
 }
 
+// mixCell is mix's cell under scheme s and fetch policy pol, keyed
+// MIX/scheme/policy: every experiment's cell of that config has this key.
+func mixCell(p Params, mix workload.Mix, s core.Scheme, pol pipeline.FetchPolicyKind) harness.Cell {
+	return harness.Cell{
+		Key: key(mix.Name, s, pol),
+		Cfg: core.Config{Benchmarks: mix.Benchmarks[:], Scheme: s, Policy: pol, MaxInstructions: p.budget()},
+	}
+}
+
 // runMixes runs every Table 3 mix under each (scheme, policy) pair.
 func runMixes(p Params, schemes []core.Scheme, policies []pipeline.FetchPolicyKind) (harness.Results, error) {
 	var cells []harness.Cell
 	for _, mix := range workload.Mixes() {
 		for _, s := range schemes {
 			for _, pol := range policies {
-				cells = append(cells, harness.Cell{
-					Key: key(mix.Name, s, pol),
-					Cfg: core.Config{
-						Benchmarks:      mix.Benchmarks[:],
-						Scheme:          s,
-						Policy:          pol,
-						MaxInstructions: p.budget(),
-					},
-				})
+				cells = append(cells, mixCell(p, mix, s, pol))
 			}
 		}
 	}
 	return p.Run(cells)
+}
+
+// mean is the average of xs, summed in order.
+func mean(xs []float64) float64 {
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
 }
 
 // categoryMean averages f over the mixes of each category, returning values

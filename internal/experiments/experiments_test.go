@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"visasim/internal/core"
+	"visasim/internal/harness"
 	"visasim/internal/iqorg"
 	"visasim/internal/pipeline"
 	"visasim/internal/stats"
@@ -58,6 +60,45 @@ func TestFig2Shapes(t *testing.T) {
 	}
 	if r.MeanACEPct < 30 || r.MeanACEPct > 90 {
 		t.Errorf("ready-ACE share %.1f%% implausible", r.MeanACEPct)
+	}
+}
+
+// column returns the named metric's value in each of s's rows.
+func column(t *testing.T, s *Sweep, name string) []float64 {
+	t.Helper()
+	for j, m := range s.metrics {
+		if m.name == name {
+			var out []float64
+			for _, row := range s.Values {
+				out = append(out, row[j])
+			}
+			return out
+		}
+	}
+	t.Fatalf("%s has no %q column", s.Title, name)
+	return nil
+}
+
+// Fig. 2 runs its one cell through the Params seam, so a Runner (the
+// -backends coordinator) and tracing see it.
+func TestFig2RunsThroughRunner(t *testing.T) {
+	var got []harness.Cell
+	p := Params{Budget: 20_000}
+	p.Runner = func(cells []harness.Cell) (harness.Results, error) {
+		got = append(got, cells...)
+		return Params{}.Run(cells)
+	}
+	if _, err := Fig2(p); err != nil {
+		t.Fatal(err)
+	}
+	want := core.Config{
+		Benchmarks:      []string{"bzip2", "eon", "gcc", "perlbmk"},
+		Scheme:          core.SchemeBase,
+		Policy:          pipeline.PolicyICOUNT,
+		MaxInstructions: 20_000,
+	}
+	if len(got) != 1 || !reflect.DeepEqual(got[0].Cfg, want) {
+		t.Fatalf("runner saw %+v, want one cell with %+v", got, want)
 	}
 }
 
@@ -257,10 +298,10 @@ func TestAblations(t *testing.T) {
 	t.Log("\n" + tc.String())
 	// An infinite threshold degenerates opt2 into opt1: it must cost
 	// more IPC on MIX than the paper's finite threshold.
-	last := len(tc.Thresholds) - 1
-	if tc.NormIPC[last] >= tc.NormIPC[2] {
-		t.Errorf("opt1-degenerate IPC %.3f not below Tcache=16's %.3f",
-			tc.NormIPC[last], tc.NormIPC[2])
+	tcIPC := column(t, tc, "IPC")
+	last := len(tcIPC) - 1
+	if tcIPC[last] >= tcIPC[2] {
+		t.Errorf("opt1-degenerate IPC %.3f not below Tcache=16's %.3f", tcIPC[last], tcIPC[2])
 	}
 
 	iq, err := AblationIQSize(p)
@@ -269,8 +310,8 @@ func TestAblations(t *testing.T) {
 	}
 	t.Log("\n" + iq.String())
 	// Bigger windows expose more ILP: IPC must not shrink with size.
-	if iq.IPC[len(iq.IPC)-1] < iq.IPC[0] {
-		t.Errorf("IPC fell from %.3f to %.3f as the IQ grew", iq.IPC[0], iq.IPC[len(iq.IPC)-1])
+	if iqIPC := column(t, iq, "IPC"); iqIPC[len(iqIPC)-1] < iqIPC[0] {
+		t.Errorf("IPC fell from %.3f to %.3f as the IQ grew", iqIPC[0], iqIPC[len(iqIPC)-1])
 	}
 
 	ivl, err := AblationInterval(p)
@@ -278,6 +319,16 @@ func TestAblations(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + ivl.String())
+	// 50K cycles is too coarse to bind: the 50,000-cycle interval leaves
+	// more IQ AVF and more IPC than the 1,000-cycle one.
+	if ivl.Labels[0] != "1000" || ivl.Labels[3] != "50000" {
+		t.Fatalf("interval rows %v", ivl.Labels)
+	}
+	for _, m := range []string{"IQ AVF", "IPC"} {
+		if v := column(t, ivl, m); v[3] <= v[0] {
+			t.Errorf("50K-cycle interval normalised %s %.3f not above 1K's %.3f", m, v[3], v[0])
+		}
+	}
 
 	win, err := AblationWindow(Params{Budget: 60_000})
 	if err != nil {
@@ -322,8 +373,8 @@ func TestAblationWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + r.String())
-	if r.IPC[2] <= r.IPC[0] {
-		t.Errorf("16-wide IPC %.2f not above 4-wide %.2f", r.IPC[2], r.IPC[0])
+	if ipc := column(t, r, "IPC"); ipc[2] <= ipc[0] {
+		t.Errorf("16-wide IPC %.2f not above 4-wide %.2f", ipc[2], ipc[0])
 	}
 }
 
@@ -339,9 +390,9 @@ func TestAblationPredictor(t *testing.T) {
 	// No direction assertion: on this synthetic substrate (bias-driven
 	// conditionals, geometric loop trips) history can hurt as much as it
 	// helps. Both predictors must simply be in a plausible band.
-	for i, mr := range r.MispredRate {
+	for i, mr := range column(t, r, "mispredict") {
 		if mr < 0.01 || mr > 0.35 {
-			t.Errorf("%v mispredict rate %.3f implausible", r.Kinds[i], mr)
+			t.Errorf("%v mispredict rate %.3f implausible", r.Labels[i], mr)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"visasim/internal/core"
 	"visasim/internal/dvm"
-	"visasim/internal/harness"
 	"visasim/internal/pipeline"
 	"visasim/internal/workload"
 )
@@ -27,60 +26,27 @@ type ROBDVMResult struct {
 // ExtensionROBDVM runs the ROB-DVM threshold sweep under ICOUNT.
 func ExtensionROBDVM(p Params) (*ROBDVMResult, error) {
 	pol := pipeline.PolicyICOUNT
-	base, err := runMixes(p, []core.Scheme{core.SchemeBase}, []pipeline.FetchPolicyKind{pol})
+	res, err := runMixes(p, []core.Scheme{core.SchemeBase}, []pipeline.FetchPolicyKind{pol})
 	if err != nil {
 		return nil, err
 	}
-
-	var cells []harness.Cell
-	for _, mix := range workload.Mixes() {
-		b := base[key(mix.Name, core.SchemeBase, pol)]
-		for _, f := range DVMFracs {
-			cells = append(cells, harness.Cell{
-				Key: key(mix.Name, "robdvm", f),
-				Cfg: core.Config{
-					Benchmarks:      mix.Benchmarks[:],
-					Scheme:          core.SchemeDVM,
-					Policy:          pol,
-					MaxInstructions: p.budget(),
-					DVMTarget:       f * b.MaxROBAVF,
-					DVMStructure:    dvm.StructROB,
-				},
-			})
-		}
-	}
-	res, err := p.Run(cells)
+	base := func(mix workload.Mix) *core.Result { return res[key(mix.Name, core.SchemeBase, pol)] }
+	at, err := runDVM(p, res, pol, dvm.StructROB, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	out := &ROBDVMResult{Fracs: DVMFracs}
-	for ci := range workload.Categories() {
-		out.PVEBase[ci] = make([]float64, len(DVMFracs))
-		out.PVEDVM[ci] = make([]float64, len(DVMFracs))
-		out.ThruDeg[ci] = make([]float64, len(DVMFracs))
-	}
-	for fi, f := range DVMFracs {
-		pveB := categoryMean(func(mix workload.Mix) float64 {
-			b := base[key(mix.Name, core.SchemeBase, pol)]
-			return b.PVEROB(f * b.MaxROBAVF)
-		})
-		pveD := categoryMean(func(mix workload.Mix) float64 {
-			b := base[key(mix.Name, core.SchemeBase, pol)]
-			return res[key(mix.Name, "robdvm", f)].PVEROB(f * b.MaxROBAVF)
-		})
-		thru := categoryMean(func(mix workload.Mix) float64 {
-			b := base[key(mix.Name, core.SchemeBase, pol)]
-			d := res[key(mix.Name, "robdvm", f)]
-			return 100 * (1 - d.ThroughputIPC/b.ThroughputIPC)
-		})
-		for ci := 0; ci < 3; ci++ {
-			out.PVEBase[ci][fi] = pveB[ci]
-			out.PVEDVM[ci][fi] = pveD[ci]
-			out.ThruDeg[ci][fi] = thru[ci]
-		}
-	}
-	return out, nil
+	return &ROBDVMResult{
+		Fracs: DVMFracs,
+		PVEBase: byFrac(func(mix workload.Mix, f float64) float64 {
+			return base(mix).PVEROB(f * base(mix).MaxROBAVF)
+		}),
+		PVEDVM: byFrac(func(mix workload.Mix, f float64) float64 {
+			return at(mix, f).PVEROB(f * base(mix).MaxROBAVF)
+		}),
+		ThruDeg: byFrac(func(mix workload.Mix, f float64) float64 {
+			return 100 * (1 - at(mix, f).ThroughputIPC/base(mix).ThroughputIPC)
+		}),
+	}, nil
 }
 
 // String renders the extension sweep.

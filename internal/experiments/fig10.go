@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"visasim/internal/core"
-	"visasim/internal/harness"
+	"visasim/internal/dvm"
 	"visasim/internal/pipeline"
 	"visasim/internal/workload"
 )
@@ -36,81 +36,32 @@ func Fig10(p Params) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
 	// Dynamic DVM per mix × frac; its mean ratio then configures the
 	// static variant, as the paper does.
-	var cells []harness.Cell
-	for _, mix := range workload.Mixes() {
-		b := res[key(mix.Name, core.SchemeBase, pol)]
-		for _, f := range DVMFracs {
-			cells = append(cells, harness.Cell{
-				Key: key(mix.Name, "dvm", f),
-				Cfg: core.Config{
-					Benchmarks:      mix.Benchmarks[:],
-					Scheme:          core.SchemeDVM,
-					Policy:          pol,
-					MaxInstructions: p.budget(),
-					DVMTarget:       f * b.MaxIQAVF,
-				},
-			})
-		}
+	dyn, err := runDVM(p, res, pol, dvm.StructIQ, nil)
+	if err != nil {
+		return nil, err
 	}
-	dyn, err := p.Run(cells)
+	stat, err := runDVM(p, res, pol, dvm.StructIQ, func(mix workload.Mix, f float64) float64 {
+		return dyn(mix, f).DVMMeanRatio
+	})
 	if err != nil {
 		return nil, err
 	}
 
-	cells = cells[:0]
-	for _, mix := range workload.Mixes() {
-		b := res[key(mix.Name, core.SchemeBase, pol)]
-		for _, f := range DVMFracs {
-			ratio := dyn[key(mix.Name, "dvm", f)].DVMMeanRatio
-			cells = append(cells, harness.Cell{
-				Key: key(mix.Name, "dvms", f),
-				Cfg: core.Config{
-					Benchmarks:      mix.Benchmarks[:],
-					Scheme:          core.SchemeDVMStatic,
-					Policy:          pol,
-					MaxInstructions: p.budget(),
-					DVMTarget:       f * b.MaxIQAVF,
-					DVMStaticRatio:  ratio,
-				},
-			})
-		}
+	pve := func(at func(workload.Mix, float64) *core.Result) [3][]float64 {
+		return byFrac(func(mix workload.Mix, f float64) float64 {
+			return at(mix, f).PVE(f * res[key(mix.Name, core.SchemeBase, pol)].MaxIQAVF)
+		})
 	}
-	stat, err := p.Run(cells)
-	if err != nil {
-		return nil, err
-	}
-
 	out := &Fig10Result{
 		Fracs:   DVMFracs,
 		Schemes: []string{"visa", "visa+opt1", "visa+opt2", "dvm-static", "dvm-dynamic"},
 	}
-	for si := range out.PVE {
-		for ci := range out.PVE[si] {
-			out.PVE[si][ci] = make([]float64, len(DVMFracs))
-		}
+	for si, s := range fig10Schemes {
+		out.PVE[si] = pve(func(mix workload.Mix, _ float64) *core.Result { return res[key(mix.Name, s, pol)] })
 	}
-	for fi, f := range DVMFracs {
-		for si := 0; si < 5; si++ {
-			pve := categoryMean(func(mix workload.Mix) float64 {
-				b := res[key(mix.Name, core.SchemeBase, pol)]
-				target := f * b.MaxIQAVF
-				switch si {
-				case 0, 1, 2:
-					return res[key(mix.Name, fig10Schemes[si], pol)].PVE(target)
-				case 3:
-					return stat[key(mix.Name, "dvms", f)].PVE(target)
-				default:
-					return dyn[key(mix.Name, "dvm", f)].PVE(target)
-				}
-			})
-			for ci := 0; ci < 3; ci++ {
-				out.PVE[si][ci][fi] = pve[ci]
-			}
-		}
-	}
+	out.PVE[3], out.PVE[4] = pve(stat), pve(dyn)
 	return out, nil
 }
 

@@ -5,13 +5,14 @@ import (
 	"strings"
 
 	"visasim/internal/core"
+	"visasim/internal/harness"
 	"visasim/internal/pipeline"
 	"visasim/internal/stats"
 )
 
 // Fig2Result is the joint ready-queue-length / ACE-percentage
 // characterisation of the baseline machine on the 4-context CPU workload
-// (bzip2, eon, gcc, perlbmk) — the observation that motivates VISA issue.
+// (CPU-A: bzip2, eon, gcc, perlbmk) — the observation that motivates VISA issue.
 type Fig2Result struct {
 	Hist *stats.RQHistogram
 	// MeanLen is the mean ready-queue length; the paper's histogram
@@ -31,16 +32,16 @@ type Fig2Result struct {
 
 // Fig2 reproduces Figure 2.
 func Fig2(p Params) (*Fig2Result, error) {
-	res, err := core.Run(core.Config{
-		Benchmarks:      []string{"bzip2", "eon", "gcc", "perlbmk"},
-		Scheme:          core.SchemeBase,
-		Policy:          pipeline.PolicyICOUNT,
-		MaxInstructions: p.budget(),
-	})
+	mix, err := mixByName("CPU-A")
 	if err != nil {
 		return nil, err
 	}
-	h := res.RQHist
+	cell := mixCell(p, mix, core.SchemeBase, pipeline.PolicyICOUNT)
+	res, err := p.Run([]harness.Cell{cell})
+	if err != nil {
+		return nil, err
+	}
+	h := res[cell.Key].RQHist
 	out := &Fig2Result{
 		Hist:       h,
 		MeanLen:    h.MeanLen(),

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"visasim/internal/core"
+	"visasim/internal/dvm"
 	"visasim/internal/harness"
 	"visasim/internal/pipeline"
 	"visasim/internal/workload"
@@ -32,77 +33,91 @@ type Fig8Result struct {
 // figDVM runs the DVM threshold sweep under pol.
 func figDVM(p Params, pol pipeline.FetchPolicyKind) (*Fig8Result, error) {
 	// Phase 1: per-mix baselines define MaxIQ_AVF and reference IPC.
-	base, err := runMixes(p, []core.Scheme{core.SchemeBase}, []pipeline.FetchPolicyKind{pol})
+	res, err := runMixes(p, []core.Scheme{core.SchemeBase}, []pipeline.FetchPolicyKind{pol})
 	if err != nil {
 		return nil, err
 	}
-
+	base := func(mix workload.Mix) *core.Result { return res[key(mix.Name, core.SchemeBase, pol)] }
 	// Phase 2: DVM per mix × threshold.
+	at, err := runDVM(p, res, pol, dvm.StructIQ, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := &Fig8Result{
+		Policy: pol,
+		Fracs:  DVMFracs,
+		PVEBase: byFrac(func(mix workload.Mix, f float64) float64 {
+			return base(mix).PVE(f * base(mix).MaxIQAVF)
+		}),
+		PVEDVM: byFrac(func(mix workload.Mix, f float64) float64 {
+			return at(mix, f).PVE(f * base(mix).MaxIQAVF)
+		}),
+		ThruDeg: byFrac(func(mix workload.Mix, f float64) float64 {
+			return 100 * (1 - at(mix, f).ThroughputIPC/base(mix).ThroughputIPC)
+		}),
+		HarmDeg: byFrac(func(mix workload.Mix, f float64) float64 {
+			if base(mix).HarmonicIPC == 0 {
+				return 0
+			}
+			return 100 * (1 - at(mix, f).HarmonicIPC/base(mix).HarmonicIPC)
+		}),
+	}
+	var ratios []float64
+	for _, mix := range workload.Mixes() {
+		for _, f := range DVMFracs {
+			ratios = append(ratios, at(mix, f).DVMMeanRatio)
+		}
+	}
+	out.MeanRatio = mean(ratios)
+	return out, nil
+}
+
+// runDVM runs one DVM cell per mix × DVMFracs under pol, each targeting f ×
+// the mix's base cell MaxIQAVF in base (MaxROBAVF when st is
+// dvm.StructROB). With ratio set, the cells run DVM-static at ratio(mix, f).
+// It returns each cell's result by mix and fraction.
+func runDVM(p Params, base harness.Results, pol pipeline.FetchPolicyKind, st dvm.Structure,
+	ratio func(workload.Mix, float64) float64) (func(workload.Mix, float64) *core.Result, error) {
+	scheme := core.SchemeDVM
+	if ratio != nil {
+		scheme = core.SchemeDVMStatic
+	}
+	cellKey := func(mix workload.Mix, f float64) string { return key(mix.Name, scheme, pol, st, f) }
 	var cells []harness.Cell
 	for _, mix := range workload.Mixes() {
 		b := base[key(mix.Name, core.SchemeBase, pol)]
 		for _, f := range DVMFracs {
-			cells = append(cells, harness.Cell{
-				Key: key(mix.Name, "dvm", pol, f),
-				Cfg: core.Config{
-					Benchmarks:      mix.Benchmarks[:],
-					Scheme:          core.SchemeDVM,
-					Policy:          pol,
-					MaxInstructions: p.budget(),
-					DVMTarget:       f * b.MaxIQAVF,
-				},
-			})
+			c := mixCell(p, mix, scheme, pol)
+			c.Key = cellKey(mix, f)
+			c.Cfg.DVMStructure = st
+			c.Cfg.DVMTarget = f * b.MaxIQAVF
+			if st == dvm.StructROB {
+				c.Cfg.DVMTarget = f * b.MaxROBAVF
+			}
+			if ratio != nil {
+				c.Cfg.DVMStaticRatio = ratio(mix, f)
+			}
+			cells = append(cells, c)
 		}
 	}
-	dvmRes, err := p.Run(cells)
+	res, err := p.Run(cells)
 	if err != nil {
 		return nil, err
 	}
+	return func(mix workload.Mix, f float64) *core.Result { return res[cellKey(mix, f)] }, nil
+}
 
-	out := &Fig8Result{Policy: pol, Fracs: DVMFracs}
-	var ratioSum float64
-	var ratioN int
-	for ci := range workload.Categories() {
-		out.PVEBase[ci] = make([]float64, len(DVMFracs))
-		out.PVEDVM[ci] = make([]float64, len(DVMFracs))
-		out.ThruDeg[ci] = make([]float64, len(DVMFracs))
-		out.HarmDeg[ci] = make([]float64, len(DVMFracs))
-	}
-	for fi, f := range DVMFracs {
-		pveB := categoryMean(func(mix workload.Mix) float64 {
-			b := base[key(mix.Name, core.SchemeBase, pol)]
-			return b.PVE(f * b.MaxIQAVF)
-		})
-		pveD := categoryMean(func(mix workload.Mix) float64 {
-			b := base[key(mix.Name, core.SchemeBase, pol)]
-			return dvmRes[key(mix.Name, "dvm", pol, f)].PVE(f * b.MaxIQAVF)
-		})
-		thru := categoryMean(func(mix workload.Mix) float64 {
-			b := base[key(mix.Name, core.SchemeBase, pol)]
-			d := dvmRes[key(mix.Name, "dvm", pol, f)]
-			return 100 * (1 - d.ThroughputIPC/b.ThroughputIPC)
-		})
-		harm := categoryMean(func(mix workload.Mix) float64 {
-			b := base[key(mix.Name, core.SchemeBase, pol)]
-			d := dvmRes[key(mix.Name, "dvm", pol, f)]
-			if b.HarmonicIPC == 0 {
-				return 0
-			}
-			return 100 * (1 - d.HarmonicIPC/b.HarmonicIPC)
-		})
-		for ci := 0; ci < 3; ci++ {
-			out.PVEBase[ci][fi] = pveB[ci]
-			out.PVEDVM[ci][fi] = pveD[ci]
-			out.ThruDeg[ci][fi] = thru[ci]
-			out.HarmDeg[ci][fi] = harm[ci]
+// byFrac tabulates v's category means at each of DVMFracs, indexed
+// [category][frac].
+func byFrac(v func(mix workload.Mix, f float64) float64) [3][]float64 {
+	var out [3][]float64
+	for _, f := range DVMFracs {
+		m := categoryMean(func(mix workload.Mix) float64 { return v(mix, f) })
+		for ci := range out {
+			out[ci] = append(out[ci], m[ci])
 		}
 	}
-	for _, r := range dvmRes {
-		ratioSum += r.DVMMeanRatio
-		ratioN++
-	}
-	out.MeanRatio = ratioSum / float64(ratioN)
-	return out, nil
+	return out
 }
 
 // Fig8 reproduces Figure 8 (DVM under ICOUNT).

@@ -89,21 +89,15 @@ func IQMatrix(p Params) (*IQMatrixResult, error) {
 		Schemes: iqMatrixSchemes,
 	}
 
+	mixes := make([]workload.Mix, len(iqMatrixMixes))
 	var baseCells []harness.Cell
-	for _, mix := range iqMatrixMixes {
-		m, err := mixByName(mix)
+	for i, name := range iqMatrixMixes {
+		m, err := mixByName(name)
 		if err != nil {
 			return nil, err
 		}
-		baseCells = append(baseCells, harness.Cell{
-			Key: key("iqmatrix-ref", mix),
-			Cfg: core.Config{
-				Benchmarks:      m.Benchmarks[:],
-				Scheme:          core.SchemeBase,
-				Policy:          pipeline.PolicyICOUNT,
-				MaxInstructions: p.budget(),
-			},
-		})
+		mixes[i] = m
+		baseCells = append(baseCells, mixCell(p, m, core.SchemeBase, pipeline.PolicyICOUNT))
 	}
 	baseRes, err := p.Run(baseCells)
 	if err != nil {
@@ -111,29 +105,20 @@ func IQMatrix(p Params) (*IQMatrixResult, error) {
 	}
 
 	var cells []harness.Cell
-	for _, mix := range iqMatrixMixes {
-		m, _ := mixByName(mix)
-		ref := baseRes[key("iqmatrix-ref", mix)]
+	for _, m := range mixes {
+		ref := baseRes[key(m.Name, core.SchemeBase, pipeline.PolicyICOUNT)]
 		for _, org := range out.Orgs {
 			for _, prot := range out.Prots {
 				for _, scheme := range out.Schemes {
-					mach := config.Default()
-					mach.IQOrg = org.String()
-					mach.IQProtection = prot.String()
-					cfg := core.Config{
-						Machine:         &mach,
-						Benchmarks:      m.Benchmarks[:],
-						Scheme:          scheme,
-						Policy:          pipeline.PolicyICOUNT,
-						MaxInstructions: p.budget(),
-					}
-					if scheme == core.SchemeDVM {
-						cfg.DVMTarget = iqMatrixDVMFrac * ref.MaxIQAVF
-					}
-					cells = append(cells, harness.Cell{
-						Key: key("iqmatrix", mix, org, prot, scheme),
-						Cfg: cfg,
+					c := mixCell(p, m, scheme, pipeline.PolicyICOUNT)
+					c.Key = key("iqmatrix", m.Name, org, prot, scheme)
+					withMachine(&c.Cfg, func(mach *config.Machine) {
+						mach.IQOrg, mach.IQProtection = org.String(), prot.String()
 					})
+					if scheme == core.SchemeDVM {
+						c.Cfg.DVMTarget = iqMatrixDVMFrac * ref.MaxIQAVF
+					}
+					cells = append(cells, c)
 				}
 			}
 		}

@@ -120,25 +120,37 @@ func TestAblationRenders(t *testing.T) {
 	if !strings.Contains(or.String(), "oracle") {
 		t.Error("oracle render")
 	}
-	th := &ThresholdResult{Thresholds: []uint64{16, 1 << 30}, NormAVF: []float64{0.6, 0.4}, NormIPC: []float64{1, 0.5}}
-	if s := th.String(); !strings.Contains(s, "∞ (opt1)") || !strings.Contains(s, "16") {
-		t.Errorf("threshold render:\n%s", s)
-	}
 	wr := &WindowResult{Windows: []int{2000}, Accuracy: []float64{0.9}, ACEFrac: []float64{0.4}}
 	if !strings.Contains(wr.String(), "2000") {
 		t.Error("window render")
 	}
-	iq := &IQSizeResult{Sizes: []int{32}, IPC: []float64{2}, AVF: []float64{0.3}}
-	if !strings.Contains(iq.String(), "32") {
-		t.Error("iq size render")
-	}
-	w := &WidthResult{Widths: []int{4}, IPC: []float64{2}, AVF: []float64{0.2}}
-	if !strings.Contains(w.String(), "width") {
-		t.Error("width render")
-	}
-	iv := &IntervalResult{Intervals: []int{1000}, NormAVF: []float64{0.5}, NormIPC: []float64{0.6}}
-	if !strings.Contains(iv.String(), "1000") {
-		t.Error("interval render")
+	for _, tc := range []struct {
+		k      knob
+		labels []string
+	}{
+		{tcacheKnob, []string{"2", "8", "16", "64", "∞ (opt1)"}},
+		{iqSizeKnob, []string{"32", "64", "96", "128"}},
+		{intervalKnob, []string{"1000", "5000", "10000", "50000"}},
+		{widthKnob, []string{"4", "8", "16"}},
+		{predictorKnob, []string{"gshare", "bimodal"}},
+	} {
+		s := tc.k.frame()
+		for range s.Labels {
+			s.Values = append(s.Values, make([]float64, len(s.metrics)))
+		}
+		out := s.String()
+		lines := strings.Split(out, "\n")
+		if lines[0] != tc.k.title || !strings.HasPrefix(lines[2], tc.k.name) {
+			t.Errorf("%s: title or knob header missing:\n%s", tc.k.name, out)
+		}
+		if len(lines) != 4+len(tc.labels)+1 {
+			t.Fatalf("%s: %d lines, want %d rows:\n%s", tc.k.name, len(lines), len(tc.labels), out)
+		}
+		for i, l := range tc.labels {
+			if !strings.HasPrefix(lines[4+i], l+" ") {
+				t.Errorf("%s: row %d is %q, want label %q", tc.k.name, i, lines[4+i], l)
+			}
+		}
 	}
 	ext := &ROBDVMResult{Fracs: []float64{0.5}}
 	for ci := 0; ci < 3; ci++ {

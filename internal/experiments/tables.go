@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -31,15 +32,33 @@ type Table1Result struct {
 
 // Table1 reproduces Table 1.
 func Table1(p Params) (*Table1Result, error) {
-	names := workload.Table1Benchmarks()
-	out := &Table1Result{
-		Benchmarks: names,
-		Accuracy:   make([]float64, len(names)),
-		ACEFrac:    make([]float64, len(names)),
+	acc, frac, err := profileSuite(p, ace.DefaultWindow)
+	if err != nil {
+		return nil, err
 	}
-	// Per-benchmark single-thread profiling accuracy, in parallel.
-	var wg sync.WaitGroup
+	out := &Table1Result{Benchmarks: workload.Table1Benchmarks(), Accuracy: acc, ACEFrac: frac, Average: mean(acc)}
+
+	// Squashed-inclusive accuracy from the baseline SMT runs.
+	res, err := runMixes(p, []core.Scheme{core.SchemeBase}, []pipeline.FetchPolicyKind{pipeline.PolicyICOUNT})
+	if err != nil {
+		return nil, err
+	}
+	var squashed []float64
+	for _, mix := range workload.Mixes() {
+		squashed = append(squashed, res[key(mix.Name, core.SchemeBase, pipeline.PolicyICOUNT)].CombinedTagAccuracy())
+	}
+	out.SquashedInclusive = mean(squashed)
+	return out, nil
+}
+
+// profileSuite profiles every Table 1 benchmark single-threaded with the
+// given analysis window, in parallel, and returns the committed tag
+// accuracies and ACE fractions in workload.Table1Benchmarks order.
+func profileSuite(p Params, window int) (acc, frac []float64, err error) {
+	names := workload.Table1Benchmarks()
+	acc, frac = make([]float64, len(names)), make([]float64, len(names))
 	errs := make([]error, len(names))
+	var wg sync.WaitGroup
 	for i, name := range names {
 		wg.Add(1)
 		go func(i int, name string) {
@@ -49,38 +68,16 @@ func Table1(p Params) (*Table1Result, error) {
 				errs[i] = err
 				return
 			}
-			prof, err := core.ProfileFor(b, p.budget(), ace.DefaultWindow)
+			prof, err := core.ProfileFor(b, p.budget(), window)
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			out.Accuracy[i] = prof.Accuracy()
-			out.ACEFrac[i] = prof.ACEFraction()
+			acc[i], frac[i] = prof.Accuracy(), prof.ACEFraction()
 		}(i, name)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, a := range out.Accuracy {
-		out.Average += a
-	}
-	out.Average /= float64(len(out.Accuracy))
-
-	// Squashed-inclusive accuracy from the baseline SMT runs.
-	res, err := runMixes(p, []core.Scheme{core.SchemeBase}, []pipeline.FetchPolicyKind{pipeline.PolicyICOUNT})
-	if err != nil {
-		return nil, err
-	}
-	n := 0
-	for _, r := range res {
-		out.SquashedInclusive += r.CombinedTagAccuracy()
-		n++
-	}
-	out.SquashedInclusive /= float64(n)
-	return out, nil
+	return acc, frac, errors.Join(errs...)
 }
 
 // String renders the table.
